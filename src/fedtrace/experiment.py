@@ -17,15 +17,20 @@ sentinel; both multipliers are zero and the accountant reports inf.
 
 Artifacts, all inside one run directory:
 
-    traces.jsonl            one JSON object per script trace
+    traces.jsonl            one JSON object per script trace (audit only:
+                            no later stage reads it)
+    features.npz            the feature matrix's nonzeros (CSR), labels,
+                            fingerprinting-type bitmasks and row order
     catalog.json            feature catalog used throughout the run
     placements.json         domain -> script ids in load order
     ranking.txt             rank<TAB>domain popularity ranking
     split.json              train/test domain lists
-    generate_manifest.json  corpus counts plus the config snapshot
+    generate_manifest.json  corpus counts, the config snapshot and the
+                            sha256 of features.npz
     partition.json          per-participant domain draws + knowledge map
     normstats.json          private normalization statistics (if enabled)
-    checkpoint.json         final model weights plus provenance hashes
+    checkpoint.json         final model weights plus provenance hashes,
+                            including the sha256 of normstats.json
     round_records.csv       per-round sampled / update norm / theta norm
     ledger.json             every (mechanism, q, z, count) charged
     metrics.csv             train/test AUPRC rows, config in the header
@@ -33,11 +38,17 @@ Artifacts, all inside one run directory:
 
 The identity columns that evaluate writes come from the checkpoint's
 stored config, so metrics always describe the model they score.
+
+Every artifact is replaced atomically (artifacts.atomic_write), and the
+hashes recorded in generate_manifest.json and checkpoint.json make a
+later stage refuse a features.npz or normstats.json that another run
+wrote.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,6 +58,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import atomic_write, file_sha256, read_npz, write_npz
 from .errors import ConfigError, InvalidInput, InvalidMask, StageDependencyError
 from .features import catalog_hash, default_catalog, load_catalog, save_catalog
 from .fedavg import TrainingRunConfig, RoundRecord, train
@@ -57,8 +69,8 @@ from .heuristics import label
 from .metrics import average_precision
 from .model import LogisticModel, OptimizerConfig
 from .partition import (DEFAULT_URLS_PER_PARTICIPANT, DEFAULT_ZIPF_EXPONENT, DomainRanking,
-                        LimitedKnowledgeSpec, ParticipantDataset, ScriptCorpus, apply_spec,
-                        assign_scripts, build_partition, load_ranking,
+                        LimitedKnowledgeSpec, ParticipantDataset, ScriptCorpus, SparseRows,
+                        apply_spec, assign_scripts, build_partition, load_ranking,
                         make_limited_knowledge, save_ranking, zipf_sample_domains)
 from .privacy import PlannedQuery, PrivacyLedger, calibrate_noise
 from .seeding import DOMAIN_SAMPLING, NORM_QUERY, derive_rng
@@ -70,6 +82,7 @@ DEFAULT_DELTA = 1e-5
 DEFAULT_NORM_FRACTION = 0.1
 
 TRACES_FILE = "traces.jsonl"
+FEATURES_FILE = "features.npz"
 CATALOG_FILE = "catalog.json"
 PLACEMENTS_FILE = "placements.json"
 RANKING_FILE = "ranking.txt"
@@ -350,7 +363,7 @@ def preset_config(name: str) -> ExperimentConfig:
 # ------------------------------------------------------------ artifacts
 
 def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -375,7 +388,7 @@ def _csv_cell(value) -> str:
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
                snapshot: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         if snapshot is not None:
             fh.write(snapshot + "\n")
         fh.write(",".join(header) + "\n")
@@ -638,22 +651,36 @@ def run_pipeline(config: ExperimentConfig, *, max_workers: int | None = None) ->
 
 # --------------------------------------------------------- file stages
 
+def _traces_written(stream, fh):
+    """Pass the stream's items on, writing each script's trace line first."""
+    for item in stream:
+        fh.write(trace_to_json_line(item[0].trace))
+        fh.write("\n")
+        yield item
+
+
 def stage_generate(config: ExperimentConfig, run_dir) -> dict:
-    """Write the corpus artifacts, streaming traces straight to disk."""
+    """Write the corpus artifacts in one pass over the generator stream.
+
+    Each script's trace goes to traces.jsonl and its feature row's
+    nonzeros into features.npz as it passes, so neither the traces nor
+    a dense matrix is ever held. The manifest records the sha256 of
+    features.npz, which the later stages check.
+    """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     catalog = default_catalog()
     stream, placements, ranking, split, manifest = generate_stream(
         config.resolved_generator, catalog)
-    with open(run_dir / TRACES_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        for script in stream:
-            fh.write(trace_to_json_line(script.trace))
-            fh.write("\n")
+    with atomic_write(run_dir / TRACES_FILE) as fh:
+        rows = SparseRows.collect(_traces_written(stream, fh), catalog.slot_count)
+    write_npz(run_dir / FEATURES_FILE, rows.to_arrays())
     save_catalog(catalog, run_dir / CATALOG_FILE)
     _write_json(placements, run_dir / PLACEMENTS_FILE)
     save_ranking(ranking, run_dir / RANKING_FILE)
     _write_json(split.to_dict(), run_dir / SPLIT_FILE)
-    manifest = {**manifest, "experiment_config": config.to_dict()}
+    manifest = {**manifest, "experiment_config": config.to_dict(),
+                "features_sha256": file_sha256(run_dir / FEATURES_FILE)}
     _write_json(manifest, run_dir / GENERATE_MANIFEST_FILE)
     return manifest
 
@@ -664,7 +691,7 @@ def _check_generated_config(config: ExperimentConfig, run_dir: Path, stage: str)
     for key in ("generator", "seed"):
         if stored.get(key) != current[key]:
             raise StageDependencyError(
-                f"stage {stage!r}: traces in {run_dir} came from a different "
+                f"stage {stage!r}: the corpus in {run_dir} came from a different "
                 f"{key} setting; re-run the generate stage")
 
 
@@ -721,18 +748,40 @@ def _check_partition_config(config: ExperimentConfig, manifest: dict) -> None:
                 f"config says {current[key]!r}; re-run the partition stage")
 
 
-def load_corpus(run_dir, dtype=np.float32) -> tuple[ScriptCorpus, SplitSpec]:
-    """Rebuild the labeled corpus from traces, catalog and placements."""
+def load_corpus(run_dir) -> tuple[ScriptCorpus, SplitSpec]:
+    """Rebuild the labeled corpus from features.npz, catalog and placements.
+
+    Refuses (StageDependencyError) a features.npz that is missing or
+    whose sha256 differs from the one generate_manifest.json records.
+    """
     run_dir = Path(run_dir)
+    _require(run_dir, "load_corpus", (FEATURES_FILE, GENERATE_MANIFEST_FILE))
+    data = (run_dir / FEATURES_FILE).read_bytes()
+    expected = _read_json(run_dir / GENERATE_MANIFEST_FILE).get("features_sha256")
+    if hashlib.sha256(data).hexdigest() != expected:
+        raise StageDependencyError(
+            f"{FEATURES_FILE} in {run_dir} is not the one the generate stage recorded; "
+            f"re-run the generate stage")
+    rows = SparseRows.from_arrays(read_npz(data))
     catalog = load_catalog(run_dir / CATALOG_FILE)
     placements = _read_json(run_dir / PLACEMENTS_FILE)
     split = SplitSpec.from_dict(_read_json(run_dir / SPLIT_FILE))
+    return ScriptCorpus.from_sparse(rows, catalog, placements), split
+
+
+def corpus_from_traces(run_dir) -> ScriptCorpus:
+    """Audit path: rebuild the corpus by re-parsing and relabelling traces.jsonl.
+
+    No stage reads it; it shows that features.npz holds exactly what
+    the traces yield under the run's catalog and labeling rules.
+    """
+    run_dir = Path(run_dir)
     scripts = []
     for trace in parse_trace_file(run_dir / TRACES_FILE):
         found = label(trace)
         scripts.append(LabeledScript(trace, found.is_fingerprinting(), found.types()))
-    corpus = ScriptCorpus.from_scripts(scripts, catalog, placements, dtype=dtype)
-    return corpus, split
+    return ScriptCorpus.from_scripts(scripts, load_catalog(run_dir / CATALOG_FILE),
+                                     _read_json(run_dir / PLACEMENTS_FILE))
 
 
 def participants_from_manifest(manifest: dict,
@@ -751,7 +800,7 @@ def stage_train(config: ExperimentConfig, run_dir,
                 max_workers: int | None = None) -> TrainOutcome:
     """Calibrate, normalize and train from the stored corpus artifacts."""
     run_dir = Path(run_dir)
-    _require(run_dir, "train", (CATALOG_FILE, TRACES_FILE, PLACEMENTS_FILE, SPLIT_FILE,
+    _require(run_dir, "train", (CATALOG_FILE, FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE,
                                 RANKING_FILE, GENERATE_MANIFEST_FILE, PARTITION_FILE))
     _check_generated_config(config, run_dir, "train")
     manifest = _read_json(run_dir / PARTITION_FILE)
@@ -762,8 +811,10 @@ def stage_train(config: ExperimentConfig, run_dir,
                             _read_json(run_dir / GENERATE_MANIFEST_FILE))
     participants = participants_from_manifest(manifest, corpus)
     outcome = train_in_memory(prepared, participants, config, max_workers=max_workers)
+    norm_stats_sha256 = None
     if outcome.norm_stats is not None:
         save_norm_stats(outcome.norm_stats, run_dir / NORM_STATS_FILE)
+        norm_stats_sha256 = file_sha256(run_dir / NORM_STATS_FILE)
     else:
         (run_dir / NORM_STATS_FILE).unlink(missing_ok=True)
     checkpoint = {
@@ -775,6 +826,7 @@ def stage_train(config: ExperimentConfig, run_dir,
         "norm_mode": config.norm_mode,
         "z_norm": outcome.budget.z_norm,
         "z_train": outcome.budget.z_train,
+        "normstats_sha256": norm_stats_sha256,
         "config": config.to_dict(),
     }
     _write_json(checkpoint, run_dir / CHECKPOINT_FILE)
@@ -792,8 +844,8 @@ def stage_train(config: ExperimentConfig, run_dir,
 def stage_evaluate(run_dir) -> list[dict]:
     """Score both splits with the stored checkpoint and write metrics.csv."""
     run_dir = Path(run_dir)
-    _require(run_dir, "evaluate",
-             (CATALOG_FILE, TRACES_FILE, PLACEMENTS_FILE, SPLIT_FILE, CHECKPOINT_FILE))
+    _require(run_dir, "evaluate", (CATALOG_FILE, FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE,
+                                   GENERATE_MANIFEST_FILE, CHECKPOINT_FILE))
     checkpoint = _read_json(run_dir / CHECKPOINT_FILE)
     config = ExperimentConfig.from_dict(checkpoint["config"])
     corpus, split = load_corpus(run_dir)
@@ -810,6 +862,10 @@ def stage_evaluate(run_dir) -> list[dict]:
     x = corpus.X[:, mask]
     if checkpoint["normalize"]:
         _require(run_dir, "evaluate", (NORM_STATS_FILE,))
+        if file_sha256(run_dir / NORM_STATS_FILE) != checkpoint.get("normstats_sha256"):
+            raise StageDependencyError(
+                f"{NORM_STATS_FILE} in {run_dir} is not the one the checkpoint was "
+                f"trained with; re-run training")
         stats = load_norm_stats(run_dir / NORM_STATS_FILE)
         x = normalize_matrix(x, stats, str(checkpoint["norm_mode"]),
                              variance_floor=config.variance_floor)
@@ -843,11 +899,11 @@ def stage_account(run_dir) -> dict:
     delta = float(stored["delta"])
     entries = stored.get("entries", [])
     total = PrivacyLedger()
-    phases: dict[str, PrivacyLedger] = {}
+    phases: dict[tuple[str, float, float], PrivacyLedger] = {}
     for mechanism, q, z, count in entries:
-        total.record(str(mechanism), float(q), float(z), int(count))
-        phases.setdefault(str(mechanism), PrivacyLedger()).record(
-            str(mechanism), float(q), float(z), int(count))
+        key = (str(mechanism), float(q), float(z))
+        total.record(*key, int(count))
+        phases.setdefault(key, PrivacyLedger()).record(*key, int(count))
     orders = np.asarray(total.orders, dtype=float)
 
     def rdp_list(vec: np.ndarray):
@@ -873,11 +929,11 @@ def stage_account(run_dir) -> dict:
         "phases": [
             {"mechanism": name,
              "n_queries": sum(e.count for e in lg.entries),
-             "q": lg.entries[0].q,
-             "z": lg.entries[0].z,
+             "q": q,
+             "z": z,
              "epsilon_alone": _encode_epsilon(lg.epsilon(delta)),
              "rdp": rdp_list(lg.total_rdp)}
-            for name, lg in sorted(phases.items())
+            for (name, q, z), lg in sorted(phases.items())
         ],
     }
     _write_json(report, run_dir / PRIVACY_REPORT_FILE)

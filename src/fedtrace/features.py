@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import heuristics
+from .artifacts import atomic_write
 from .errors import CardinalityError, InvalidInput, InvalidMask, ParseError
 from .traces import MAX_ARGS, LongString, ScriptTrace, Scalar
 
@@ -258,7 +259,7 @@ def catalog_hash(catalog: FeatureCatalog) -> str:
 
 
 def save_catalog(catalog: FeatureCatalog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(catalog_to_json(catalog))
         fh.write("\n")
 

@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import atomic_write
 from .errors import InsufficientData, InvalidInput
 from .features import FeatureVector
 from .privacy import PrivacyLedger, gaussian_noise, noise_stddev
@@ -83,7 +84,7 @@ class NormStats:
 
 
 def save_norm_stats(stats: NormStats, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(stats.to_dict(), fh, sort_keys=True)
         fh.write("\n")
 

@@ -16,12 +16,13 @@ index arrays rather than matrix copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import features
+from .artifacts import atomic_write
 from .errors import InsufficientData, InvalidInput, ParseError
 from .features import FeatureCatalog, FeatureVector
 from .seeding import DOMAIN_SAMPLING, LIMITED_KNOWLEDGE, derive_rng
@@ -94,7 +95,7 @@ def load_ranking(path) -> DomainRanking:
 
 
 def save_ranking(ranking: DomainRanking, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for domain, rank in ranking.pairs():
             fh.write(f"{rank}\t{domain}\n")
 
@@ -116,6 +117,77 @@ def zipf_sample_domains(ranking: DomainRanking, d: int, exponent: float = DEFAUL
         part = np.argpartition(keys, d - 1)[:d]
         winners = part[np.argsort(keys[part], kind="stable")]
     return [ranking.domains[i] for i in winners]
+
+
+@dataclass(eq=False)
+class SparseRows:
+    """Feature rows as a CSR matrix, with each row's script id, label and bitmask.
+
+    matrix holds float32 values over int32 column indices; scipy's
+    check_format(full_check=True) validates its structure on construction.
+    """
+
+    script_ids: tuple[str, ...]
+    matrix: csr_matrix
+    labels: np.ndarray       # bool
+    fp_bitmasks: np.ndarray  # uint8 over FP_TYPES bits
+
+    def __post_init__(self):
+        try:
+            self.matrix.check_format(full_check=True)
+        except ValueError as exc:
+            raise InvalidInput(f"bad feature rows: {exc}") from None
+        n = len(self.script_ids)
+        if self.matrix.shape[0] != n or self.labels.shape != (n,) \
+                or self.fp_bitmasks.shape != (n,):
+            raise InvalidInput("feature rows, labels and bitmasks need one entry per script")
+
+    @property
+    def n_cols(self) -> int:
+        return self.matrix.shape[1]
+
+    @classmethod
+    def collect(cls, items: Iterable[tuple[LabeledScript, np.ndarray, np.ndarray]],
+                n_cols: int) -> "SparseRows":
+        """Gather (script, columns, values) rows in the order they arrive."""
+        ids, labels, masks, indices, data = [], [], [], [], []
+        for script, cols, vals in items:
+            ids.append(script.trace.script_id)
+            labels.append(script.label)
+            masks.append(types_to_bitmask(script.fp_types))
+            indices.append(cols)
+            data.append(vals)
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum([c.size for c in indices], out=indptr[1:])
+        matrix = _csr(np.concatenate(data or [np.empty(0, np.float32)]),
+                      np.concatenate(indices or [np.empty(0, np.int32)]),
+                      indptr, (len(ids), n_cols))
+        return cls(tuple(ids), matrix, np.asarray(labels, dtype=bool),
+                   np.asarray(masks, dtype=np.uint8))
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {"shape": np.asarray(self.matrix.shape, dtype=np.int64),
+                "indptr": self.matrix.indptr, "indices": self.matrix.indices,
+                "data": self.matrix.data, "labels": self.labels,
+                "fp_bitmasks": self.fp_bitmasks,
+                "script_ids": np.asarray(self.script_ids, dtype=str)}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "SparseRows":
+        try:
+            shape = tuple(int(v) for v in arrays["shape"])
+            matrix = _csr(arrays["data"], arrays["indices"], arrays["indptr"], shape)
+            return cls(tuple(str(s) for s in arrays["script_ids"].tolist()), matrix,
+                       arrays["labels"].astype(bool, copy=False),
+                       arrays["fp_bitmasks"].astype(np.uint8, copy=False))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"bad feature rows: {exc}") from None
+
+
+def _csr(data, indices, indptr, shape) -> csr_matrix:
+    """float32 CSR matrix over int32 column indices; ValueError if they disagree."""
+    return csr_matrix((np.asarray(data, dtype=np.float32),
+                       np.asarray(indices, dtype=np.int32), indptr), shape=shape)
 
 
 @dataclass(eq=False)
@@ -144,10 +216,6 @@ class ScriptCorpus:
     def domains(self) -> tuple[str, ...]:
         return tuple(self.domain_rows)
 
-    @cached_property
-    def _row_of_script(self) -> dict[str, int]:
-        return {sid: i for i, sid in enumerate(self.script_ids)}
-
     def rows_for_domain(self, domain: str) -> np.ndarray:
         try:
             return self.domain_rows[domain]
@@ -156,8 +224,8 @@ class ScriptCorpus:
 
     @classmethod
     def from_scripts(cls, scripts: Sequence[LabeledScript], catalog: FeatureCatalog,
-                     placements: Mapping[str, Sequence[str]] | None = None,
-                     dtype=np.float32) -> "ScriptCorpus":
+                     placements: Mapping[str, Sequence[str]] | None = None
+                     ) -> "ScriptCorpus":
         """Extract features for every distinct script id (first trace wins).
 
         placements maps domain -> script ids in load order; when omitted it
@@ -168,7 +236,7 @@ class ScriptCorpus:
         for item in scripts:
             order.setdefault(item.trace.script_id, item)
         ids = tuple(order)
-        x = np.zeros((len(ids), catalog.slot_count), dtype=dtype)
+        x = np.zeros((len(ids), catalog.slot_count), dtype=np.float32)
         labels = np.zeros(len(ids), dtype=bool)
         masks = np.zeros(len(ids), dtype=np.uint8)
         for i, sid in enumerate(ids):
@@ -176,22 +244,35 @@ class ScriptCorpus:
             features.fill_feature_row(item.trace, catalog, x[i])
             labels[i] = item.label
             masks[i] = types_to_bitmask(item.fp_types)
-        row_of = {sid: i for i, sid in enumerate(ids)}
-        domain_rows: dict[str, list[int]] = {}
         if placements is None:
+            derived: dict[str, list[str]] = {}
             for item in scripts:
-                domain_rows.setdefault(item.trace.source_domain, []).append(
-                    row_of[item.trace.script_id])
-        else:
-            for domain, sids in placements.items():
-                rows = domain_rows.setdefault(domain, [])
-                for sid in sids:
-                    row = row_of.get(sid)
-                    if row is None:
-                        raise InvalidInput(f"domain {domain!r} lists unknown script {sid!r}")
-                    rows.append(row)
-        packed = {d: np.asarray(rows, dtype=np.intp) for d, rows in domain_rows.items()}
-        return cls(catalog, ids, x, labels, masks, packed)
+                derived.setdefault(item.trace.source_domain, []).append(item.trace.script_id)
+            placements = derived
+        return cls(catalog, ids, x, labels, masks, rows_by_domain(placements, ids))
+
+    @classmethod
+    def from_sparse(cls, rows: SparseRows, catalog: FeatureCatalog,
+                    placements: Mapping[str, Sequence[str]]) -> "ScriptCorpus":
+        """Densify stored feature rows; placements maps domain -> script ids."""
+        if rows.n_cols != catalog.slot_count:
+            raise InvalidInput(f"feature rows have {rows.n_cols} columns but the catalog "
+                               f"has {catalog.slot_count} slots")
+        return cls(catalog, rows.script_ids, rows.matrix.toarray(), rows.labels,
+                   rows.fp_bitmasks, rows_by_domain(placements, rows.script_ids))
+
+
+def rows_by_domain(placements: Mapping[str, Sequence[str]],
+                   script_ids: Sequence[str]) -> dict[str, np.ndarray]:
+    """Map each domain's script ids (load order kept) to corpus row indices."""
+    row_of = {sid: i for i, sid in enumerate(script_ids)}
+    out = {}
+    for domain, sids in placements.items():
+        try:
+            out[domain] = np.asarray([row_of[sid] for sid in sids], dtype=np.intp)
+        except KeyError as exc:
+            raise InvalidInput(f"domain {domain!r} lists unknown script {exc.args[0]!r}") from None
+    return out
 
 
 @dataclass(eq=False)

@@ -16,7 +16,6 @@ DOMAIN_SAMPLING = 1
 LIMITED_KNOWLEDGE = 2
 NORM_QUERY = 3
 ROUND_SAMPLING = 4
-SERVER_NOISE = 5
 GENERATOR = 6
 SCORE_SAMPLING = 7
 

@@ -24,6 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .artifacts import atomic_write
 from .errors import InvalidInput, ParseError
 
 MAX_ARGS = 8
@@ -217,7 +218,7 @@ def parse_trace_file(path) -> list[ScriptTrace]:
 
 
 def write_trace_file(traces, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for trace in traces:
             fh.write(trace_to_json_line(trace))
             fh.write("\n")

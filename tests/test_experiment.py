@@ -4,21 +4,24 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
+import zipfile
 
 import numpy as np
 import pytest
 
+from fedtrace.artifacts import ZIP_EPOCH
 from fedtrace.errors import ConfigError, StageDependencyError
-from fedtrace.experiment import (CHECKPOINT_FILE, LEDGER_FILE, METRICS_FILE,
+from fedtrace.experiment import (CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE, METRICS_FILE,
                                  NORM_STATS_FILE, PARTITION_FILE, ROUND_RECORDS_FILE,
-                                 ExperimentConfig, NoiseBudget, apply_overrides,
-                                 calibrate_budget, config_snapshot_line, load_config,
-                                 participants_from_manifest, preset_config, read_metrics,
-                                 run_pipeline, smoke_preset, stage_account, stage_evaluate,
-                                 stage_generate, stage_partition, stage_train,
-                                 training_ranking, write_csv)
+                                 TRACES_FILE, ExperimentConfig, NoiseBudget, apply_overrides,
+                                 calibrate_budget, config_snapshot_line, corpus_from_traces,
+                                 load_config, load_corpus, participants_from_manifest,
+                                 preset_config, read_metrics, run_pipeline, smoke_preset,
+                                 stage_account, stage_evaluate, stage_generate,
+                                 stage_partition, stage_train, training_ranking, write_csv)
 from fedtrace.partition import DomainRanking
-from fedtrace.privacy import PlannedQuery, plan_epsilon
+from fedtrace.privacy import PlannedQuery, PrivacyLedger, plan_epsilon
 from fedtrace.synth import GeneratorConfig, SplitSpec
 
 
@@ -373,6 +376,85 @@ class TestStageGuards:
         with pytest.raises(ConfigError) as err:
             stage_partition(cfg, tmp_path)
         assert err.value.field == "urls_per_participant"
+
+
+    def test_load_corpus_refuses_missing_features(self, tmp_path):
+        stage_generate(tiny_config(), tmp_path)
+        (tmp_path / FEATURES_FILE).unlink()
+        with pytest.raises(StageDependencyError):
+            load_corpus(tmp_path)
+
+    def test_features_from_another_seed_are_refused(self, tmp_path):
+        cfg = tiny_config()
+        stage_generate(cfg, tmp_path / "a")
+        stage_partition(cfg, tmp_path / "a")
+        stage_generate(tiny_config(seed=8), tmp_path / "b")
+        shutil.copyfile(tmp_path / "b" / FEATURES_FILE, tmp_path / "a" / FEATURES_FILE)
+        with pytest.raises(StageDependencyError, match=FEATURES_FILE):
+            stage_train(cfg, tmp_path / "a")
+
+    def test_normstats_from_another_run_are_refused(self, tmp_path):
+        for name, epsilon in (("a", 5.0), ("b", 2.0)):
+            cfg = tiny_config(epsilon=epsilon)
+            stage_generate(cfg, tmp_path / name)
+            stage_partition(cfg, tmp_path / name)
+            stage_train(cfg, tmp_path / name)
+        shutil.copyfile(tmp_path / "b" / NORM_STATS_FILE, tmp_path / "a" / NORM_STATS_FILE)
+        with pytest.raises(StageDependencyError, match=NORM_STATS_FILE):
+            stage_evaluate(tmp_path / "a")
+
+
+class TestPersistedFeatures:
+    def test_persisted_corpus_equals_the_one_rebuilt_from_traces(self, run_cfg, run_dir):
+        stored, _ = load_corpus(run_dir)
+        rebuilt = corpus_from_traces(run_dir)
+        manifest = json.loads((run_dir / "generate_manifest.json").read_text())
+        assert manifest["n_shared"] > 0
+        assert stored.script_ids == rebuilt.script_ids
+        assert stored.X.dtype == rebuilt.X.dtype == np.float32
+        assert np.array_equal(stored.X, rebuilt.X)
+        assert np.array_equal(stored.labels, rebuilt.labels)
+        assert np.array_equal(stored.fp_bitmasks, rebuilt.fp_bitmasks)
+        assert list(stored.domain_rows) == list(rebuilt.domain_rows)
+        for domain, rows in rebuilt.domain_rows.items():
+            assert np.array_equal(stored.domain_rows[domain], rows)
+
+    def test_features_zip_members_carry_the_fixed_date(self, tmp_path):
+        # zip members carry a time with 2 s resolution; a fixed date keeps
+        # the bytes of two runs in different windows equal
+        cfg = tiny_config(generator=GeneratorConfig(n_scripts=300, fp_prevalence=0.02))
+        stage_generate(cfg, tmp_path)
+        with zipfile.ZipFile(tmp_path / FEATURES_FILE) as zf:
+            assert all(info.date_time == ZIP_EPOCH for info in zf.infolist())
+
+    def test_train_and_evaluate_do_not_read_traces(self, run_cfg, run_dir, tmp_path):
+        stage_generate(run_cfg, tmp_path)
+        stage_partition(run_cfg, tmp_path)
+        (tmp_path / TRACES_FILE).unlink()
+        stage_train(run_cfg, tmp_path)
+        stage_evaluate(tmp_path)
+        for name in (CHECKPOINT_FILE, METRICS_FILE, NORM_STATS_FILE):
+            assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+class TestAccount:
+    def test_mixed_ledger_reports_one_phase_per_setting(self, tmp_path):
+        entries = [["fedavg-round", 0.1, 1.2, 1], ["fedavg-round", 0.1, 1.2, 1],
+                   ["fedavg-round", 0.2, 2.5, 3], ["norm-mean", 0.1, 4.0, 10]]
+        (tmp_path / LEDGER_FILE).write_text(json.dumps({"delta": 1e-5, "entries": entries}))
+        report = stage_account(tmp_path)
+        got = [(p["mechanism"], p["q"], p["z"], p["n_queries"]) for p in report["phases"]]
+        assert got == [("fedavg-round", 0.1, 1.2, 2), ("fedavg-round", 0.2, 2.5, 3),
+                       ("norm-mean", 0.1, 4.0, 10)]
+        for phase in report["phases"]:
+            alone = PrivacyLedger()
+            alone.record(phase["mechanism"], phase["q"], phase["z"], phase["n_queries"])
+            assert phase["epsilon_alone"] == pytest.approx(alone.epsilon(1e-5), rel=1e-12)
+        total = PrivacyLedger()
+        for entry in entries:
+            total.record(*entry)
+        assert report["epsilon"] == pytest.approx(total.epsilon(1e-5), rel=1e-12)
+        assert report["n_queries"] == 15
 
 
 class TestNormalizationToggle:
