@@ -26,11 +26,13 @@ Artifacts, all inside one run directory:
     ranking.txt             rank<TAB>domain popularity ranking
     split.json              train/test domain lists
     generate_manifest.json  corpus counts, the config snapshot and the
-                            sha256 of features.npz
+                            sha256 of features.npz, placements.json and
+                            split.json
     partition.json          per-participant domain draws + knowledge map
     normstats.json          private normalization statistics (if enabled)
     checkpoint.json         final model weights plus provenance hashes,
-                            including the sha256 of normstats.json
+                            including the sha256 of partition.json and
+                            normstats.json
     round_records.csv       per-round sampled / update norm / theta norm
     ledger.json             every (mechanism, q, z, count) charged
     metrics.csv             train/test AUPRC rows, config in the header
@@ -41,8 +43,8 @@ stored config, so metrics always describe the model they score.
 
 Every artifact is replaced atomically (artifacts.atomic_write), and the
 hashes recorded in generate_manifest.json and checkpoint.json make a
-later stage refuse a features.npz or normstats.json that another run
-wrote.
+later stage refuse a features.npz, placements.json, split.json,
+partition.json or normstats.json that another run wrote.
 """
 
 from __future__ import annotations
@@ -429,6 +431,26 @@ def _require(run_dir: Path, stage: str, names: Sequence[str]) -> None:
             f"run the earlier stages first")
 
 
+def _recorded_bytes(run_dir: Path, name: str, recorded, rerun: str) -> bytes:
+    """The artifact's bytes, refused unless their sha256 is the recorded one."""
+    data = (run_dir / name).read_bytes()
+    if hashlib.sha256(data).hexdigest() != recorded:
+        raise StageDependencyError(
+            f"{name} in {run_dir} is not the one this run recorded; "
+            f"re-run the {rerun} stage")
+    return data
+
+
+def _generated_domains(run_dir: Path, manifest: dict
+                       ) -> tuple[dict[str, list[str]], SplitSpec]:
+    """placements.json and split.json, checked against the generate manifest."""
+    placements = json.loads(_recorded_bytes(
+        run_dir, PLACEMENTS_FILE, manifest.get("placements_sha256"), "generate"))
+    split = json.loads(_recorded_bytes(
+        run_dir, SPLIT_FILE, manifest.get("split_sha256"), "generate"))
+    return placements, SplitSpec.from_dict(split)
+
+
 # ----------------------------------------------------- in-memory pieces
 
 def training_ranking(ranking: DomainRanking, split: SplitSpec) -> DomainRanking:
@@ -665,7 +687,8 @@ def stage_generate(config: ExperimentConfig, run_dir) -> dict:
     Each script's trace goes to traces.jsonl and its feature row's
     nonzeros into features.npz as it passes, so neither the traces nor
     a dense matrix is ever held. The manifest records the sha256 of
-    features.npz, which the later stages check.
+    features.npz, placements.json and split.json, which the later
+    stages check.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -680,7 +703,9 @@ def stage_generate(config: ExperimentConfig, run_dir) -> dict:
     save_ranking(ranking, run_dir / RANKING_FILE)
     _write_json(split.to_dict(), run_dir / SPLIT_FILE)
     manifest = {**manifest, "experiment_config": config.to_dict(),
-                "features_sha256": file_sha256(run_dir / FEATURES_FILE)}
+                "features_sha256": file_sha256(run_dir / FEATURES_FILE),
+                "placements_sha256": file_sha256(run_dir / PLACEMENTS_FILE),
+                "split_sha256": file_sha256(run_dir / SPLIT_FILE)}
     _write_json(manifest, run_dir / GENERATE_MANIFEST_FILE)
     return manifest
 
@@ -702,8 +727,8 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
              (RANKING_FILE, SPLIT_FILE, PLACEMENTS_FILE, GENERATE_MANIFEST_FILE))
     _check_generated_config(config, run_dir, "partition")
     ranking = load_ranking(run_dir / RANKING_FILE)
-    split = SplitSpec.from_dict(_read_json(run_dir / SPLIT_FILE))
-    placements = _read_json(run_dir / PLACEMENTS_FILE)
+    placements, split = _generated_domains(
+        run_dir, _read_json(run_dir / GENERATE_MANIFEST_FILE))
     train_ranking = training_ranking(ranking, split)
     if config.urls_per_participant > len(train_ranking):
         raise ConfigError("urls_per_participant",
@@ -751,21 +776,18 @@ def _check_partition_config(config: ExperimentConfig, manifest: dict) -> None:
 def load_corpus(run_dir) -> tuple[ScriptCorpus, SplitSpec]:
     """Rebuild the labeled corpus from features.npz, catalog and placements.
 
-    Refuses (StageDependencyError) a features.npz that is missing or
-    whose sha256 differs from the one generate_manifest.json records.
+    Refuses (StageDependencyError) a features.npz, placements.json or
+    split.json that is missing or whose sha256 differs from the one
+    generate_manifest.json records.
     """
     run_dir = Path(run_dir)
-    _require(run_dir, "load_corpus", (FEATURES_FILE, GENERATE_MANIFEST_FILE))
-    data = (run_dir / FEATURES_FILE).read_bytes()
-    expected = _read_json(run_dir / GENERATE_MANIFEST_FILE).get("features_sha256")
-    if hashlib.sha256(data).hexdigest() != expected:
-        raise StageDependencyError(
-            f"{FEATURES_FILE} in {run_dir} is not the one the generate stage recorded; "
-            f"re-run the generate stage")
+    _require(run_dir, "load_corpus",
+             (FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE, GENERATE_MANIFEST_FILE))
+    manifest = _read_json(run_dir / GENERATE_MANIFEST_FILE)
+    data = _recorded_bytes(run_dir, FEATURES_FILE, manifest.get("features_sha256"), "generate")
     rows = SparseRows.from_arrays(read_npz(data))
     catalog = load_catalog(run_dir / CATALOG_FILE)
-    placements = _read_json(run_dir / PLACEMENTS_FILE)
-    split = SplitSpec.from_dict(_read_json(run_dir / SPLIT_FILE))
+    placements, split = _generated_domains(run_dir, manifest)
     return ScriptCorpus.from_sparse(rows, catalog, placements), split
 
 
@@ -803,7 +825,8 @@ def stage_train(config: ExperimentConfig, run_dir,
     _require(run_dir, "train", (CATALOG_FILE, FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE,
                                 RANKING_FILE, GENERATE_MANIFEST_FILE, PARTITION_FILE))
     _check_generated_config(config, run_dir, "train")
-    manifest = _read_json(run_dir / PARTITION_FILE)
+    partition_bytes = (run_dir / PARTITION_FILE).read_bytes()
+    manifest = json.loads(partition_bytes)
     _check_partition_config(config, manifest)
     corpus, split = load_corpus(run_dir)
     ranking = load_ranking(run_dir / RANKING_FILE)
@@ -827,6 +850,7 @@ def stage_train(config: ExperimentConfig, run_dir,
         "z_norm": outcome.budget.z_norm,
         "z_train": outcome.budget.z_train,
         "normstats_sha256": norm_stats_sha256,
+        "partition_sha256": hashlib.sha256(partition_bytes).hexdigest(),
         "config": config.to_dict(),
     }
     _write_json(checkpoint, run_dir / CHECKPOINT_FILE)
@@ -845,8 +869,9 @@ def stage_evaluate(run_dir) -> list[dict]:
     """Score both splits with the stored checkpoint and write metrics.csv."""
     run_dir = Path(run_dir)
     _require(run_dir, "evaluate", (CATALOG_FILE, FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE,
-                                   GENERATE_MANIFEST_FILE, CHECKPOINT_FILE))
+                                   GENERATE_MANIFEST_FILE, PARTITION_FILE, CHECKPOINT_FILE))
     checkpoint = _read_json(run_dir / CHECKPOINT_FILE)
+    _recorded_bytes(run_dir, PARTITION_FILE, checkpoint.get("partition_sha256"), "train")
     config = ExperimentConfig.from_dict(checkpoint["config"])
     corpus, split = load_corpus(run_dir)
     if checkpoint["catalog_hash"] != catalog_hash(corpus.catalog):
@@ -862,10 +887,7 @@ def stage_evaluate(run_dir) -> list[dict]:
     x = corpus.X[:, mask]
     if checkpoint["normalize"]:
         _require(run_dir, "evaluate", (NORM_STATS_FILE,))
-        if file_sha256(run_dir / NORM_STATS_FILE) != checkpoint.get("normstats_sha256"):
-            raise StageDependencyError(
-                f"{NORM_STATS_FILE} in {run_dir} is not the one the checkpoint was "
-                f"trained with; re-run training")
+        _recorded_bytes(run_dir, NORM_STATS_FILE, checkpoint.get("normstats_sha256"), "train")
         stats = load_norm_stats(run_dir / NORM_STATS_FILE)
         x = normalize_matrix(x, stats, str(checkpoint["norm_mode"]),
                              variance_floor=config.variance_floor)

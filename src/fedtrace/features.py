@@ -6,6 +6,14 @@ one argument position or on the return value of a named API; long
 strings compare via their (length, hash) summary, and a dedicated
 "strlen" matcher targets exact string lengths.
 
+Filling a feature row never tests the specs one by one. On first use,
+each catalog compiles them into one lookup table: an equals spec sits
+under (api_name, argument position or return, is-bool, value), and a
+strlen spec in a small side table keyed by (api_name, position) that
+maps each length to its slots. A call then costs one lookup for its API
+and one per (position, kind) its specs read. CustomFeatureSpec.matches
+states the same semantics one spec at a time.
+
 The shipped default catalog is synthetic but honors the reference
 cardinalities: 684 counted APIs + 830 custom features (1514 slots), and
 named sets All=1514, FPInspector=1330 (500+830), JShelter=588 (96+492),
@@ -125,11 +133,35 @@ class FeatureCatalog:
         return {name: i for i, name in enumerate(self.api_count_entries)}
 
     @cached_property
-    def _custom_by_api(self) -> dict[str, list]:
-        by_api: dict[str, list] = {}
+    def _fill_table(self) -> tuple[dict, dict]:
+        """fill_feature_row's lookup tables, compiled on first use.
+
+        probes maps an api_name to (count slot or None, probes). A probe
+        is (position, lengths): position is an argument index, or None for
+        the return value. An equals probe has lengths None and looks up
+        (api_name, position, is-bool, value) in equals, which maps to the
+        slots of every equals spec on that key; the bool flag keeps True
+        apart from 1.0. A strlen probe's lengths maps a string length to
+        its slots.
+        """
+        equals: dict[tuple, tuple[int, ...]] = {}
+        strlen: dict[tuple, dict[int, tuple[int, ...]]] = {}
         for i, spec in enumerate(self.custom_entries):
-            by_api.setdefault(spec.api_name, []).append((self.n_api + i, spec))
-        return by_api
+            slot, value = self.n_api + i, spec.match_value
+            if spec.match_kind == "strlen":
+                lengths = strlen.setdefault((spec.api_name, spec.arg_index), {})
+                lengths[value] = lengths.get(value, ()) + (slot,)
+            elif value == value:  # a NaN spec equals nothing
+                key = (spec.api_name, spec.arg_index, isinstance(value, bool), value)
+                equals[key] = equals.get(key, ()) + (slot,)
+        at_api: dict[str, list] = {name: [] for name in self.api_count_entries}
+        for name, position in dict.fromkeys(key[:2] for key in equals):
+            at_api.setdefault(name, []).append((position, None))
+        for (name, position), lengths in strlen.items():
+            at_api.setdefault(name, []).append((position, lengths))
+        probes = {name: (self._api_index.get(name), tuple(at))
+                  for name, at in at_api.items()}
+        return probes, equals
 
     def slot_of_api(self, api_name: str) -> int | None:
         return self._api_index.get(api_name)
@@ -155,17 +187,41 @@ class FeatureVector:
 
 
 def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarray) -> None:
-    """Accumulate api-call counts and custom indicators for one trace into row."""
-    api_index = catalog._api_index
-    custom_by_api = catalog._custom_by_api
+    """Accumulate api-call counts and custom indicators for one trace into row.
+
+    Works from the catalog's compiled table: one dict lookup per call
+    finds its count slot and the few (position, kind) probes its custom
+    features need, and each probe is one more lookup of the call's value,
+    so the cost is O(calls) however many specs an API carries. The
+    result equals testing every spec of the call's API with
+    CustomFeatureSpec.matches.
+    """
+    probes, equals = catalog._fill_table
     for call in trace.calls:
-        slot = api_index.get(call.api_name)
+        name = call.api_name
+        entry = probes.get(name)
+        if entry is None:
+            continue
+        slot, at = entry
         if slot is not None:
             row[slot] += 1.0
-        specs = custom_by_api.get(call.api_name)
-        if specs:
-            for cslot, spec in specs:
-                if row[cslot] == 0.0 and spec.matches(call):
+        for position, lengths in at:
+            if position is None:
+                value = call.return_value
+            elif position < len(call.args):
+                value = call.args[position]
+            else:
+                continue
+            if lengths is None:
+                slots = equals.get((name, position, isinstance(value, bool), value))
+            elif isinstance(value, str):
+                slots = lengths.get(len(value))
+            elif isinstance(value, LongString):
+                slots = lengths.get(value.length)
+            else:
+                continue
+            if slots:
+                for cslot in slots:
                     row[cslot] = 1.0
 
 

@@ -66,8 +66,9 @@ class _Scan:
         self.rtc_gather = False
         self.audio = False
         for call in trace.calls:
-            iface = call.interface
-            member = call.member
+            # one split per call; same values as call.interface / call.member
+            iface, _, member = call.api_name.partition(".")
+            member = member or iface
             if iface in CANVAS_INTERFACES:
                 if member in _TEXT_MEMBERS:
                     self.text = True

@@ -293,41 +293,44 @@ class _CallBuilder:
     """Catalog-aware synthesis of one script's call list."""
 
     def __init__(self, catalog: FeatureCatalog, pool_size: int | None = None):
+        # Every call record whose content is fixed is built here once and
+        # shared by all scripts (ApiCallRecord is frozen).
         self.catalog = catalog
         api_slots, custom_slots = signal_slots(catalog)
-        self.signal_apis = [catalog.api_count_entries[s] for s in api_slots]
+        signal_apis = [catalog.api_count_entries[s] for s in api_slots]
+        self.signal_api_records = [api_call(name) for name in signal_apis]
         signal_specs = [catalog.custom_entries[s - catalog.n_api] for s in custom_slots]
         by_type: dict[str, list[CustomFeatureSpec]] = {t: [] for t in FP_TYPES}
         spillover = []
         for spec in signal_specs:
             by_type.get(classify_custom(spec), spillover).append(spec)
         # flat list in technique order so one coin vector covers the pass
-        self.signal_flat = [(t, spec) for t in FP_TYPES for spec in by_type[t]]
+        self.signal_flat = [(t, call_matching(spec)) for t in FP_TYPES for spec in by_type[t]]
         signal_set = set(signal_specs)
-        self.flavor_specs = spillover + [
+        flavor_specs = spillover + [
             spec for spec in catalog.custom_entries if spec not in signal_set
         ][:17]
-        self.entropy_apis = [name for name in catalog.api_count_entries
-                             if name.startswith("EntropyApi")]
-        signal_api_set = set(self.signal_apis)
-        self.pool = [
+        self.flavor_records = [call_matching(spec) for spec in flavor_specs]
+        self.entropy_records = [api_call(name) for name in catalog.api_count_entries
+                                if name.startswith("EntropyApi")]
+        signal_api_set = set(signal_apis)
+        pool = [
             name for name in catalog.api_count_entries
             if name.partition(".")[0] not in _HEURISTIC_INTERFACES
             and name not in signal_api_set
             and not name.startswith("EntropyApi")
-        ]
-        if pool_size is not None:
-            self.pool = self.pool[:pool_size]
+        ][:pool_size]
+        # per pool API: the bare call, then one call per filler argument
+        self.pool = [[api_call(name)] + [api_call(name, (a,)) for a in _ARG_FILLER]
+                     for name in pool]
 
     def pool_calls(self, rng, lo=3, hi=14) -> list:
         k = int(rng.integers(lo, hi))
-        idx = rng.integers(0, len(self.pool), size=k)
-        arg_coins = rng.random(k) < 0.25
-        fillers = rng.integers(0, len(_ARG_FILLER), size=k)
-        return [
-            api_call(self.pool[i], (_ARG_FILLER[f],) if with_arg else ())
-            for i, with_arg, f in zip(idx, arg_coins, fillers)
-        ]
+        idx = rng.integers(0, len(self.pool), size=k).tolist()
+        arg_coins = (rng.random(k) < 0.25).tolist()
+        fillers = rng.integers(0, len(_ARG_FILLER), size=k).tolist()
+        return [self.pool[i][f + 1 if coin else 0]
+                for i, coin, f in zip(idx, arg_coins, fillers)]
 
     def entropy_calls(self, rng, fingerprinting: bool) -> list:
         if fingerprinting:
@@ -336,8 +339,8 @@ class _CallBuilder:
             n_apis = int(rng.integers(1, 4))
         else:
             return []
-        picks = rng.choice(len(self.entropy_apis), size=n_apis, replace=False)
-        return [api_call(self.entropy_apis[i]) for i in np.sort(picks)]
+        picks = rng.choice(len(self.entropy_records), size=n_apis, replace=False)
+        return [self.entropy_records[i] for i in np.sort(picks).tolist()]
 
     def signal_calls(self, rng, types=None) -> list:
         """Designated-custom pass.
@@ -348,28 +351,24 @@ class _CallBuilder:
         techniques' features, so the rolls can never add a technique the
         plan did not choose.
         """
-        coins = rng.random(len(self.signal_flat))
-        calls = []
-        for coin, (t, spec) in zip(coins, self.signal_flat):
-            if types is None:
-                rate = SIGNAL_FIRE_BENIGN
-            else:
-                rate = SIGNAL_FIRE_FP if t in types else 0.0
-            if coin < rate:
-                calls.append(call_matching(spec))
-        return calls
+        coins = rng.random(len(self.signal_flat)).tolist()
+        if types is None:
+            return [call for coin, (_, call) in zip(coins, self.signal_flat)
+                    if coin < SIGNAL_FIRE_BENIGN]
+        return [call for coin, (t, call) in zip(coins, self.signal_flat)
+                if t in types and coin < SIGNAL_FIRE_FP]
 
     def flavor_calls(self, rng, fingerprinting: bool) -> list:
-        calls = []
         custom_rate = FLAVOR_FIRE_FP if fingerprinting else FLAVOR_FIRE_BENIGN
-        for coin, spec in zip(rng.random(len(self.flavor_specs)), self.flavor_specs):
-            if coin < custom_rate:
-                calls.append(call_matching(spec))
+        coins = rng.random(len(self.flavor_records)).tolist()
+        calls = [call for coin, call in zip(coins, self.flavor_records)
+                 if coin < custom_rate]
         api_rate = 0.6 if fingerprinting else SIGNAL_FIRE_BENIGN
-        for coin, name in zip(rng.random(len(self.signal_apis)), self.signal_apis):
+        coins = rng.random(len(self.signal_api_records)).tolist()
+        for coin, call in zip(coins, self.signal_api_records):
             if coin < api_rate:
                 repeats = 1 + int(rng.poisson(1.5)) if fingerprinting else 1
-                calls.extend(api_call(name) for _ in range(repeats))
+                calls += [call] * repeats
         return calls
 
     # -------------------------------------------------- per-technique bases

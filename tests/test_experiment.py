@@ -13,8 +13,8 @@ import pytest
 from fedtrace.artifacts import ZIP_EPOCH
 from fedtrace.errors import ConfigError, StageDependencyError
 from fedtrace.experiment import (CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE, METRICS_FILE,
-                                 NORM_STATS_FILE, PARTITION_FILE, ROUND_RECORDS_FILE,
-                                 TRACES_FILE, ExperimentConfig, NoiseBudget, apply_overrides,
+                                 NORM_STATS_FILE, PARTITION_FILE, PLACEMENTS_FILE,
+                                 ROUND_RECORDS_FILE, SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget, apply_overrides,
                                  calibrate_budget, config_snapshot_line, corpus_from_traces,
                                  load_config, load_corpus, participants_from_manifest,
                                  preset_config, read_metrics, run_pipeline, smoke_preset,
@@ -402,6 +402,56 @@ class TestStageGuards:
         shutil.copyfile(tmp_path / "b" / NORM_STATS_FILE, tmp_path / "a" / NORM_STATS_FILE)
         with pytest.raises(StageDependencyError, match=NORM_STATS_FILE):
             stage_evaluate(tmp_path / "a")
+
+    def test_placements_from_another_seed_are_refused(self, tmp_path):
+        stage_generate(tiny_config(), tmp_path / "a")
+        stage_generate(tiny_config(seed=8), tmp_path / "b")
+        shutil.copyfile(tmp_path / "b" / PLACEMENTS_FILE, tmp_path / "a" / PLACEMENTS_FILE)
+        with pytest.raises(StageDependencyError, match=PLACEMENTS_FILE):
+            stage_partition(tiny_config(), tmp_path / "a")
+
+    def test_split_from_another_seed_is_refused(self, tmp_path):
+        cfg = tiny_config()
+        stage_generate(cfg, tmp_path / "a")
+        stage_partition(cfg, tmp_path / "a")
+        stage_generate(tiny_config(seed=8), tmp_path / "b")
+        shutil.copyfile(tmp_path / "b" / SPLIT_FILE, tmp_path / "a" / SPLIT_FILE)
+        with pytest.raises(StageDependencyError, match=SPLIT_FILE):
+            stage_train(cfg, tmp_path / "a")
+
+    def test_partition_from_another_run_is_refused(self, tmp_path):
+        for name, participants in (("a", 20), ("b", 21)):
+            cfg = tiny_config(n_participants=participants)
+            stage_generate(cfg, tmp_path / name)
+            stage_partition(cfg, tmp_path / name)
+        stage_train(tiny_config(), tmp_path / "a")
+        shutil.copyfile(tmp_path / "b" / PARTITION_FILE, tmp_path / "a" / PARTITION_FILE)
+        with pytest.raises(StageDependencyError, match=PARTITION_FILE):
+            stage_evaluate(tmp_path / "a")
+
+
+class TestPinnedGenerate:
+    """generate's artifacts at fixed configs, pinned by sha256.
+
+    Any change to the generator's random draws, their order, the
+    feature fill or the artifact encoding moves these hashes.
+    """
+
+    PINNED = {
+        1: ("705f59a23010231d50b2ab51529536701b8d24d53d1cb0473db6ae1025822ced",
+            "8423f7bf9229026eba3a779f83665728243024f75f984070afb4da8b0bb02527"),
+        2: ("bca77176138308654badae05e840327572b53b89b90e8158be7fbc2222dd6f3d",
+            "dc1086e2c67e09feed1b899ab66e79a159789ae4bbdfc3e2232aed452ac17645"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_artifact_hashes(self, tmp_path, seed):
+        cfg = ExperimentConfig(generator=GeneratorConfig(n_scripts=400, fp_prevalence=0.02),
+                               seed=seed)
+        stage_generate(cfg, tmp_path)
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in (TRACES_FILE, FEATURES_FILE))
+        assert got == self.PINNED[seed]
 
 
 class TestPersistedFeatures:

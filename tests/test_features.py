@@ -21,7 +21,8 @@ from fedtrace.features import (
     signal_slots,
     validate_mask,
 )
-from fedtrace.traces import ScriptTrace, api_call
+from fedtrace.synth import GeneratorConfig, generate
+from fedtrace.traces import ApiCallRecord, LongString, ScriptTrace, api_call
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,107 @@ class TestExtraction:
         row = np.zeros(catalog.slot_count, dtype=np.float32)
         fill_feature_row(trace, catalog, row)
         assert np.array_equal(row, extract(trace, catalog).values.astype(np.float32))
+
+
+def _oracle_row(trace: ScriptTrace, catalog: FeatureCatalog) -> np.ndarray:
+    """The per-spec fill: every spec of the call's API tested with matches()."""
+    row = np.zeros(catalog.slot_count)
+    for call in trace.calls:
+        slot = catalog.slot_of_api(call.api_name)
+        if slot is not None:
+            row[slot] += 1.0
+        for i, spec in enumerate(catalog.custom_entries):
+            if spec.api_name == call.api_name and spec.matches(call):
+                row[catalog.custom_slot(i)] = 1.0
+    return row
+
+
+def _fill(trace: ScriptTrace, catalog: FeatureCatalog) -> np.ndarray:
+    row = np.zeros(catalog.slot_count)
+    fill_feature_row(trace, catalog, row)
+    return row
+
+
+LONG = LongString(300, "0123456789abcdef")
+NAN = float("nan")
+C = CustomFeatureSpec
+CRAFTED = FeatureCatalog(
+    ("X.a", "X.b"),
+    (
+        C("X.a", "argument", 0, "equals", True),         # 0
+        C("X.a", "argument", 0, "equals", 1.0),          # 1
+        C("X.a", "argument", 0, "equals", 0.0),          # 2
+        C("X.a", "argument", 0, "equals", NAN),          # 3
+        C("X.a", "argument", 3, "equals", "far"),        # 4
+        C("X.a", "return", None, "equals", 2.0),         # 5
+        C("X.a", "argument", 1, "equals", "dup"),        # 6: shares its key with 7
+        C("X.a", "argument", 1, "equals", "dup"),        # 7
+        C("X.b", "return", None, "equals", LONG),        # 8
+        C("X.b", "return", None, "strlen", 300),         # 9
+        C("X.c", "argument", 0, "strlen", 5),            # 10: X.c has no count slot
+        C("X.c", "argument", 0, "equals", "hello"),      # 11: same position as 10
+        C("X.c", "argument", 0, "equals", False),        # 12
+    ),
+)
+CRAFTED_CASES = {
+    "bool True is not 1.0": (ApiCallRecord("X.a", (True,)), {0}),
+    "1.0 is not bool True": (api_call("X.a", (1.0,)), {1}),
+    "int argument matches a float spec": (ApiCallRecord("X.a", (1,)), {1}),
+    "-0.0 equals 0.0": (api_call("X.a", (-0.0,)), {2}),
+    "bool False is not 0.0": (ApiCallRecord("X.a", (False,)), set()),
+    "NaN never matches": (api_call("X.a", (float("nan"),)), set()),
+    "NaN never matches, not even the same object": (ApiCallRecord("X.a", (NAN,)), set()),
+    "position past the arguments": (api_call("X.a", ("a", "b")), set()),
+    "position inside the arguments": (api_call("X.a", (0.5, "x", "y", "far")), {4}),
+    "return target": (api_call("X.a", (), 2.0), {5}),
+    "argument is not the return": (api_call("X.a", (2.0,)), set()),
+    "two specs share one key": (api_call("X.a", (3.0, "dup")), {6, 7}),
+    "long-string equals and strlen": (api_call("X.b", (), LONG), {8, 9}),
+    "other long string of that length": (api_call("X.b", (), "y" * 300), {9}),
+    "strlen on a short string": (api_call("X.c", ("abcde",)), {10}),
+    "equals and strlen at one position": (api_call("X.c", ("hello",)), {10, 11}),
+    "strlen against a non-string": (api_call("X.c", (5.0,)), set()),
+    "strlen against a long string summary": (ApiCallRecord("X.c", (LongString(5, "ab"),)),
+                                             {10}),
+    "bool False: equals False, no strlen": (ApiCallRecord("X.c", (False,)), {12}),
+}
+
+
+class TestCompiledFill:
+    """fill_feature_row's compiled table against the per-spec predicates."""
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED_CASES))
+    def test_crafted_case(self, case):
+        call, fired = CRAFTED_CASES[case]
+        row = _fill(_trace(call), CRAFTED)
+        assert np.array_equal(row, _oracle_row(_trace(call), CRAFTED))
+        assert {i for i in range(CRAFTED.n_custom) if row[CRAFTED.custom_slot(i)]} == fired
+
+    def test_all_crafted_calls_in_one_trace(self):
+        trace = _trace(*(call for call, _ in CRAFTED_CASES.values()))
+        row = _fill(trace, CRAFTED)
+        assert np.array_equal(row, _oracle_row(trace, CRAFTED))
+        calls = [call.api_name for call, _ in CRAFTED_CASES.values()]
+        assert row[:CRAFTED.n_api].tolist() == [calls.count("X.a"), calls.count("X.b")]
+
+    def test_row_accumulates_onto_existing_values(self, catalog):
+        trace = _trace(api_call("Navigator.userAgent"))
+        row = _fill(trace, catalog)
+        fill_feature_row(trace, catalog, row)
+        assert row[catalog.slot_of_api("Navigator.userAgent")] == 2.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_generated_row_matches_the_oracle(self, catalog, seed):
+        scripts = generate(GeneratorConfig(n_scripts=400, fp_prevalence=0.05, seed=seed),
+                           catalog).scripts
+        assert any(s.label for s in scripts)
+        fired = 0
+        for script in scripts:
+            row = _fill(script.trace, catalog)
+            assert np.array_equal(row, _oracle_row(script.trace, catalog)), \
+                script.trace.script_id
+            fired += int(row[catalog.n_api:].sum())
+        assert fired > 0
 
 
 class TestCustomSpecValidation:
