@@ -31,8 +31,8 @@ Artifacts, all inside one run directory:
     partition.json          per-participant domain draws + knowledge map
     normstats.json          private normalization statistics (if enabled)
     checkpoint.json         final model weights plus provenance hashes,
-                            including the sha256 of partition.json and
-                            normstats.json
+                            including the sha256 of partition.json,
+                            normstats.json and ledger.json
     round_records.csv       per-round sampled / update norm / theta norm
     ledger.json             every (mechanism, q, z, count) charged
     metrics.csv             train/test AUPRC rows, config in the header
@@ -44,7 +44,7 @@ stored config, so metrics always describe the model they score.
 Every artifact is replaced atomically (artifacts.atomic_write), and the
 hashes recorded in generate_manifest.json and checkpoint.json make a
 later stage refuse a features.npz, placements.json, split.json,
-partition.json or normstats.json that another run wrote.
+partition.json, normstats.json or ledger.json that another run wrote.
 """
 
 from __future__ import annotations
@@ -840,6 +840,10 @@ def stage_train(config: ExperimentConfig, run_dir,
         norm_stats_sha256 = file_sha256(run_dir / NORM_STATS_FILE)
     else:
         (run_dir / NORM_STATS_FILE).unlink(missing_ok=True)
+    _write_json({"delta": config.delta,
+                 "entries": [[e.mechanism, e.q, e.z, e.count]
+                             for e in outcome.ledger.entries]},
+                run_dir / LEDGER_FILE)
     checkpoint = {
         "weights": [float(w) for w in outcome.model.weights],
         "bias": float(outcome.model.bias),
@@ -851,6 +855,7 @@ def stage_train(config: ExperimentConfig, run_dir,
         "z_train": outcome.budget.z_train,
         "normstats_sha256": norm_stats_sha256,
         "partition_sha256": hashlib.sha256(partition_bytes).hexdigest(),
+        "ledger_sha256": file_sha256(run_dir / LEDGER_FILE),
         "config": config.to_dict(),
     }
     _write_json(checkpoint, run_dir / CHECKPOINT_FILE)
@@ -858,10 +863,6 @@ def stage_train(config: ExperimentConfig, run_dir,
                [(r.round_index, r.sampled, r.update_norm, r.theta_norm, r.auprc)
                 for r in outcome.records],
                snapshot=config_snapshot_line(config))
-    _write_json({"delta": config.delta,
-                 "entries": [[e.mechanism, e.q, e.z, e.count]
-                             for e in outcome.ledger.entries]},
-                run_dir / LEDGER_FILE)
     return outcome
 
 
@@ -914,10 +915,18 @@ def stage_evaluate(run_dir) -> list[dict]:
 
 
 def stage_account(run_dir) -> dict:
-    """Replay the ledger and report per-phase and total privacy cost."""
+    """Replay the ledger and report per-phase and total privacy cost.
+
+    Next to a checkpoint.json, a ledger.json whose sha256 is not the one
+    the checkpoint records is refused; a bare ledger is replayed as is.
+    """
     run_dir = Path(run_dir)
     _require(run_dir, "account", (LEDGER_FILE,))
-    stored = _read_json(run_dir / LEDGER_FILE)
+    if (run_dir / CHECKPOINT_FILE).exists():
+        recorded = _read_json(run_dir / CHECKPOINT_FILE).get("ledger_sha256")
+        stored = json.loads(_recorded_bytes(run_dir, LEDGER_FILE, recorded, "train"))
+    else:
+        stored = _read_json(run_dir / LEDGER_FILE)
     delta = float(stored["delta"])
     entries = stored.get("entries", [])
     total = PrivacyLedger()

@@ -9,8 +9,19 @@ composed additively, and converted to (epsilon, delta) via
 epsilon = min_alpha [ rdp(alpha) + log(1/delta) / (alpha - 1) ].
 
 The RDP of one subsampled Gaussian follows the stable evaluation of the
-moment series: a finite binomial sum in log space for integer orders
-and the two-piece erfc series for fractional orders.
+moment series (Mironov, Talwar & Zhang 2019): a finite binomial sum in
+log space for integer orders and the two-piece erfc series for
+fractional orders.
+
+Noise calibration bisects z, and prunes orders as it goes. At every
+order the composed epsilon does not increase with z (the searched
+queries' RDP falls as the noise grows, fixed-z queries stay constant),
+and every later midpoint lies below the current upper end `hi`. So an
+order whose epsilon at `hi` exceeds the target exceeds it at every
+later midpoint too, and can never be the order that accepts a step.
+Dropping it leaves every accept/reject decision, and so the returned z,
+exactly as the full-grid search would give it. The accountant itself
+(PrivacyLedger, plan_epsilon) always uses the full grid.
 """
 
 from __future__ import annotations
@@ -130,15 +141,22 @@ def _rdp_fractional_order(q: float, z: float, alpha: float) -> float:
     return float(np.logaddexp(log_a0, log_a1)) / (alpha - 1.0)
 
 
+def _rdp_order(q: float, z: float, alpha: float) -> float:
+    if alpha.is_integer():
+        return _rdp_integer_order(q, z, int(alpha))
+    return _rdp_fractional_order(q, z, alpha)
+
+
 @lru_cache(maxsize=4096)
 def _rdp_grid_cached(q: float, z: float, orders: tuple) -> tuple:
-    out = []
-    for alpha in orders:
-        if float(alpha).is_integer():
-            out.append(_rdp_integer_order(q, z, int(alpha)))
-        else:
-            out.append(_rdp_fractional_order(q, z, float(alpha)))
-    return tuple(out)
+    return tuple(_rdp_order(q, z, alpha) for alpha in orders)
+
+
+def _orders_array(orders) -> np.ndarray:
+    orders_arr = np.asarray(orders, dtype=float)
+    if orders_arr.ndim != 1 or orders_arr.size == 0 or (orders_arr <= 1.0).any():
+        raise InvalidInput("orders must be a non-empty array of values > 1")
+    return orders_arr
 
 
 def rdp_subsampled_gaussian(q: float, z: float, orders=DEFAULT_ORDERS) -> np.ndarray:
@@ -147,9 +165,7 @@ def rdp_subsampled_gaussian(q: float, z: float, orders=DEFAULT_ORDERS) -> np.nda
         raise InvalidInput(f"sampling rate must be in (0, 1]: {q}")
     if z <= 0 or not math.isfinite(z):
         raise InvalidInput(f"noise multiplier must be positive and finite: {z}")
-    orders_arr = np.asarray(orders, dtype=float)
-    if orders_arr.ndim != 1 or orders_arr.size == 0 or (orders_arr <= 1.0).any():
-        raise InvalidInput("orders must be a non-empty array of values > 1")
+    orders_arr = _orders_array(orders)
     if q == 1.0:
         return orders_arr / (2.0 * z * z)
     return np.array(_rdp_grid_cached(float(q), float(z), tuple(float(a) for a in orders_arr)))
@@ -245,8 +261,18 @@ def calibrate_noise(target_epsilon: float, delta: float, plan,
     """Smallest z (on the bisection grid) whose replayed epsilon meets target.
 
     target_epsilon = inf is the no-noise sentinel and returns z = 0.
+
+    Order pruning (module docstring) keeps every accept/reject decision,
+    and so the returned z, bit for bit that of the full-grid search:
+    after the upper endpoint and after each accepted step, the orders
+    whose epsilon exceeds the target are dropped. Fixed-z entries are
+    evaluated once on the full grid and sliced; searched entries only at
+    the kept orders, outside the RDP cache. The entries are summed in
+    plan order as plan_epsilon sums them, so each kept order's epsilon
+    is exactly its full-grid value. Results are memoized, because sweeps
+    and repeated seeds calibrate the same plan again.
     """
-    plan = list(plan)
+    plan = tuple(plan)
     if not plan:
         raise InvalidInput("empty query plan")
     if target_epsilon <= 0:
@@ -255,16 +281,51 @@ def calibrate_noise(target_epsilon: float, delta: float, plan,
         return 0.0
     if all(entry.z is not None for entry in plan):
         raise InvalidInput("plan has no entry at the searched noise level")
+    if not 0.0 < delta < 1.0:
+        raise InvalidInput(f"delta must be in (0, 1): {delta}")
+    return _bisect(target_epsilon, delta, plan, tuple(_orders_array(orders).tolist()),
+                   tuple(z_bounds), rel_tol)
+
+
+@lru_cache(maxsize=256)
+def _bisect(target_epsilon: float, delta: float, plan: tuple, orders: tuple,
+            z_bounds: tuple, rel_tol: float) -> float:
+    orders_arr = np.asarray(orders)
+    fixed = [None if entry.z is None
+             else entry.count * rdp_subsampled_gaussian(entry.q, entry.z, orders_arr)
+             for entry in plan]
+    offset = math.log(1.0 / delta) / (orders_arr - 1.0)
+
+    def epsilons(z: float, keep=None) -> np.ndarray:
+        # per-order epsilon on the full grid (keep None) or at orders[keep]
+        kept = orders_arr if keep is None else orders_arr[keep]
+        total = np.zeros_like(kept)
+        for entry, rdp in zip(plan, fixed):
+            if rdp is not None:
+                total += rdp if keep is None else rdp[keep]
+            elif keep is None:
+                total += entry.count * rdp_subsampled_gaussian(entry.q, z, orders_arr)
+            elif entry.q == 1.0:
+                total += entry.count * (kept / (2.0 * z * z))
+            else:
+                q = float(entry.q)
+                total += entry.count * np.array([_rdp_order(q, z, a) for a in kept.tolist()])
+        return total + (offset if keep is None else offset[keep])
+
     lo, hi = z_bounds
-    if plan_epsilon(plan, lo, delta, orders) <= target_epsilon:
+    if epsilons(lo).min() <= target_epsilon:
         return lo
-    if plan_epsilon(plan, hi, delta, orders) > target_epsilon:
+    eps = epsilons(hi)
+    if eps.min() > target_epsilon:
         raise CalibrationError(
             f"epsilon {target_epsilon} unreachable with z in [{lo}, {hi}]")
+    keep = np.flatnonzero(eps <= target_epsilon)
     while hi / lo - 1.0 > rel_tol:
         mid = math.sqrt(lo * hi)
-        if plan_epsilon(plan, mid, delta, orders) <= target_epsilon:
+        eps = epsilons(mid, keep)
+        if eps.min() <= target_epsilon:
             hi = mid
+            keep = keep[eps <= target_epsilon]
         else:
             lo = mid
     return hi

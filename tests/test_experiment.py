@@ -429,6 +429,17 @@ class TestStageGuards:
         with pytest.raises(StageDependencyError, match=PARTITION_FILE):
             stage_evaluate(tmp_path / "a")
 
+    def test_ledger_from_another_run_is_refused(self, tmp_path):
+        for name, epsilon in (("a", 5.0), ("b", 2.0)):
+            cfg = tiny_config(epsilon=epsilon)
+            stage_generate(cfg, tmp_path / name)
+            stage_partition(cfg, tmp_path / name)
+            stage_train(cfg, tmp_path / name)
+        stage_account(tmp_path / "a")
+        shutil.copyfile(tmp_path / "b" / LEDGER_FILE, tmp_path / "a" / LEDGER_FILE)
+        with pytest.raises(StageDependencyError, match=LEDGER_FILE):
+            stage_account(tmp_path / "a")
+
 
 class TestPinnedGenerate:
     """generate's artifacts at fixed configs, pinned by sha256.

@@ -7,6 +7,8 @@ from scipy import optimize
 from fedtrace.errors import CalibrationError, InvalidInput
 from fedtrace.privacy import (
     DEFAULT_ORDERS,
+    Z_SEARCH_BOUNDS,
+    Z_SEARCH_REL_TOL,
     LedgerEntry,
     PlannedQuery,
     PrivacyLedger,
@@ -183,6 +185,87 @@ def test_calibration_monotone_in_target():
     plan = [PlannedQuery(q=0.02, count=30)]
     zs = [calibrate_noise(eps, delta, plan) for eps in (1.0, 5.0, 10.0)]
     assert zs[0] > zs[1] > zs[2] > 0
+
+
+def full_grid_calibrate(target_epsilon, delta, plan, orders=DEFAULT_ORDERS,
+                        z_bounds=Z_SEARCH_BOUNDS, rel_tol=Z_SEARCH_REL_TOL):
+    """Oracle: the bisection with no order pruning, every step on the full grid."""
+    lo, hi = z_bounds
+    if plan_epsilon(plan, lo, delta, orders) <= target_epsilon:
+        return lo
+    if plan_epsilon(plan, hi, delta, orders) > target_epsilon:
+        raise CalibrationError(f"epsilon {target_epsilon} unreachable")
+    while hi / lo - 1.0 > rel_tol:
+        mid = math.sqrt(lo * hi)
+        if plan_epsilon(plan, mid, delta, orders) <= target_epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except CalibrationError:
+        return CalibrationError
+
+
+# Narrow bounds and a coarse tolerance keep the full-grid oracle cheap;
+# the bisection still takes 5 steps, so pruning runs after several
+# accepted steps. The custom-orders case uses the default search.
+_SHORT = {"z_bounds": (0.5, 50.0), "rel_tol": 0.2}
+_FEW_ORDERS = (1.5, 2.0, 3.25, 8.0, 32.0)
+_EXACTNESS_CASES = [
+    ("q=0.01", [PlannedQuery(q=0.01, count=20)], (0.3, 1.0), _SHORT),
+    ("q=0.1", [PlannedQuery(q=0.1, count=10)], (1.0, 5.0), _SHORT),
+    ("q=1", [PlannedQuery(q=1.0, count=50)], (1.0, 5.0, 10.0), _SHORT),
+    ("fixed first", [PlannedQuery(q=0.1, count=30, z=2.0), PlannedQuery(q=0.1, count=5)],
+     (5.0,), _SHORT),
+    ("fixed last", [PlannedQuery(q=0.1, count=5), PlannedQuery(q=0.05, count=30, z=2.0)],
+     (5.0,), _SHORT),
+    ("two searched", [PlannedQuery(q=0.01, count=40), PlannedQuery(q=0.1, count=5)],
+     (5.0,), _SHORT),
+    ("custom orders", [PlannedQuery(q=0.1, count=20)], (1.0, 10.0),
+     {"orders": _FEW_ORDERS}),
+    # at z = 0.5 one query at q=0.01 already spends less than 10
+    ("returns lo", [PlannedQuery(q=0.01, count=1)], (10.0,), _SHORT),
+    ("unreachable", [PlannedQuery(q=0.1, count=10)], (0.01,), _SHORT),
+]
+
+
+@pytest.mark.parametrize("plan,targets,kwargs",
+                         [case[1:] for case in _EXACTNESS_CASES],
+                         ids=[case[0] for case in _EXACTNESS_CASES])
+def test_pruned_calibration_equals_full_grid_oracle(plan, targets, kwargs):
+    delta = 1e-5
+    for target in targets:
+        want = _outcome(full_grid_calibrate, target, delta, plan, **kwargs)
+        got = _outcome(calibrate_noise, target, delta, plan, **kwargs)
+        assert got == want, (target, got, want)
+
+
+def test_exactness_cases_cover_both_endpoint_outcomes():
+    delta, plan = 1e-5, [PlannedQuery(q=0.01, count=1)]
+    assert calibrate_noise(10.0, delta, plan, **_SHORT) == _SHORT["z_bounds"][0]
+    with pytest.raises(CalibrationError):
+        calibrate_noise(0.01, delta, [PlannedQuery(q=0.1, count=10)], **_SHORT)
+
+
+def test_calibration_validates_delta():
+    plan = [PlannedQuery(q=0.1, count=5)]
+    for delta in (0.0, 1.0, -0.5, 2.0):
+        with pytest.raises(InvalidInput):
+            calibrate_noise(1.0, delta, plan)
+
+
+def test_rdp_does_not_increase_with_noise():
+    # the property order pruning relies on, checked on the computed values
+    zs = np.geomspace(*Z_SEARCH_BOUNDS, 16)
+    for q in (0.01, 0.1):
+        rdp = np.array([rdp_subsampled_gaussian(q, float(z)) for z in zs])
+        rises = np.diff(rdp, axis=0) > 0
+        assert not rises.any(), (q, np.argwhere(rises))
 
 
 def test_clip_contract():
