@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages plus the sweep runner:
 
     fedtrace generate  --preset smoke --out runs/smoke
     fedtrace partition --preset smoke --out runs/smoke
-    fedtrace train     --preset smoke --out runs/smoke --workers 4
+    fedtrace train     --preset smoke --out runs/smoke
     fedtrace evaluate  --out runs/smoke
     fedtrace account   --out runs/smoke
     fedtrace sweep non_iid --out sweeps --seeds 0,1,2
@@ -76,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=text)
         _add_config_flags(sub)
         _add_out_flag(sub, "run", "run directory for pipeline artifacts")
-        if name == "train":
-            sub.add_argument("--workers", type=int, default=None,
-                             help="max worker threads for local updates")
 
     sub = commands.add_parser("evaluate", help="score the stored checkpoint on both splits")
     _add_out_flag(sub, "run", "run directory holding the checkpoint")
@@ -90,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("recipe", choices=sorted(RECIPES))
     _add_config_flags(sub)
     _add_out_flag(sub, "sweeps", "directory for the recipe's output tables")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="max worker threads for local updates")
     sub.add_argument("--seeds", default=None, metavar="N,N,...",
                      help=f"comma-separated seeds (default "
                           f"{','.join(str(s) for s in DEFAULT_SEEDS)})")
@@ -146,7 +141,7 @@ def _dispatch(args: argparse.Namespace) -> int:
               f"({min(sizes)}-{max(sizes)} scripts each, "
               f"{len(manifest['limited_knowledge']['assignments'])} knowledge-limited)")
     elif args.command == "train":
-        outcome = stage_train(resolve_config(args), args.out, max_workers=args.workers)
+        outcome = stage_train(resolve_config(args), args.out)
         last = outcome.records[-1]
         print(f"trained {len(outcome.records)} rounds "
               f"(z_norm={outcome.budget.z_norm:.4g}, z_train={outcome.budget.z_train:.4g}); "
@@ -166,7 +161,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"epsilon = {_eps_text(report['epsilon'])} at delta = {report['delta']:g}{tail}")
     elif args.command == "sweep":
         result = run_sweep(args.recipe, args.out, base=resolve_config(args),
-                           seeds=_parse_seeds(args.seeds), max_workers=args.workers)
+                           seeds=_parse_seeds(args.seeds))
         for row in result.summary:
             print(f"{row['feature_set']:>22s} W={row['participants']:<6d} "
                   f"eps={_eps_text_from_float(row['epsilon']):<10s} "

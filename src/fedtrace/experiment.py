@@ -72,10 +72,10 @@ from .metrics import average_precision
 from .model import LogisticModel, OptimizerConfig
 from .partition import (DEFAULT_URLS_PER_PARTICIPANT, DEFAULT_ZIPF_EXPONENT, DomainRanking,
                         LimitedKnowledgeSpec, ParticipantDataset, ScriptCorpus, SparseRows,
-                        apply_spec, assign_scripts, build_partition, load_ranking,
-                        make_limited_knowledge, save_ranking, zipf_sample_domains)
+                        apply_spec, assign_scripts, build_partition, draw_domains,
+                        load_ranking, make_limited_knowledge, save_ranking)
 from .privacy import PlannedQuery, PrivacyLedger, calibrate_noise
-from .seeding import DOMAIN_SAMPLING, NORM_QUERY, derive_rng
+from .seeding import NORM_QUERY, derive_rng
 from .synth import GeneratorConfig, SplitSpec, generate_corpus, generate_stream
 from .traces import LabeledScript, parse_trace_file, trace_to_json_line
 
@@ -102,8 +102,6 @@ METRICS_HEADER = ("feature_set", "participants", "epsilon", "seed", "split",
                   "n_scripts", "n_positive", "auprc")
 ROUND_RECORDS_HEADER = ("round", "sampled", "update_norm", "theta_norm", "auprc")
 CONFIG_COMMENT_PREFIX = "# config="
-
-STAGES = ("generate", "partition", "train", "evaluate", "account")
 
 
 def _encode_epsilon(value: float):
@@ -192,8 +190,10 @@ class ExperimentConfig:
         for name, value in (("q", self.q), ("norm_q", self.norm_q)):
             if value is not None and not 0.0 < value <= 1.0:
                 raise ConfigError(name, f"must be in (0, 1]: {value}")
-        if self.clip_mu <= 0 or self.clip_var <= 0:
-            raise ConfigError("clip_mu", "clip bounds must be positive")
+        if self.clip_mu <= 0:
+            raise ConfigError("clip_mu", f"must be positive: {self.clip_mu}")
+        if self.clip_var <= 0:
+            raise ConfigError("clip_var", f"must be positive: {self.clip_var}")
         if self.variance_floor <= 0:
             raise ConfigError("variance_floor",
                               f"must be positive: {self.variance_floor}")
@@ -291,10 +291,6 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError(str(path), "config root must be a JSON object")
     return ExperimentConfig.from_dict(obj)
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    _write_json(config.to_dict(), path)
 
 
 def apply_overrides(config: ExperimentConfig, assignments: Sequence[str]) -> ExperimentConfig:
@@ -494,39 +490,24 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     return PreparedData(corpus, ranking, split, manifest)
 
 
+def _knowledge_spec(train_ranking: DomainRanking,
+                    config: ExperimentConfig) -> LimitedKnowledgeSpec:
+    """The run's knowledge limits, once its url count fits the training domains."""
+    if config.urls_per_participant > len(train_ranking):
+        raise ConfigError("urls_per_participant",
+                          f"only {len(train_ranking)} training domains available")
+    return make_limited_knowledge(range(config.n_participants),
+                                  config.limited_knowledge_fraction, config.seed)
+
+
 def build_participants(prepared: PreparedData,
                        config: ExperimentConfig) -> list[ParticipantDataset]:
     """Partition the training domains and apply the knowledge limits."""
-    if config.urls_per_participant > len(prepared.train_ranking):
-        raise ConfigError("urls_per_participant",
-                          f"only {len(prepared.train_ranking)} training domains available")
+    spec = _knowledge_spec(prepared.train_ranking, config)
     partition = build_partition(prepared.corpus, prepared.train_ranking,
                                 config.n_participants, config.urls_per_participant,
                                 config.zipf_exponent, config.seed)
-    spec = make_limited_knowledge(range(config.n_participants),
-                                  config.limited_knowledge_fraction, config.seed)
     return apply_spec(partition.participants, spec)
-
-
-class _MatrixParticipant:
-    """Row view into one shared feature matrix, materialized on access."""
-
-    __slots__ = ("participant_id", "rows", "_x", "_y")
-
-    def __init__(self, participant_id: int, rows: np.ndarray,
-                 x: np.ndarray, y: np.ndarray):
-        self.participant_id = participant_id
-        self.rows = rows
-        self._x = x
-        self._y = y
-
-    @property
-    def features(self) -> np.ndarray:
-        return self._x[self.rows]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._y[self.rows]
 
 
 def resolve_mask(catalog, name: str) -> np.ndarray:
@@ -581,8 +562,8 @@ class TrainOutcome:
 
 
 def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDataset],
-                    config: ExperimentConfig, *, moments: ColumnMoments | None = None,
-                    max_workers: int | None = None) -> TrainOutcome:
+                    config: ExperimentConfig, *,
+                    moments: ColumnMoments | None = None) -> TrainOutcome:
     """Calibrate, normalize and run the round loop on prepared data.
 
     moments may carry precomputed per-participant column moments (they
@@ -594,9 +575,7 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
     budget = calibrate_budget(config, len(mask))
     ledger = PrivacyLedger()
     x_masked = corpus.X[:, mask]
-    y = corpus.labels
-    raw_parts = [_MatrixParticipant(p.participant_id, p.rows, x_masked, y)
-                 for p in participants]
+    raw_parts = [p.over(x_masked) for p in participants]
     norm_stats = None
     matrix = x_masked
     if config.normalize:
@@ -609,8 +588,7 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
                                  variance_floor=config.variance_floor)
         matrix = normalize_matrix(x_masked, norm_stats, config.norm_mode,
                                   variance_floor=config.variance_floor)
-    train_parts = [_MatrixParticipant(p.participant_id, p.rows, matrix, y)
-                   for p in raw_parts]
+    train_parts = [p.over(matrix) for p in participants]
     run_cfg = TrainingRunConfig(rounds=config.rounds, n_participants=config.n_participants,
                                 q=config.resolved_q, z=budget.z_train,
                                 clip_norm=config.clip_norm, local_epochs=config.local_epochs,
@@ -619,24 +597,24 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
     evaluator = None
     if config.eval_every:
         x_test = matrix[prepared.test_rows]
-        y_test = y[prepared.test_rows]
+        y_test = corpus.labels[prepared.test_rows]
 
         def evaluator(theta: np.ndarray) -> float:
             scores = LogisticModel.from_theta(theta).decision_scores(x_test)
             return average_precision(scores, y_test)
 
     model, records = train(train_parts, len(mask), run_cfg, ledger=ledger,
-                           evaluator=evaluator, max_workers=max_workers)
+                           evaluator=evaluator)
     return TrainOutcome(model, records, ledger, budget, norm_stats, mask, matrix)
 
 
-def evaluate_in_memory(prepared: PreparedData, config: ExperimentConfig,
-                       outcome: TrainOutcome) -> list[dict]:
-    """Score the held-out and training splits with the final model."""
-    y = prepared.corpus.labels
+def _score_splits(model: LogisticModel, matrix: np.ndarray, labels: np.ndarray,
+                  train_rows: np.ndarray, test_rows: np.ndarray,
+                  config: ExperimentConfig) -> list[dict]:
+    """One metrics row per split: the model's AUPRC over those corpus rows."""
     out = []
-    for split_name, rows in (("train", prepared.train_rows), ("test", prepared.test_rows)):
-        scores = outcome.model.decision_scores(outcome.matrix[rows])
+    for split_name, rows in (("train", train_rows), ("test", test_rows)):
+        scores = model.decision_scores(matrix[rows])
         out.append({
             "feature_set": config.feature_set,
             "participants": config.n_participants,
@@ -644,10 +622,17 @@ def evaluate_in_memory(prepared: PreparedData, config: ExperimentConfig,
             "seed": config.seed,
             "split": split_name,
             "n_scripts": int(rows.size),
-            "n_positive": int(y[rows].sum()),
-            "auprc": average_precision(scores, y[rows]),
+            "n_positive": int(labels[rows].sum()),
+            "auprc": average_precision(scores, labels[rows]),
         })
     return out
+
+
+def evaluate_in_memory(prepared: PreparedData, config: ExperimentConfig,
+                       outcome: TrainOutcome) -> list[dict]:
+    """Score the held-out and training splits with the final model."""
+    return _score_splits(outcome.model, outcome.matrix, prepared.corpus.labels,
+                         prepared.train_rows, prepared.test_rows, config)
 
 
 @dataclass(eq=False)
@@ -657,16 +642,12 @@ class PipelineResult:
     outcome: TrainOutcome
     metrics: list[dict]
 
-    @property
-    def test_auprc(self) -> float:
-        return next(r["auprc"] for r in self.metrics if r["split"] == "test")
 
-
-def run_pipeline(config: ExperimentConfig, *, max_workers: int | None = None) -> PipelineResult:
+def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     """Full in-memory run: corpus, partition, training, evaluation."""
     prepared = prepare_data(config)
     participants = build_participants(prepared, config)
-    outcome = train_in_memory(prepared, participants, config, max_workers=max_workers)
+    outcome = train_in_memory(prepared, participants, config)
     metrics = evaluate_in_memory(prepared, config, outcome)
     return PipelineResult(prepared, participants, outcome, metrics)
 
@@ -730,21 +711,12 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
     placements, split = _generated_domains(
         run_dir, _read_json(run_dir / GENERATE_MANIFEST_FILE))
     train_ranking = training_ranking(ranking, split)
-    if config.urls_per_participant > len(train_ranking):
-        raise ConfigError("urls_per_participant",
-                          f"only {len(train_ranking)} training domains available")
-    participants = []
-    for pid in range(config.n_participants):
-        rng = derive_rng(config.seed, DOMAIN_SAMPLING, pid)
-        domains = zipf_sample_domains(train_ranking, config.urls_per_participant,
-                                      config.zipf_exponent, rng)
-        held: set[str] = set()
-        for d in domains:
-            held.update(placements[d])
-        participants.append({"participant_id": pid, "urls": list(domains),
-                             "n_scripts": len(held)})
-    spec = make_limited_knowledge(range(config.n_participants),
-                                  config.limited_knowledge_fraction, config.seed)
+    spec = _knowledge_spec(train_ranking, config)
+    draws = draw_domains(train_ranking, config.n_participants, config.urls_per_participant,
+                         config.zipf_exponent, config.seed)
+    participants = [{"participant_id": pid, "urls": domains,
+                     "n_scripts": len(set().union(*(placements[d] for d in domains)))}
+                    for pid, domains in enumerate(draws)]
     manifest = {
         "master_seed": config.seed,
         "n_participants": config.n_participants,
@@ -818,8 +790,7 @@ def participants_from_manifest(manifest: dict,
     return apply_spec(parts, spec)
 
 
-def stage_train(config: ExperimentConfig, run_dir,
-                max_workers: int | None = None) -> TrainOutcome:
+def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
     """Calibrate, normalize and train from the stored corpus artifacts."""
     run_dir = Path(run_dir)
     _require(run_dir, "train", (CATALOG_FILE, FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE,
@@ -833,7 +804,7 @@ def stage_train(config: ExperimentConfig, run_dir,
     prepared = PreparedData(corpus, ranking, split,
                             _read_json(run_dir / GENERATE_MANIFEST_FILE))
     participants = participants_from_manifest(manifest, corpus)
-    outcome = train_in_memory(prepared, participants, config, max_workers=max_workers)
+    outcome = train_in_memory(prepared, participants, config)
     norm_stats_sha256 = None
     if outcome.norm_stats is not None:
         save_norm_stats(outcome.norm_stats, run_dir / NORM_STATS_FILE)
@@ -892,22 +863,8 @@ def stage_evaluate(run_dir) -> list[dict]:
         stats = load_norm_stats(run_dir / NORM_STATS_FILE)
         x = normalize_matrix(x, stats, str(checkpoint["norm_mode"]),
                              variance_floor=config.variance_floor)
-    y = corpus.labels
-    rows_out = []
-    for split_name, domains in (("train", split.train_domains),
-                                ("test", split.test_domains)):
-        rows = _rows_for(corpus, domains)
-        scores = model.decision_scores(x[rows])
-        rows_out.append({
-            "feature_set": str(checkpoint["feature_set"]),
-            "participants": config.n_participants,
-            "epsilon": config.epsilon,
-            "seed": config.seed,
-            "split": split_name,
-            "n_scripts": int(rows.size),
-            "n_positive": int(y[rows].sum()),
-            "auprc": average_precision(scores, y[rows]),
-        })
+    rows_out = _score_splits(model, x, corpus.labels, _rows_for(corpus, split.train_domains),
+                             _rows_for(corpus, split.test_domains), config)
     write_csv(run_dir / METRICS_FILE, METRICS_HEADER,
                [tuple(r[k] for k in METRICS_HEADER) for r in rows_out],
                snapshot=config_snapshot_line(config))
@@ -969,26 +926,3 @@ def stage_account(run_dir) -> dict:
     }
     _write_json(report, run_dir / PRIVACY_REPORT_FILE)
     return report
-
-
-def run_stages(config: ExperimentConfig, run_dir, stages: Sequence[str] = STAGES,
-               max_workers: int | None = None) -> dict:
-    """Run the named stages in pipeline order; returns the last result."""
-    order = {name: i for i, name in enumerate(STAGES)}
-    for name in stages:
-        if name not in order:
-            raise ConfigError("stage", f"unknown stage {name!r}; choose from {STAGES}")
-    result: dict = {}
-    for name in sorted(stages, key=order.__getitem__):
-        if name == "generate":
-            result = stage_generate(config, run_dir)
-        elif name == "partition":
-            result = stage_partition(config, run_dir)
-        elif name == "train":
-            stage_train(config, run_dir, max_workers=max_workers)
-            result = _read_json(Path(run_dir) / CHECKPOINT_FILE)
-        elif name == "evaluate":
-            result = {"metrics": stage_evaluate(run_dir)}
-        elif name == "account":
-            result = stage_account(run_dir)
-    return result

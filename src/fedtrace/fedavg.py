@@ -7,14 +7,11 @@ per-coordinate standard deviation z*S/(qW). The privacy ledger is
 charged one subsampled-Gaussian query per round.
 
 Summation runs in ascending participant-id order, so the float result
-does not depend on the participants' list order or on which worker
-thread finished first.
+does not depend on the participants' list order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -24,8 +21,6 @@ from .errors import InvalidInput
 from .model import LocalUpdateConfig, LogisticModel, OptimizerConfig, fit_logistic, local_update
 from .privacy import PrivacyLedger, gaussian_noise, noise_stddev
 from .seeding import ROUND_SAMPLING, derive_rng
-
-DEFAULT_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,8 +92,7 @@ def _by_participant_id(participants: Sequence) -> list:
 
 def run_round(theta_global: np.ndarray, participants: Sequence, cfg: TrainingRunConfig,
               rng: np.random.Generator, ledger: PrivacyLedger | None = None,
-              local_fn: Callable | None = None,
-              max_workers: int | None = None) -> RoundResult:
+              local_fn: Callable | None = None) -> RoundResult:
     """One DP-FedAvg round; empty Poisson samples yield a pure-noise step.
 
     The rng first draws one participation coin per participant (ascending
@@ -116,16 +110,8 @@ def run_round(theta_global: np.ndarray, participants: Sequence, cfg: TrainingRun
     sampled = [ordered[i] for i in np.flatnonzero(coins)]
 
     total = np.zeros_like(theta_global)
-    if sampled:
-        if max_workers is None:
-            max_workers = min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
-        if max_workers > 1 and len(sampled) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                deltas = list(pool.map(lambda p: local_fn(theta_global, p), sampled))
-        else:
-            deltas = [local_fn(theta_global, p) for p in sampled]
-        for delta in deltas:  # ascending-id order, deterministic reduce
-            total += delta
+    for p in sampled:  # ascending-id order, deterministic reduce
+        total += local_fn(theta_global, p)
     aggregate = total / (cfg.q * cfg.n_participants)
     sigma = noise_stddev(cfg.z, cfg.clip_norm, cfg.q, cfg.n_participants)
     theta_next = theta_global + aggregate + gaussian_noise(sigma, theta_global.shape, rng)
@@ -138,8 +124,7 @@ def run_round(theta_global: np.ndarray, participants: Sequence, cfg: TrainingRun
 def train(participants: Sequence, n_features: int, cfg: TrainingRunConfig,
           ledger: PrivacyLedger | None = None,
           evaluator: Callable[[np.ndarray], float] | None = None,
-          local_fn: Callable | None = None,
-          max_workers: int | None = None) -> tuple[LogisticModel, list[RoundRecord]]:
+          local_fn: Callable | None = None) -> tuple[LogisticModel, list[RoundRecord]]:
     """Run R rounds from a zero model; deterministic given cfg.seed.
 
     Round r>=1 draws all randomness from the stream derived from
@@ -151,8 +136,7 @@ def train(participants: Sequence, n_features: int, cfg: TrainingRunConfig,
     records: list[RoundRecord] = []
     for r in range(1, cfg.rounds + 1):
         rng = derive_rng(cfg.seed, ROUND_SAMPLING, r)
-        result = run_round(theta, participants, cfg, rng, ledger=ledger,
-                           local_fn=local_fn, max_workers=max_workers)
+        result = run_round(theta, participants, cfg, rng, ledger=ledger, local_fn=local_fn)
         theta = result.theta
         score = None
         if evaluator is not None and cfg.eval_every:

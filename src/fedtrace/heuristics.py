@@ -100,23 +100,3 @@ def label(trace: ScriptTrace) -> LabelSet:
         webrtc=s.rtc_setup and s.rtc_gather,
         audio=s.audio,
     )
-
-
-def label_canvas(trace: ScriptTrace) -> bool:
-    """Text drawn AND style set AND image extracted AND no save/restore/listener."""
-    return label(trace).canvas
-
-
-def label_canvas_font(trace: ScriptTrace) -> bool:
-    """Strictly more than 20 distinct font values and >20 measureText calls."""
-    return label(trace).canvas_font
-
-
-def label_webrtc(trace: ScriptTrace) -> bool:
-    """(createDataChannel or createOffer) and (onicecandidate or localDescription)."""
-    return label(trace).webrtc
-
-
-def label_audio(trace: ScriptTrace) -> bool:
-    """Any oscillator/compressor/destination/startRendering/oncomplete use."""
-    return label(trace).audio

@@ -9,12 +9,15 @@ distributionally identical to sequential renormalized sampling and
 needs one pass over the weights.
 
 Feature rows live in one shared corpus matrix; a participant dataset
-is a view described by row indices, so ten thousand participants cost
-index arrays rather than matrix copies.
+is a view described by row indices into it (or into a masked and
+normalized matrix with the same rows), so ten thousand participants
+cost index arrays rather than matrix copies. Rows are sliced on each
+access, not cached per participant.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -24,7 +27,7 @@ from scipy.sparse import csr_matrix
 from . import features
 from .artifacts import atomic_write
 from .errors import InsufficientData, InvalidInput, ParseError
-from .features import FeatureCatalog, FeatureVector
+from .features import FeatureCatalog
 from .seeding import DOMAIN_SAMPLING, LIMITED_KNOWLEDGE, derive_rng
 from .traces import FP_TYPES, LabeledScript, types_to_bitmask
 
@@ -277,12 +280,32 @@ def rows_by_domain(placements: Mapping[str, Sequence[str]],
 
 @dataclass(eq=False)
 class ParticipantDataset:
-    """One participant's visited urls and the scripts those urls load."""
+    """One participant's visited urls and the corpus rows those urls load.
+
+    rows index x and the corpus-wide label, bitmask and script-id
+    arrays, each with one entry per corpus script. x starts as the
+    corpus matrix; over(x) gives the same rows over a masked or
+    normalized copy. The view holds no reference to the corpus itself,
+    so a view over a small matrix does not keep the corpus matrix alive.
+    """
 
     participant_id: int
     urls: tuple[str, ...]
     rows: np.ndarray  # indices into the corpus, deduplicated, first-seen order
-    corpus: ScriptCorpus
+    x: np.ndarray
+    corpus_labels: np.ndarray    # bool
+    corpus_bitmasks: np.ndarray  # uint8 over FP_TYPES bits
+    corpus_script_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        n = len(self.corpus_script_ids)
+        if self.x.shape[0] != n or self.corpus_labels.shape != (n,) \
+                or self.corpus_bitmasks.shape != (n,):
+            raise InvalidInput("matrix, labels and bitmasks need one entry per corpus script")
+
+    def over(self, x: np.ndarray) -> "ParticipantDataset":
+        """The same rows over another matrix with one row per corpus script."""
+        return dataclasses.replace(self, x=x)
 
     @property
     def n_scripts(self) -> int:
@@ -290,29 +313,19 @@ class ParticipantDataset:
 
     @property
     def features(self) -> np.ndarray:
-        return self.corpus.X[self.rows]
+        return self.x[self.rows]
 
     @property
     def labels(self) -> np.ndarray:
-        return self.corpus.labels[self.rows]
+        return self.corpus_labels[self.rows]
 
     @property
     def fp_bitmasks(self) -> np.ndarray:
-        return self.corpus.fp_bitmasks[self.rows]
+        return self.corpus_bitmasks[self.rows]
 
     @property
     def script_ids(self) -> tuple[str, ...]:
-        return tuple(self.corpus.script_ids[i] for i in self.rows)
-
-    @property
-    def scripts(self) -> list[FeatureVector]:
-        from .traces import bitmask_to_types
-        return [
-            FeatureVector(np.asarray(self.corpus.X[i], dtype=float),
-                          bool(self.corpus.labels[i]),
-                          frozenset(bitmask_to_types(int(self.corpus.fp_bitmasks[i]))))
-            for i in self.rows
-        ]
+        return tuple(self.corpus_script_ids[i] for i in self.rows)
 
 
 def _dedup_keep_first(rows: np.ndarray) -> np.ndarray:
@@ -327,7 +340,8 @@ def assign_scripts(domains: Sequence[str], corpus: ScriptCorpus,
     """Union of the domains' script lists, deduplicated by script id."""
     chunks = [corpus.rows_for_domain(d) for d in domains]
     rows = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
-    return ParticipantDataset(participant_id, tuple(domains), _dedup_keep_first(rows), corpus)
+    return ParticipantDataset(participant_id, tuple(domains), _dedup_keep_first(rows),
+                              corpus.X, corpus.labels, corpus.fp_bitmasks, corpus.script_ids)
 
 
 @dataclass(eq=False)
@@ -344,10 +358,10 @@ class Partition:
         return len(self.participants)
 
 
-def build_partition(corpus: ScriptCorpus, ranking: DomainRanking, n_participants: int,
-                    urls_per_participant: int = DEFAULT_URLS_PER_PARTICIPANT,
-                    zipf_exponent: float = DEFAULT_ZIPF_EXPONENT,
-                    master_seed: int = 0) -> Partition:
+def draw_domains(ranking: DomainRanking, n_participants: int,
+                 urls_per_participant: int = DEFAULT_URLS_PER_PARTICIPANT,
+                 zipf_exponent: float = DEFAULT_ZIPF_EXPONENT,
+                 master_seed: int = 0) -> list[list[str]]:
     """Sample every participant's domains from its own seeded stream.
 
     Stream k derives from (master_seed, domain-sampling tag, k), so the
@@ -355,15 +369,24 @@ def build_partition(corpus: ScriptCorpus, ranking: DomainRanking, n_participants
     """
     if n_participants < 1:
         raise InvalidInput(f"need at least one participant: {n_participants}")
+    return [zipf_sample_domains(ranking, urls_per_participant, zipf_exponent,
+                                derive_rng(master_seed, DOMAIN_SAMPLING, pid))
+            for pid in range(n_participants)]
+
+
+def build_partition(corpus: ScriptCorpus, ranking: DomainRanking, n_participants: int,
+                    urls_per_participant: int = DEFAULT_URLS_PER_PARTICIPANT,
+                    zipf_exponent: float = DEFAULT_ZIPF_EXPONENT,
+                    master_seed: int = 0) -> Partition:
+    """Draw every participant's domains (draw_domains) and assign their scripts."""
     missing = [d for d in ranking if d not in corpus.domain_rows]
     if missing:
         raise InvalidInput(f"ranking has {len(missing)} domains absent from the corpus, "
                            f"first: {missing[0]!r}")
-    participants = []
-    for pid in range(n_participants):
-        rng = derive_rng(master_seed, DOMAIN_SAMPLING, pid)
-        domains = zipf_sample_domains(ranking, urls_per_participant, zipf_exponent, rng)
-        participants.append(assign_scripts(domains, corpus, participant_id=pid))
+    draws = draw_domains(ranking, n_participants, urls_per_participant, zipf_exponent,
+                         master_seed)
+    participants = [assign_scripts(domains, corpus, participant_id=pid)
+                    for pid, domains in enumerate(draws)]
     return Partition(corpus, ranking, participants, urls_per_participant,
                      zipf_exponent, master_seed)
 
@@ -426,8 +449,7 @@ def apply_limited_knowledge(dataset: ParticipantDataset, allowed_type: str) -> P
     bit = types_to_bitmask((allowed_type,))
     masks = dataset.fp_bitmasks
     keep = (masks == 0) | ((masks & bit) != 0)
-    return ParticipantDataset(dataset.participant_id, dataset.urls,
-                              dataset.rows[keep], dataset.corpus)
+    return dataclasses.replace(dataset, rows=dataset.rows[keep])
 
 
 def apply_spec(participants: Sequence[ParticipantDataset],

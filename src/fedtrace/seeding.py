@@ -23,7 +23,3 @@ SCORE_SAMPLING = 7
 def derive_rng(master_seed: int, *keys: int) -> np.random.Generator:
     """Independent generator for (master_seed, *keys)."""
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, keys)]))
-
-
-def participant_rng(master_seed: int, purpose: int, participant_id: int) -> np.random.Generator:
-    return derive_rng(master_seed, purpose, participant_id)

@@ -116,27 +116,12 @@ class _GridCache:
         if moments is None:
             mask = resolve_mask(prepared.corpus.catalog, config.feature_set)
             columns = prepared.corpus.X[:, mask]
-            moments = participant_moments(
-                [_ColumnView(p.participant_id, p.rows, columns) for p in participants])
+            moments = participant_moments([p.over(columns) for p in participants])
             self.moments[key] = moments
         return moments
 
 
-class _ColumnView:
-    __slots__ = ("participant_id", "rows", "_x")
-
-    def __init__(self, participant_id, rows, x):
-        self.participant_id = participant_id
-        self.rows = rows
-        self._x = x
-
-    @property
-    def features(self):
-        return self._x[self.rows]
-
-
 def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: _GridCache,
-             max_workers: int | None,
              extra_fn: Callable | None = None,
              prepared: PreparedData | None = None) -> SweepRun:
     config = dataclasses.replace(base, seed=seed, **dict(spec.overrides))
@@ -146,8 +131,7 @@ def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: _GridCache
     moments = None
     if config.normalize:
         moments = cache.moments_for(prepared, participants, config)
-    outcome = train_in_memory(prepared, participants, config, moments=moments,
-                              max_workers=max_workers)
+    outcome = train_in_memory(prepared, participants, config, moments=moments)
     metrics = {row["split"]: row for row in evaluate_in_memory(prepared, config, outcome)}
     extra = extra_fn(config, prepared, participants, outcome) if extra_fn else {}
     return SweepRun(config, spec.series, spec.x,
@@ -155,47 +139,47 @@ def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: _GridCache
 
 
 def _execute(base: ExperimentConfig, specs: Sequence[RunSpec], seeds: Sequence[int],
-             max_workers: int | None, extra_fn: Callable | None = None) -> list[SweepRun]:
+             extra_fn: Callable | None = None) -> list[SweepRun]:
     cache = _GridCache()
-    return [_run_one(base, spec, seed, cache, max_workers, extra_fn)
+    return [_run_one(base, spec, seed, cache, extra_fn)
             for spec in specs for seed in seeds]
 
 
 # -------------------------------------------------------------- recipes
 
-def _recipe_participants(base, seeds, max_workers):
+def _recipe_participants(base, seeds):
     # q=None reverts to the ~100-sampled-per-round default at every W
     specs = [RunSpec((("n_participants", w), ("epsilon", math.inf), ("q", None)),
                      series=base.feature_set, x=w)
              for w in (1, 10, 100, 1000)]
-    return _execute(base, specs, seeds, max_workers)
+    return _execute(base, specs, seeds)
 
 
-def _recipe_epsilon(base, seeds, max_workers):
+def _recipe_epsilon(base, seeds):
     specs = [RunSpec((("n_participants", w), ("epsilon", eps), ("q", None)),
                      series=f"W={w}", x=eps)
              for w in (1000, 10_000)
              for eps in (1.0, 5.0, 10.0, math.inf)]
-    return _execute(base, specs, seeds, max_workers)
+    return _execute(base, specs, seeds)
 
 
-def _recipe_feature_sets(base, seeds, max_workers):
+def _recipe_feature_sets(base, seeds):
     names = ("All", "FPInspector", "JShelter", "HighEntropy", "ExtHighEntropy")
     specs = [RunSpec((("feature_set", name), ("epsilon", math.inf)),
                      series="feature_set", x=name)
              for name in names]
-    return _execute(base, specs, seeds, max_workers)
+    return _execute(base, specs, seeds)
 
 
-def _recipe_feat_norm_ablation(base, seeds, max_workers):
+def _recipe_feat_norm_ablation(base, seeds):
     specs = [RunSpec((("normalize", flag), ("epsilon", eps)),
                      series="norm-on" if flag else "norm-off", x=eps)
              for flag in (True, False)
              for eps in (1.0, 5.0, math.inf)]
-    return _execute(base, specs, seeds, max_workers)
+    return _execute(base, specs, seeds)
 
 
-def _recipe_non_iid(base, seeds, max_workers):
+def _recipe_non_iid(base, seeds):
     def extra_fn(config, prepared, participants, outcome):
         rng = derive_rng(config.seed, SCORE_SAMPLING)
         return {"non_iidness": non_iidness_score(participants, rng=rng)}
@@ -203,7 +187,7 @@ def _recipe_non_iid(base, seeds, max_workers):
     specs = [RunSpec((("limited_knowledge_fraction", f), ("epsilon", math.inf)),
                      series="limited-knowledge", x=f)
              for f in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
-    runs = _execute(base, specs, seeds, max_workers, extra_fn=extra_fn)
+    runs = _execute(base, specs, seeds, extra_fn=extra_fn)
     baseline = {r.config.seed: r.auprc for r in runs
                 if r.config.limited_knowledge_fraction == 0.0}
     for r in runs:
@@ -211,7 +195,7 @@ def _recipe_non_iid(base, seeds, max_workers):
     return runs
 
 
-def _recipe_ext_high_entropy(base, seeds, max_workers):
+def _recipe_ext_high_entropy(base, seeds):
     """Probe with every slot, rank by |weight|, rebuild, compare."""
 
     def keep_weights(config, prepared, participants, outcome):
@@ -222,8 +206,7 @@ def _recipe_ext_high_entropy(base, seeds, max_workers):
     probe_spec = RunSpec((("feature_set", "All"), ("epsilon", math.inf)),
                          series="feature_set", x="All")
     for seed in seeds:
-        probe = _run_one(base, probe_spec, seed, cache, max_workers,
-                         extra_fn=keep_weights)
+        probe = _run_one(base, probe_spec, seed, cache, extra_fn=keep_weights)
         weights = probe.extra.pop("_weights")
         runs.append(probe)
         prepared = cache.prepared[seed]
@@ -238,8 +221,7 @@ def _recipe_ext_high_entropy(base, seeds, max_workers):
                                  prepared.ranking, prepared.split, prepared.manifest)
         for name in ("HighEntropy", "ExtHighEntropyRebuilt", "ExtHighEntropy"):
             spec = RunSpec((("feature_set", name),), series="feature_set", x=name)
-            runs.append(_run_one(base, spec, seed, cache, max_workers,
-                                 prepared=prepared2))
+            runs.append(_run_one(base, spec, seed, cache, prepared=prepared2))
     return runs
 
 
@@ -307,8 +289,7 @@ def write_sweep_outputs(recipe: str, base: ExperimentConfig, runs: Sequence[Swee
 
 
 def run_sweep(recipe: str, out_dir, base: ExperimentConfig | None = None,
-              seeds: Sequence[int] = DEFAULT_SEEDS,
-              max_workers: int | None = None) -> SweepResult:
+              seeds: Sequence[int] = DEFAULT_SEEDS) -> SweepResult:
     """Run one named recipe and write its three output files."""
     try:
         runner = RECIPES[recipe]
@@ -319,6 +300,6 @@ def run_sweep(recipe: str, out_dir, base: ExperimentConfig | None = None,
         raise ConfigError("seeds", "need at least one seed")
     if base is None:
         base = smoke_preset()
-    runs = runner(base, tuple(dict.fromkeys(int(s) for s in seeds)), max_workers)
+    runs = runner(base, tuple(dict.fromkeys(int(s) for s in seeds)))
     summary, files = write_sweep_outputs(recipe, base, runs, out_dir)
     return SweepResult(recipe, base, runs, summary, files)

@@ -98,8 +98,7 @@ def test_criterion_2_no_noise_reductions():
     cfg = TrainingRunConfig(rounds=1, n_participants=w, q=1.0, z=0.0, clip_norm=5.0)
     theta0 = rng.normal(size=dim + 1)
     result = run_round(theta0, stubs, cfg, derive_rng(0, ROUND_SAMPLING, 1),
-                       local_fn=lambda theta, p: deltas[p.participant_id],
-                       max_workers=1)
+                       local_fn=lambda theta, p: deltas[p.participant_id])
     exact = theta0 + np.mean([deltas[i] for i in range(w)], axis=0)
     agg_err = float(np.max(np.abs(result.theta - exact)))
     assert agg_err <= 1e-12, f"aggregation deviates from exact average: {agg_err}"
@@ -137,7 +136,7 @@ def test_criterion_2_no_noise_reductions():
     y = (rng.random(n) < 0.4).astype(np.int8)
     cfg = TrainingRunConfig(rounds=3, n_participants=1, q=1.0, z=0.0,
                             clip_norm=1e3, local_epochs=1, seed=11)
-    model, _ = train([_Stub(0, X, y)], dim, cfg, max_workers=1)
+    model, _ = train([_Stub(0, X, y)], dim, cfg)
     theta = np.zeros(dim + 1)
     for _ in range(cfg.rounds):
         theta = theta + local_update(theta, X, y, cfg.local) / 1.0
@@ -321,8 +320,7 @@ def test_criterion_7_reference_trend_grid():
                 cfg = dataclasses.replace(cfg_w, epsilon=eps, normalize=norm,
                                           q=1.0 if w in (1, 100) else None)
                 outcome = train_in_memory(prepared, parts, cfg,
-                                          moments=moments if norm else None,
-                                          max_workers=1)
+                                          moments=moments if norm else None)
                 scores = outcome.model.decision_scores(outcome.matrix[test_rows])
                 results[(seed, w, eps, norm)] = average_precision(
                     scores, labels[test_rows])
@@ -440,10 +438,10 @@ def test_criterion_9_determinism(tmp_path):
         seed=7,
     )
 
-    def run_all(path, workers):
+    def run_all(path):
         stage_generate(cfg, path)
         stage_partition(cfg, path)
-        stage_train(cfg, path, max_workers=workers)
+        stage_train(cfg, path)
         stage_evaluate(path)
         stage_account(path)
 
@@ -452,15 +450,15 @@ def test_criterion_9_determinism(tmp_path):
                 for p in sorted(path.rglob("*")) if p.is_file()}
 
     first, second = tmp_path / "a", tmp_path / "b"
-    run_all(first, workers=1)
-    run_all(second, workers=2)
+    run_all(first)
+    run_all(second)
     snap_a, snap_b = snapshot(first), snapshot(second)
     assert set(snap_a) == set(snap_b)
     different = [str(k) for k in snap_a if snap_a[k] != snap_b[k]]
     assert not different, f"fresh-directory rerun differs: {different}"
 
     # re-running later stages in place must reproduce the same bytes
-    stage_train(cfg, first, max_workers=2)
+    stage_train(cfg, first)
     stage_evaluate(first)
     stage_account(first)
     snap_again = snapshot(first)
@@ -468,4 +466,4 @@ def test_criterion_9_determinism(tmp_path):
     different = [str(k) for k in snap_a if snap_a[k] != snap_again[k]]
     assert not different, f"in-place stage rerun differs: {different}"
     print(f"\nPASS criterion 9: {len(snap_a)} artifacts byte-identical across "
-          f"directories, worker counts, and in-place stage re-runs")
+          f"directories and in-place stage re-runs")

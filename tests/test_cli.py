@@ -25,7 +25,7 @@ def run_pipeline_dir(out):
     out = str(out)
     assert main(["generate", *TINY, "--out", out]) == EXIT_OK
     assert main(["partition", *TINY, "--out", out]) == EXIT_OK
-    assert main(["train", *TINY, "--out", out, "--workers", "2"]) == EXIT_OK
+    assert main(["train", *TINY, "--out", out]) == EXIT_OK
     assert main(["evaluate", "--out", out]) == EXIT_OK
     assert main(["account", "--out", out]) == EXIT_OK
 

@@ -93,6 +93,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["clip_mu", "clip_var"])
+    def test_clip_bound_error_names_its_field(self, field):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{field: 0.0})
+        assert err.value.field == field
+
     def test_non_integer_int_field_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"rounds": 2.5})
@@ -230,7 +236,7 @@ def run_dir(run_cfg, tmp_path_factory):
     path = tmp_path_factory.mktemp("staged_run")
     stage_generate(run_cfg, path)
     stage_partition(run_cfg, path)
-    stage_train(run_cfg, path, max_workers=2)
+    stage_train(run_cfg, path)
     stage_evaluate(path)
     stage_account(path)
     return path
@@ -310,7 +316,7 @@ class TestStages:
                   for p in run_dir.iterdir()}
         stage_generate(run_cfg, run_dir)
         stage_partition(run_cfg, run_dir)
-        stage_train(run_cfg, run_dir, max_workers=1)
+        stage_train(run_cfg, run_dir)
         stage_evaluate(run_dir)
         stage_account(run_dir)
         after = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -462,6 +468,31 @@ class TestPinnedGenerate:
         stage_generate(cfg, tmp_path)
         got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in (TRACES_FILE, FEATURES_FILE))
+        assert got == self.PINNED[seed]
+
+
+class TestPinnedPartition:
+    """partition.json from generate + partition at fixed configs, pinned by sha256.
+
+    The file holds only domain draws, knowledge assignments and integer
+    counts, so any change to the draw order or the manifest encoding
+    moves these hashes; the BLAS library cannot.
+    """
+
+    PINNED = {
+        1: "70044cb3c1e33e7b74cb44225093c4ca5e41e969dc8c3f85abc11cd9bac73066",
+        2: "b98e06a0c29c91466e5d55c61333fc8d4cfa742f5a5dbca8094546613d1f167b",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_partition_hash(self, tmp_path, seed):
+        cfg = ExperimentConfig(generator=GeneratorConfig(n_scripts=400, fp_prevalence=0.02),
+                               n_participants=12, urls_per_participant=5,
+                               limited_knowledge_fraction=0.5, seed=seed)
+        stage_generate(cfg, tmp_path)
+        manifest = stage_partition(cfg, tmp_path)
+        assert len(manifest["limited_knowledge"]["assignments"]) == 6
+        got = hashlib.sha256((tmp_path / PARTITION_FILE).read_bytes()).hexdigest()
         assert got == self.PINNED[seed]
 
 

@@ -87,8 +87,7 @@ def test_sampling_unbiasedness_with_scripted_deltas():
     rng = np.random.default_rng(99)
     for t in range(n_trials):
         res = run_round(theta0, toys, cfg, rng,
-                        local_fn=lambda theta, p: deltas[p.participant_id],
-                        max_workers=1)
+                        local_fn=lambda theta, p: deltas[p.participant_id])
         updates[t] = res.theta - theta0
     mc_mean = updates.mean(axis=0)
     mc_sigma = updates.std(axis=0, ddof=1) / np.sqrt(n_trials)
@@ -107,7 +106,7 @@ def test_fixed_qw_denominator_not_sample_size():
             return np.array([0.1, 0.9, 0.9, 0.9])  # only pid 0 sampled
 
     res = run_round(np.zeros(3), toys, cfg, OneCoin(),
-                    local_fn=lambda theta, p: delta, max_workers=1)
+                    local_fn=lambda theta, p: delta)
     np.testing.assert_allclose(res.theta, delta / 2.0, rtol=0, atol=0)
     assert res.sampled_ids == (0,)
 
@@ -130,21 +129,12 @@ def test_noise_dimension_covers_bias_term():
     toys = make_toys(w=2, dim=3)
     cfg = cfg_for(toys, z=1.0)
     a = run_round(np.zeros(4), toys, cfg, np.random.default_rng(0),
-                  local_fn=lambda theta, p: np.zeros(4), max_workers=1)
+                  local_fn=lambda theta, p: np.zeros(4))
     b = run_round(np.zeros(4), toys, cfg, np.random.default_rng(0),
-                  local_fn=lambda theta, p: np.zeros(4), max_workers=1)
+                  local_fn=lambda theta, p: np.zeros(4))
     assert not np.array_equal(a.theta, np.zeros(4))  # bias coordinate noised too
     assert a.theta[-1] != 0.0
     np.testing.assert_array_equal(a.theta, b.theta)
-
-
-def test_threaded_and_serial_aggregation_identical():
-    toys = make_toys(w=6)
-    cfg = cfg_for(toys)
-    theta0 = np.zeros(5)
-    serial = run_round(theta0, toys, cfg, np.random.default_rng(2), max_workers=1)
-    threaded = run_round(theta0, toys, cfg, np.random.default_rng(2), max_workers=4)
-    np.testing.assert_array_equal(serial.theta, threaded.theta)
 
 
 def test_run_round_validation():

@@ -14,10 +14,6 @@ from fedtrace.heuristics import (
     FONT_THRESHOLD,
     LabelSet,
     label,
-    label_audio,
-    label_canvas,
-    label_canvas_font,
-    label_webrtc,
 )
 from fedtrace.traces import ScriptTrace, api_call
 
@@ -168,15 +164,6 @@ def test_multiple_types_reported_together():
     assert got.bitmask() == 0b1001
 
 
-def test_individual_labelers_match_composite():
-    for _, trace, _ in HEURISTIC_CASES:
-        got = label(trace)
-        assert label_canvas(trace) == got.canvas
-        assert label_canvas_font(trace) == got.canvas_font
-        assert label_webrtc(trace) == got.webrtc
-        assert label_audio(trace) == got.audio
-
-
 def test_order_insensitive():
     calls = (_canvas_calls() + _font_calls(T + 1, T + 1)
              + [api_call("RTCPeerConnection.createOffer"),
@@ -189,7 +176,7 @@ def test_order_insensitive():
 
 def test_restore_is_also_evasion():
     trace = _trace(*_canvas_calls(), api_call("CanvasRenderingContext2D.restore"))
-    assert not label_canvas(trace)
+    assert not label(trace).canvas
 
 
 def test_style_read_without_value_does_not_count():
@@ -197,13 +184,13 @@ def test_style_read_without_value_does_not_count():
     trace = _trace(api_call("CanvasRenderingContext2D.fillText", ("hi",)),
                    api_call("CanvasRenderingContext2D.fillStyle"),
                    api_call("HTMLCanvasElement.toDataURL", (), "data:"))
-    assert not label_canvas(trace)
+    assert not label(trace).canvas
 
 
 def test_audio_members_on_other_interfaces_do_not_count():
     trace = _trace(api_call("OscillatorNode.frequency", (440.0,)),
                    api_call("Document.createOscillator"))
-    assert not label_audio(trace)
+    assert not label(trace).audio
 
 
 _INERT_CALLS = st.lists(
@@ -232,4 +219,4 @@ def test_adding_save_flips_canvas_off(case):
     _, trace, _ = case
     widened = ScriptTrace(trace.script_id, trace.source_domain,
                           trace.calls + (api_call("CanvasRenderingContext2D.save"),))
-    assert not label_canvas(widened)
+    assert not label(widened).canvas

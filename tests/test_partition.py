@@ -10,6 +10,7 @@ Oracles:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -23,7 +24,6 @@ from fedtrace.partition import (
     DomainRanking,
     KL_SMOOTHING,
     N_TYPE_COMBINATIONS,
-    ParticipantDataset,
     ScriptCorpus,
     apply_limited_knowledge,
     apply_spec,
@@ -214,7 +214,21 @@ def test_assign_scripts_empty_domains_yield_empty_dataset():
     ds = assign_scripts(["b.com"], corpus)
     assert ds.n_scripts == 0
     assert ds.features.shape == (0, CATALOG.slot_count)
-    assert ds.scripts == []
+
+
+def test_view_over_another_matrix_keeps_rows_and_labels():
+    scripts = [_script("a1#00", "a.com"), _script("b1#00", "b.com", ("canvas",)),
+               _script("b2#00", "b.com")]
+    corpus = _corpus(scripts)
+    ds = assign_scripts(["b.com"], corpus, participant_id=4)
+    x = np.arange(corpus.n_scripts * 2, dtype=float).reshape(corpus.n_scripts, 2)
+    view = ds.over(x)
+    assert np.array_equal(view.features, x[ds.rows])
+    assert view.labels.tolist() == ds.labels.tolist() == [True, False]
+    assert (view.participant_id, view.urls, view.script_ids) == (4, ds.urls, ds.script_ids)
+    assert np.array_equal(ds.features, corpus.X[ds.rows])  # the original is unchanged
+    with pytest.raises(InvalidInput):
+        ds.over(x[:-1])
 
 
 def test_corpus_placements_validate_script_ids():
@@ -341,7 +355,7 @@ def test_non_iidness_symmetric_and_excludes_fp_free():
     backward = non_iidness_score(list(reversed(parts)))
     assert forward == pytest.approx(backward, rel=1e-12)
 
-    relabeled = [ParticipantDataset(90 + i, p.urls, p.rows, p.corpus)
+    relabeled = [dataclasses.replace(p, participant_id=90 + i)
                  for i, p in enumerate(parts)]
     assert non_iidness_score(relabeled) == pytest.approx(forward, rel=1e-12)
 

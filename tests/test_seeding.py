@@ -4,7 +4,6 @@ from fedtrace.seeding import (
     DOMAIN_SAMPLING,
     ROUND_SAMPLING,
     derive_rng,
-    participant_rng,
 )
 
 
@@ -27,9 +26,3 @@ def test_stream_independent_of_consumption_order():
     sibling.random(1000)
     assert (derive_rng(7, ROUND_SAMPLING, 2).random(4)
             == derive_rng(7, ROUND_SAMPLING, 2).random(4)).all()
-
-
-def test_participant_rng_is_keyed_derivation():
-    a = participant_rng(7, DOMAIN_SAMPLING, 11).random(4)
-    b = derive_rng(7, DOMAIN_SAMPLING, 11).random(4)
-    assert (a == b).all()
