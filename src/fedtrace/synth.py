@@ -36,6 +36,7 @@ from .features import (
     classify_custom,
     fill_feature_row,
     signal_slots,
+    take_nonzeros,
 )
 from .partition import DomainRanking, ScriptCorpus, SparseRows
 from .seeding import GENERATOR, derive_rng
@@ -533,10 +534,7 @@ def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
         row = np.zeros(catalog.slot_count, dtype=np.float32)
         for script in scripts:
             fill_feature_row(script.trace, catalog, row)
-            cols = (row != 0.0).nonzero()[0]  # ~3x faster than flatnonzero on floats
-            vals = row[cols]
-            row[cols] = 0.0
-            yield script, cols.astype(np.int32), vals
+            yield (script, *take_nonzeros(row))
 
     return (rows(), _placements(plan, config), DomainRanking(tuple(plan.domains)),
             plan.split, _manifest(plan, config, catalog))
@@ -544,7 +542,7 @@ def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
 
 def generate_corpus(config: GeneratorConfig, catalog: FeatureCatalog
                     ) -> tuple[ScriptCorpus, DomainRanking, SplitSpec, dict]:
-    """Densify generate_stream's rows into the corpus, dropping each trace.
+    """Collect generate_stream's rows into the sparse corpus, dropping each trace.
 
     The corpus equals the one built from generate()'s scripts for the
     same config.

@@ -9,20 +9,24 @@ import zipfile
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from fedtrace.artifacts import ZIP_EPOCH
+from fedtrace.artifacts import ZIP_EPOCH, read_npz
 from fedtrace.errors import ConfigError, StageDependencyError
 from fedtrace.experiment import (CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE, METRICS_FILE,
                                  NORM_STATS_FILE, PARTITION_FILE, PLACEMENTS_FILE,
                                  ROUND_RECORDS_FILE, SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget, apply_overrides,
-                                 calibrate_budget, config_snapshot_line, corpus_from_traces,
-                                 load_config, load_corpus, participants_from_manifest,
-                                 preset_config, read_metrics, run_pipeline, smoke_preset,
+                                 build_participants, calibrate_budget, config_snapshot_line,
+                                 corpus_from_traces, load_config, load_corpus,
+                                 participants_from_manifest, preset_config, read_metrics,
+                                 resolve_mask, run_pipeline, smoke_preset,
                                  stage_account, stage_evaluate, stage_generate,
                                  stage_partition, stage_train, training_ranking, write_csv)
+from fedtrace.features import default_catalog
+from fedtrace.fednorm import participant_moments
 from fedtrace.partition import DomainRanking
 from fedtrace.privacy import PlannedQuery, PrivacyLedger, plan_epsilon
-from fedtrace.synth import GeneratorConfig, SplitSpec
+from fedtrace.synth import GeneratorConfig, SplitSpec, generate_corpus
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -504,12 +508,36 @@ class TestPersistedFeatures:
         assert manifest["n_shared"] > 0
         assert stored.script_ids == rebuilt.script_ids
         assert stored.X.dtype == rebuilt.X.dtype == np.float32
-        assert np.array_equal(stored.X, rebuilt.X)
+        assert np.array_equal(stored.X.toarray(), rebuilt.X.toarray())
         assert np.array_equal(stored.labels, rebuilt.labels)
         assert np.array_equal(stored.fp_bitmasks, rebuilt.fp_bitmasks)
         assert list(stored.domain_rows) == list(rebuilt.domain_rows)
         for domain, rows in rebuilt.domain_rows.items():
             assert np.array_equal(stored.domain_rows[domain], rows)
+
+    def test_corpus_matrix_stays_sparse(self, run_cfg, run_dir):
+        stored = read_npz((run_dir / FEATURES_FILE).read_bytes())
+        loaded, _ = load_corpus(run_dir)
+        generated, *_ = generate_corpus(run_cfg.resolved_generator, default_catalog())
+        for corpus in (loaded, generated):
+            assert isinstance(corpus.X, csr_matrix)
+            assert corpus.X.dtype == np.float32
+            assert corpus.X.indices.dtype == np.int32
+            assert corpus.X.nnz == stored["data"].size
+
+    def test_moments_over_corpus_views_equal_dense_moments(self, run_cfg, memory_result):
+        # the call shape of the reference trend grid: views straight from
+        # build_participants, over the sparse corpus matrix
+        prepared = memory_result.prepared
+        mask = resolve_mask(prepared.corpus.catalog, run_cfg.feature_set)
+        parts = build_participants(prepared, run_cfg)
+        dense = prepared.corpus.X.toarray()
+        got = participant_moments(parts, mask)
+        want = participant_moments([p.over(dense) for p in parts], mask)
+        assert got.counts.sum() > 0
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.means, want.means)
+        assert np.array_equal(got.variances, want.variances)
 
     def test_features_zip_members_carry_the_fixed_date(self, tmp_path):
         # zip members carry a time with 2 s resolution; a fixed date keeps

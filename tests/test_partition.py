@@ -32,7 +32,6 @@ from fedtrace.partition import (
     load_ranking,
     make_limited_knowledge,
     non_iidness_score,
-    partition_manifest,
     save_ranking,
     zipf_sample_domains,
 )
@@ -226,7 +225,7 @@ def test_view_over_another_matrix_keeps_rows_and_labels():
     assert np.array_equal(view.features, x[ds.rows])
     assert view.labels.tolist() == ds.labels.tolist() == [True, False]
     assert (view.participant_id, view.urls, view.script_ids) == (4, ds.urls, ds.script_ids)
-    assert np.array_equal(ds.features, corpus.X[ds.rows])  # the original is unchanged
+    assert np.array_equal(ds.features, corpus.X.toarray()[ds.rows])  # the original is unchanged
     with pytest.raises(InvalidInput):
         ds.over(x[:-1])
 
@@ -274,10 +273,6 @@ def test_partition_datasets_are_subsets_of_corpus():
                             master_seed=99)
     for a, b in zip(part.participants, again.participants):
         assert a.urls == b.urls and np.array_equal(a.rows, b.rows)
-
-    manifest = partition_manifest(part)
-    assert manifest["n_participants"] == 8
-    assert len(manifest["participants"]) == 8
 
     with pytest.raises(InvalidInput):
         build_partition(corpus, DomainRanking(("nowhere.com",)), 2, 1)

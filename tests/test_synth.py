@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from fedtrace import heuristics
 from fedtrace.errors import InvalidInput
-from fedtrace.features import load_shipped_catalog, signal_slots
+from fedtrace.features import default_catalog, load_shipped_catalog, signal_slots
 from fedtrace.fedavg import centralized_fit
 from fedtrace.fednorm import exact_stats, normalize_matrix
 from fedtrace.metrics import average_precision
@@ -200,7 +201,19 @@ class TestStreamingPath:
 
     def test_default_dtype_is_float32(self):
         corpus, *_ = generate_corpus(GeneratorConfig(n_scripts=50, seed=1), CATALOG)
+        assert isinstance(corpus.X, csr_matrix)
         assert corpus.X.dtype == np.float32
+        assert corpus.X.indices.dtype == np.int32
+
+    def test_columns_equal_dense_columns_for_every_feature_set(self):
+        catalog = default_catalog()
+        corpus, *_ = generate_corpus(GeneratorConfig(n_scripts=400, seed=2), catalog)
+        dense = corpus.X.toarray()
+        for name in catalog.named_sets:
+            mask = catalog.mask(name)
+            got, want = corpus.columns(mask), dense[:, mask]
+            assert got.dtype == np.float32 and got.flags.c_contiguous, name
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_call_matching_satisfies_every_signal_custom():
@@ -216,7 +229,7 @@ def test_planted_signal_separates_classes():
     cfg = GeneratorConfig(n_scripts=6000, fp_prevalence=0.05, seed=17)
     corpus, _, _, _ = generate_corpus(cfg, CATALOG)
     mask = CATALOG.mask("ExtHighEntropy")
-    x = corpus.X[:, mask].astype(np.float64)
+    x = corpus.columns(mask).astype(np.float64)
     x = normalize_matrix(x, exact_stats(x))
     model = centralized_fit(x, corpus.labels)
     ap = average_precision(model.decision_scores(x), corpus.labels)
