@@ -61,7 +61,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import atomic_write, file_sha256, read_npz, write_npz
-from .errors import ConfigError, InvalidInput, InvalidMask, StageDependencyError
+from .errors import (CalibrationError, ConfigError, InvalidInput, InvalidMask,
+                     StageDependencyError)
 from .features import catalog_hash, default_catalog, load_catalog, save_catalog
 from .fedavg import TrainingRunConfig, RoundRecord, train
 from .fednorm import (DEFAULT_CLIP_MU, DEFAULT_CLIP_VAR, NORMALIZE_MODES, VARIANCE_FLOOR,
@@ -539,8 +540,12 @@ def calibrate_budget(config: ExperimentConfig, n_features: int) -> NoiseBudget:
         z_train = calibrate_noise(config.epsilon, config.delta, [rounds_query])
         return NoiseBudget(0.0, z_train)
     norm_query_count = 2 * n_features
-    z_norm = calibrate_noise(config.norm_fraction * config.epsilon, config.delta,
-                             [PlannedQuery(config.resolved_norm_q, norm_query_count)])
+    try:
+        z_norm = calibrate_noise(config.norm_fraction * config.epsilon, config.delta,
+                                 [PlannedQuery(config.resolved_norm_q, norm_query_count)])
+    except CalibrationError as exc:
+        raise CalibrationError(f"{exc}; the normalization target is norm_fraction*epsilon "
+                               f"= {config.norm_fraction}*{config.epsilon}") from exc
     z_train = calibrate_noise(config.epsilon, config.delta,
                               [PlannedQuery(config.resolved_norm_q, norm_query_count,
                                             z=z_norm),

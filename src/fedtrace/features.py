@@ -163,27 +163,11 @@ class FeatureCatalog:
                   for name, at in at_api.items()}
         return probes, equals
 
-    def slot_of_api(self, api_name: str) -> int | None:
-        return self._api_index.get(api_name)
-
     def mask(self, name: str) -> np.ndarray:
         try:
             return np.asarray(self.named_sets[name], dtype=np.intp)
         except KeyError:
             raise InvalidMask(f"unknown named set: {name!r}") from None
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class FeatureVector:
-    values: np.ndarray  # float64, counts then 0/1 indicators
-    label: bool
-    fp_types: frozenset[str]
-
-    def __eq__(self, other):
-        if not isinstance(other, FeatureVector):
-            return NotImplemented
-        return (self.label == other.label and self.fp_types == other.fp_types
-                and np.array_equal(self.values, other.values))
 
 
 def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarray) -> None:
@@ -236,13 +220,6 @@ def take_nonzeros(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols.astype(np.int32), vals
 
 
-def extract(trace: ScriptTrace, catalog: FeatureCatalog) -> FeatureVector:
-    row = np.zeros(catalog.slot_count)
-    fill_feature_row(trace, catalog, row)
-    labels = heuristics.label(trace)
-    return FeatureVector(row, labels.is_fingerprinting(), labels.types())
-
-
 def validate_mask(mask, slot_count: int) -> np.ndarray:
     arr = np.asarray(mask, dtype=np.intp)
     if arr.ndim != 1 or arr.size == 0:
@@ -250,11 +227,6 @@ def validate_mask(mask, slot_count: int) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= slot_count:
         raise InvalidMask(f"mask indexes outside [0, {slot_count})")
     return arr
-
-
-def apply_mask(vec: FeatureVector, mask, slot_count: int | None = None) -> FeatureVector:
-    arr = validate_mask(mask, len(vec.values) if slot_count is None else slot_count)
-    return FeatureVector(vec.values[arr], vec.label, vec.fp_types)
 
 
 def feature_importance(weights: np.ndarray, slots=None) -> np.ndarray:

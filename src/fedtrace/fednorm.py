@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import issparse
 
 from .artifacts import atomic_write
-from .errors import InsufficientData, InvalidInput
-from .features import FeatureVector
+from .errors import InvalidInput
 from .privacy import PrivacyLedger, gaussian_noise, noise_stddev
 
 VARIANCE_FLOOR = 1e-6
@@ -94,31 +94,6 @@ def load_norm_stats(path) -> NormStats:
         return NormStats.from_dict(json.load(fh))
 
 
-def _columns(dataset, mask) -> np.ndarray:
-    x = dataset.features
-    if mask is not None:
-        x = x[:, mask]
-    return np.asarray(x, dtype=np.float64)
-
-
-def local_mean(dataset, f: int, clip_mu: float = DEFAULT_CLIP_MU) -> float:
-    """Upper-clipped column mean; raises InsufficientData to abstain."""
-    x = _columns(dataset, None)
-    if x.shape[0] == 0:
-        raise InsufficientData("participant has no scripts for the mean query")
-    return float(min(x[:, f].mean(), clip_mu))
-
-
-def local_var(dataset, f: int, clip_var: float = DEFAULT_CLIP_VAR) -> float:
-    """Upper-clipped sample variance (n-1 denominator); abstains for n < 2."""
-    x = _columns(dataset, None)
-    if x.shape[0] < 2:
-        raise InsufficientData("variance query needs at least two scripts")
-    col = x[:, f]
-    s = float(((col - col.mean()) ** 2).sum() / (x.shape[0] - 1))
-    return min(s, clip_var)
-
-
 @dataclass(eq=False)
 class ColumnMoments:
     """Per-participant column means and variances, computed once and reused."""
@@ -141,16 +116,26 @@ class ColumnMoments:
 
 
 def participant_moments(participants: Sequence, mask=None) -> ColumnMoments:
-    """Two-pass per-participant column moments in float64."""
+    """Two-pass per-participant column moments in float64.
+
+    With a mask, the views must share one matrix x: its masked columns
+    are made dense once, as ScriptCorpus.columns makes them, and the
+    moments are those of the views over that block.
+    """
     if not participants:
         raise InvalidInput("need at least one participant")
-    first = _columns(participants[0], mask)
-    n_features = first.shape[1]
+    if mask is not None:
+        x = participants[0].x
+        if any(p.x is not x for p in participants):
+            raise InvalidInput("a mask needs views that share one feature matrix")
+        block = x[:, mask]
+        block = block.toarray() if issparse(block) else np.ascontiguousarray(block)
+        participants = [p.over(block) for p in participants]
     counts = np.zeros(len(participants), dtype=np.int64)
-    means = np.zeros((len(participants), n_features))
+    means = np.zeros((len(participants), participants[0].features.shape[1]))
     variances = np.zeros_like(means)
     for i, p in enumerate(participants):
-        x = _columns(p, mask)
+        x = np.asarray(p.features, dtype=np.float64)
         n = x.shape[0]
         counts[i] = n
         if n >= 1:
@@ -163,7 +148,7 @@ def participant_moments(participants: Sequence, mask=None) -> ColumnMoments:
 def dp_fed_norm(participants: Sequence, q: float, z: float,
                 clip_mu: float = DEFAULT_CLIP_MU, clip_var: float = DEFAULT_CLIP_VAR,
                 rng: np.random.Generator | None = None,
-                ledger: PrivacyLedger | None = None, mask=None,
+                ledger: PrivacyLedger | None = None,
                 moments: ColumnMoments | None = None,
                 variance_floor: float = VARIANCE_FLOOR) -> NormStats:
     """Run the 2F subsampled statistic queries and return floored stats.
@@ -191,7 +176,7 @@ def dp_fed_norm(participants: Sequence, q: float, z: float,
     if variance_floor <= 0:
         raise InvalidInput(f"variance floor must be positive: {variance_floor}")
     if moments is None:
-        moments = participant_moments(participants, mask)
+        moments = participant_moments(participants)
     w = moments.n_participants
     n_features = moments.n_features
 
@@ -248,14 +233,3 @@ def normalize_matrix(x: np.ndarray, stats: NormStats, mode: str = "std",
     out /= denom
     return out.astype(x.dtype, copy=False) if x.dtype == np.float32 else out
 
-
-def normalize(vec: FeatureVector | np.ndarray, stats: NormStats, mode: str = "std",
-              variance_floor: float = VARIANCE_FLOOR):
-    """Scale one feature vector; FeatureVector in, FeatureVector out."""
-    if isinstance(vec, FeatureVector):
-        values = normalize(vec.values, stats, mode, variance_floor)
-        return FeatureVector(values, vec.label, vec.fp_types)
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (stats.n_features,):
-        raise InvalidInput(f"vector length {v.size} does not match {stats.n_features}")
-    return (v - stats.mu) / _denominator(stats, mode, variance_floor)

@@ -79,10 +79,6 @@ def _log_erfc(x: float) -> float:
     return float(np.log(special.erfcx(x)) - x * x)
 
 
-def _log_binom(n: float, k: int) -> float:
-    return float(special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1))
-
-
 def _log_sub(a: float, b: float) -> float:
     # log(exp(a) - exp(b)); requires a >= b
     if b == -math.inf:
@@ -318,7 +314,9 @@ def _bisect(target_epsilon: float, delta: float, plan: tuple, orders: tuple,
     eps = epsilons(hi)
     if eps.min() > target_epsilon:
         raise CalibrationError(
-            f"epsilon {target_epsilon} unreachable with z in [{lo}, {hi}]")
+            f"epsilon {target_epsilon} unreachable with z in [{lo}, {hi}]: the smallest "
+            f"epsilon at z={hi} is {eps.min():.4g}, and no z goes below the order grid's "
+            f"floor log(1/delta)/(alpha_max - 1) = {offset.min():.4g}")
     keep = np.flatnonzero(eps <= target_epsilon)
     while hi / lo - 1.0 > rel_tol:
         mid = math.sqrt(lo * hi)

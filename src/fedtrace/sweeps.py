@@ -115,8 +115,7 @@ class _GridCache:
         moments = self.moments.get(key)
         if moments is None:
             mask = resolve_mask(prepared.corpus.catalog, config.feature_set)
-            columns = prepared.corpus.columns(mask)
-            moments = participant_moments([p.over(columns) for p in participants])
+            moments = participant_moments(participants, mask)
             self.moments[key] = moments
         return moments
 

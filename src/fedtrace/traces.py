@@ -24,7 +24,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .artifacts import atomic_write
 from .errors import InvalidInput, ParseError
 
 MAX_ARGS = 8
@@ -216,9 +215,3 @@ def parse_trace_file(path) -> list[ScriptTrace]:
                 raise ParseError(str(exc), line=lineno, path=str(path)) from exc
     return traces
 
-
-def write_trace_file(traces, path) -> None:
-    with atomic_write(path) as fh:
-        for trace in traces:
-            fh.write(trace_to_json_line(trace))
-            fh.write("\n")

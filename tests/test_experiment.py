@@ -12,7 +12,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from fedtrace.artifacts import ZIP_EPOCH, read_npz
-from fedtrace.errors import ConfigError, StageDependencyError
+from fedtrace.errors import CalibrationError, ConfigError, InvalidInput, StageDependencyError
 from fedtrace.experiment import (CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE, METRICS_FILE,
                                  NORM_STATS_FILE, PARTITION_FILE, PLACEMENTS_FILE,
                                  ROUND_RECORDS_FILE, SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget, apply_overrides,
@@ -226,6 +226,15 @@ class TestCalibrateBudget:
         rich = calibrate_budget(tiny_config(epsilon=2.0, norm_fraction=0.4), 149)
         assert rich.z_norm < lean.z_norm
         assert rich.z_train > lean.z_train
+
+    def test_small_epsilon_error_says_why(self):
+        # 0.1 * 0.3 lies below the order grid's floor log(1/delta)/255
+        with pytest.raises(CalibrationError) as exc_info:
+            calibrate_budget(tiny_config(epsilon=0.3, norm_fraction=0.1), 149)
+        message = str(exc_info.value)
+        assert "smallest epsilon at z=1000.0 is" in message
+        assert "log(1/delta)/(alpha_max - 1) = 0.04515" in message
+        assert "norm_fraction*epsilon = 0.1*0.3" in message
 
 
 # ------------------------------------------------------------- the stages
@@ -535,9 +544,14 @@ class TestPersistedFeatures:
         got = participant_moments(parts, mask)
         want = participant_moments([p.over(dense) for p in parts], mask)
         assert got.counts.sum() > 0
-        assert np.array_equal(got.counts, want.counts)
-        assert np.array_equal(got.means, want.means)
-        assert np.array_equal(got.variances, want.variances)
+        # and bit for bit the moments train_in_memory takes over the masked block
+        block = participant_moments([p.over(prepared.corpus.columns(mask)) for p in parts])
+        for other in (want, block):
+            assert np.array_equal(got.counts, other.counts)
+            assert np.array_equal(got.means, other.means)
+            assert np.array_equal(got.variances, other.variances)
+        with pytest.raises(InvalidInput):
+            participant_moments([parts[0], *(p.over(dense) for p in parts[1:])], mask)
 
     def test_features_zip_members_carry_the_fixed_date(self, tmp_path):
         # zip members carry a time with 2 s resolution; a fixed date keeps

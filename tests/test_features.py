@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
+from fedtrace import heuristics
 from fedtrace.errors import CardinalityError, InvalidInput, InvalidMask
 from fedtrace.features import (
     CustomFeatureSpec,
     FeatureCatalog,
-    apply_mask,
     build_ext_high_entropy,
     catalog_hash,
     catalog_to_json,
     default_catalog,
-    extract,
     feature_importance,
     fill_feature_row,
     load_catalog,
@@ -74,79 +73,77 @@ class TestExtraction:
         trace = _trace(api_call("Navigator.userAgent"),
                        api_call("Navigator.userAgent"),
                        api_call("Navigator.userAgent"))
-        slot = catalog.slot_of_api("Navigator.userAgent")
-        vec = extract(trace, catalog)
-        assert vec.values[slot] == 3.0
-        assert vec.values.sum() == 3.0
+        slot = catalog.api_count_entries.index("Navigator.userAgent")
+        vec = _fill(trace, catalog)
+        assert vec[slot] == 3.0
+        assert vec.sum() == 3.0
 
     def test_unknown_api_ignored(self, catalog):
-        vec = extract(_trace(api_call("Nonexistent.api")), catalog)
-        assert vec.values.sum() == 0.0
+        vec = _fill(_trace(api_call("Nonexistent.api")), catalog)
+        assert vec.sum() == 0.0
 
     def test_custom_is_binary_indicator(self, catalog):
         spec = CustomFeatureSpec("WebGLRenderingContext.getExtension",
                                  "argument", 0, "equals", "WEBGL_lose_context")
         cslot = catalog.custom_slot(catalog.custom_entries.index(spec))
         call = api_call("WebGLRenderingContext.getExtension", ("WEBGL_lose_context",))
-        vec = extract(_trace(call, call), catalog)
-        assert vec.values[cslot] == 1.0  # fired twice, still 1
-        api_slot = catalog.slot_of_api("WebGLRenderingContext.getExtension")
-        assert vec.values[api_slot] == 2.0
+        vec = _fill(_trace(call, call), catalog)
+        assert vec[cslot] == 1.0  # fired twice, still 1
+        api_slot = catalog.api_count_entries.index("WebGLRenderingContext.getExtension")
+        assert vec[api_slot] == 2.0
 
     def test_custom_requires_exact_argument(self, catalog):
         spec = CustomFeatureSpec("WebGLRenderingContext.getExtension",
                                  "argument", 0, "equals", "WEBGL_lose_context")
         cslot = catalog.custom_slot(catalog.custom_entries.index(spec))
-        vec = extract(_trace(api_call("WebGLRenderingContext.getExtension",
-                                      ("OES_texture_float",))), catalog)
-        assert vec.values[cslot] == 0.0
+        vec = _fill(_trace(api_call("WebGLRenderingContext.getExtension",
+                                    ("OES_texture_float",))), catalog)
+        assert vec[cslot] == 0.0
 
     def test_return_strlen_matches_long_string_summary(self, catalog):
         spec = CustomFeatureSpec("HTMLCanvasElement.toDataURL",
                                  "return", None, "strlen", 6146)
         cslot = catalog.custom_slot(catalog.custom_entries.index(spec))
-        hit = extract(_trace(api_call("HTMLCanvasElement.toDataURL", (), "x" * 6146)),
-                      catalog)
-        miss = extract(_trace(api_call("HTMLCanvasElement.toDataURL", (), "x" * 6145)),
-                       catalog)
-        assert hit.values[cslot] == 1.0
-        assert miss.values[cslot] == 0.0
+        hit = _fill(_trace(api_call("HTMLCanvasElement.toDataURL", (), "x" * 6146)), catalog)
+        miss = _fill(_trace(api_call("HTMLCanvasElement.toDataURL", (), "x" * 6145)), catalog)
+        assert hit[cslot] == 1.0
+        assert miss[cslot] == 0.0
 
     def test_argument_index_beyond_args_is_no_match(self, catalog):
         spec = CustomFeatureSpec("RTCPeerConnection.createDataChannel",
                                  "argument", 1, "equals", False)
         cslot = catalog.custom_slot(catalog.custom_entries.index(spec))
-        vec = extract(_trace(api_call("RTCPeerConnection.createDataChannel",
-                                      ("probe",))), catalog)
-        assert vec.values[cslot] == 0.0
+        vec = _fill(_trace(api_call("RTCPeerConnection.createDataChannel",
+                                    ("probe",))), catalog)
+        assert vec[cslot] == 0.0
 
     def test_int_arguments_match_float_specs(self, catalog):
         spec = CustomFeatureSpec("HTMLCanvasElement.width",
                                  "argument", 0, "equals", 280.0)
         cslot = catalog.custom_slot(catalog.custom_entries.index(spec))
-        vec = extract(_trace(api_call("HTMLCanvasElement.width", (280,))), catalog)
-        assert vec.values[cslot] == 1.0
+        vec = _fill(_trace(api_call("HTMLCanvasElement.width", (280,))), catalog)
+        assert vec[cslot] == 1.0
 
-    def test_labels_attached(self, catalog):
-        vec = extract(_trace(api_call("AudioContext.createOscillator")), catalog)
-        assert vec.label and vec.fp_types == {"audio"}
+    def test_labels_attached(self):
+        labels = heuristics.label(_trace(api_call("AudioContext.createOscillator")))
+        assert labels.is_fingerprinting() and labels.types() == {"audio"}
 
     def test_fill_row_matches_extract(self, catalog):
+        # a float32 row, as the corpus stores it, holds the float64 oracle row
         trace = _trace(api_call("Navigator.userAgent"),
                        api_call("WebGLRenderingContext.getExtension",
                                 ("WEBGL_lose_context",)))
         row = np.zeros(catalog.slot_count, dtype=np.float32)
         fill_feature_row(trace, catalog, row)
-        assert np.array_equal(row, extract(trace, catalog).values.astype(np.float32))
+        assert np.array_equal(row, _oracle_row(trace, catalog).astype(np.float32))
 
 
 def _oracle_row(trace: ScriptTrace, catalog: FeatureCatalog) -> np.ndarray:
     """The per-spec fill: every spec of the call's API tested with matches()."""
     row = np.zeros(catalog.slot_count)
     for call in trace.calls:
-        slot = catalog.slot_of_api(call.api_name)
-        if slot is not None:
-            row[slot] += 1.0
+        if call.api_name in catalog.api_count_entries:
+            row[catalog.api_count_entries.index(call.api_name)] += 1.0
         for i, spec in enumerate(catalog.custom_entries):
             if spec.api_name == call.api_name and spec.matches(call):
                 row[catalog.custom_slot(i)] = 1.0
@@ -225,7 +222,7 @@ class TestCompiledFill:
         trace = _trace(api_call("Navigator.userAgent"))
         row = _fill(trace, catalog)
         fill_feature_row(trace, catalog, row)
-        assert row[catalog.slot_of_api("Navigator.userAgent")] == 2.0
+        assert row[catalog.api_count_entries.index("Navigator.userAgent")] == 2.0
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_generated_row_matches_the_oracle(self, catalog, seed):
@@ -269,11 +266,10 @@ class TestMasks:
             validate_mask([], 5)
 
     def test_apply_mask_projects_values(self, catalog):
-        vec = extract(_trace(api_call("Navigator.userAgent")), catalog)
-        slot = catalog.slot_of_api("Navigator.userAgent")
-        small = apply_mask(vec, [slot, slot + 1])
-        assert small.values.tolist() == [1.0, 0.0]
-        assert small.label == vec.label
+        row = _fill(_trace(api_call("Navigator.userAgent")), catalog)
+        slot = catalog.api_count_entries.index("Navigator.userAgent")
+        small = row[validate_mask([slot, slot + 1], catalog.slot_count)]
+        assert small.tolist() == [1.0, 0.0]
 
     def test_feature_importance_orders_by_magnitude(self):
         order = feature_importance(np.array([0.1, -3.0, 2.0, 0.0]))

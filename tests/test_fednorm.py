@@ -1,8 +1,10 @@
 """Normalization-phase tests.
 
-Oracle: brute_force_stats recomputes the no-noise full-participation
+Oracles: brute_force_stats recomputes the no-noise full-participation
 aggregate directly from each participant's raw matrix with numpy's own
-mean/var, keeping the fixed W denominator and per-query abstention.
+mean/var, keeping the fixed W denominator and per-query abstention;
+local_mean and local_var state one participant's clipped statistic for
+one column at a time, the definition participant_moments vectorizes.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 from fedtrace.errors import InsufficientData, InvalidInput
-from fedtrace.features import FeatureVector
 from fedtrace.fednorm import (
+    DEFAULT_CLIP_MU,
+    DEFAULT_CLIP_VAR,
     ColumnMoments,
     NOISE_SIGMAS,
     NormStats,
@@ -20,9 +23,6 @@ from fedtrace.fednorm import (
     dp_fed_norm,
     exact_stats,
     load_norm_stats,
-    local_mean,
-    local_var,
-    normalize,
     normalize_matrix,
     participant_moments,
     save_norm_stats,
@@ -51,6 +51,24 @@ def brute_force_stats(matrices, clip_mu, clip_var):
         if x.shape[0] >= 2:
             s += np.minimum(x.var(axis=0, ddof=1), clip_var)
     return mu / w, s / w
+
+
+def local_mean(dataset, f: int, clip_mu: float = DEFAULT_CLIP_MU) -> float:
+    """Upper-clipped column mean; raises InsufficientData to abstain."""
+    x = np.asarray(dataset.features, dtype=np.float64)
+    if x.shape[0] == 0:
+        raise InsufficientData("participant has no scripts for the mean query")
+    return float(min(x[:, f].mean(), clip_mu))
+
+
+def local_var(dataset, f: int, clip_var: float = DEFAULT_CLIP_VAR) -> float:
+    """Upper-clipped sample variance (n-1 denominator); abstains for n < 2."""
+    x = np.asarray(dataset.features, dtype=np.float64)
+    if x.shape[0] < 2:
+        raise InsufficientData("variance query needs at least two scripts")
+    col = x[:, f]
+    s = float(((col - col.mean()) ** 2).sum() / (x.shape[0] - 1))
+    return min(s, clip_var)
 
 
 def make_participants(rng, w=9, include_empty=True, include_single=True):
@@ -249,22 +267,16 @@ def test_moments_agree_with_local_ops():
 
 def test_normalize_formula_examples():
     stats = NormStats(np.zeros(3), np.full(3, 4.0), 1.0, 1.0)
-    v = np.full(3, 2.0)
-    np.testing.assert_allclose(normalize(v, stats, mode="var"), 0.5)
-    np.testing.assert_allclose(normalize(v, stats, mode="std"), 1.0)
-    np.testing.assert_allclose(normalize(stats.mu.copy(), stats, mode="std"), 0.0)
-    np.testing.assert_allclose(normalize(stats.mu.copy(), stats, mode="var"), 0.0)
-
-    vec = FeatureVector(np.full(3, 2.0), True, frozenset({"canvas"}))
-    out = normalize(vec, stats, mode="std")
-    assert isinstance(out, FeatureVector)
-    assert out.label and out.fp_types == frozenset({"canvas"})
-    np.testing.assert_allclose(out.values, 1.0)
+    v = np.full((1, 3), 2.0)
+    np.testing.assert_allclose(normalize_matrix(v, stats, mode="var"), 0.5)
+    np.testing.assert_allclose(normalize_matrix(v, stats, mode="std"), 1.0)
+    np.testing.assert_allclose(normalize_matrix(stats.mu[None], stats, mode="std"), 0.0)
+    np.testing.assert_allclose(normalize_matrix(stats.mu[None], stats, mode="var"), 0.0)
 
     with pytest.raises(InvalidInput):
-        normalize(np.zeros(2), stats)
+        normalize_matrix(np.zeros((1, 2)), stats)
     with pytest.raises(InvalidInput):
-        normalize(np.zeros(3), stats, mode="mean")
+        normalize_matrix(np.zeros((1, 3)), stats, mode="mean")
     with pytest.raises(InvalidInput):
         normalize_matrix(np.zeros((2, 2)), stats)
 

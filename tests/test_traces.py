@@ -22,7 +22,6 @@ from fedtrace.traces import (
     summarize_value,
     trace_to_json_line,
     types_to_bitmask,
-    write_trace_file,
 )
 
 
@@ -143,18 +142,22 @@ def _example_trace() -> ScriptTrace:
     )
 
 
+def _write_traces(traces, path) -> None:
+    path.write_text("".join(trace_to_json_line(t) + "\n" for t in traces), encoding="utf-8")
+
+
 class TestTraceFile:
     def test_round_trip(self, tmp_path):
         traces = [_example_trace(),
                   ScriptTrace("https://b.example/t.js#11aa", "b.example")]
         path = tmp_path / "traces.jsonl"
-        write_trace_file(traces, path)
+        _write_traces(traces, path)
         assert parse_trace_file(path) == traces
 
     def test_writes_are_byte_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_trace_file([_example_trace()], p1)
-        write_trace_file([_example_trace()], p2)
+        _write_traces([_example_trace()], p1)
+        _write_traces([_example_trace()], p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
 
@@ -208,6 +211,6 @@ _traces = st.builds(
 @given(trace=_traces)
 def test_serialization_round_trip_property(trace, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "round_trip_property.jsonl"
-    write_trace_file([trace], path)
+    _write_traces([trace], path)
     (back,) = parse_trace_file(path)
     assert back == trace
