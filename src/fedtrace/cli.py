@@ -27,8 +27,8 @@ import sys
 from typing import Sequence
 
 from .errors import ConfigError, FedTraceError, StageDependencyError
-from .experiment import (ExperimentConfig, PRESETS, apply_overrides, load_config,
-                         preset_config, stage_account, stage_evaluate, stage_generate,
+from .experiment import (ExperimentConfig, PRESETS, apply_overrides, preset_config,
+                         read_config_file, stage_account, stage_evaluate, stage_generate,
                          stage_partition, stage_train)
 from .sweeps import DEFAULT_SEEDS, RECIPES, run_sweep
 
@@ -38,18 +38,18 @@ EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 
 
-def _merge(base: dict, extra: dict) -> dict:
+def _merge(base: dict, extra: dict) -> None:
     for key, value in extra.items():
         if isinstance(value, dict) and isinstance(base.get(key), dict):
             _merge(base[key], value)
         else:
             base[key] = value
-    return base
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE",
-                     help="JSON config file; unspecified fields take defaults")
+                     help="JSON config file; unspecified fields keep the preset's "
+                          "value, or the default without --preset")
     sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="named base configuration")
     sub.add_argument("--set", dest="overrides", action="append", default=[],
@@ -94,16 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    data: dict = {}
-    if args.preset:
-        data = preset_config(args.preset).to_dict()
+    """Preset, then only the fields the config file sets, then --set, then --seed."""
+    data = preset_config(args.preset).to_dict() if args.preset else {}
     if args.config:
-        try:
-            file_config = load_config(args.config)
-        except FileNotFoundError:
-            raise ConfigError(str(args.config), "config file not found") from None
-        data = _merge(data, file_config.to_dict()) if data else file_config.to_dict()
-    config = ExperimentConfig.from_dict(data) if data else ExperimentConfig()
+        _merge(data, read_config_file(args.config))
+    config = ExperimentConfig.from_dict(data)
     if args.overrides:
         config = apply_overrides(config, args.overrides)
     if args.seed is not None:

@@ -72,10 +72,10 @@ from .heuristics import label
 from .metrics import average_precision
 from .model import LogisticModel, OptimizerConfig
 from .partition import (DEFAULT_URLS_PER_PARTICIPANT, DEFAULT_ZIPF_EXPONENT, DomainRanking,
-                        LimitedKnowledgeSpec, ParticipantDataset, ScriptCorpus, SparseRows,
-                        apply_spec, assign_scripts, build_partition, draw_domains,
-                        load_ranking, make_limited_knowledge, save_ranking)
-from .privacy import PlannedQuery, PrivacyLedger, calibrate_noise
+                        LimitedKnowledgeSpec, ParticipantDataset, ScriptCorpus, apply_spec,
+                        assign_scripts, build_partition, draw_domains, load_ranking,
+                        make_limited_knowledge, save_ranking)
+from .privacy import PlannedQuery, PrivacyLedger, calibrate_noise, epsilon_and_order
 from .seeding import NORM_QUERY, derive_rng
 from .synth import GeneratorConfig, SplitSpec, generate_corpus, generate_stream
 from .traces import LabeledScript, parse_trace_file, trace_to_json_line
@@ -98,6 +98,9 @@ ROUND_RECORDS_FILE = "round_records.csv"
 LEDGER_FILE = "ledger.json"
 METRICS_FILE = "metrics.csv"
 PRIVACY_REPORT_FILE = "privacy_report.json"
+# everything load_corpus reads: the generate stage's artifacts except traces.jsonl
+CORPUS_FILES = (FEATURES_FILE, CATALOG_FILE, PLACEMENTS_FILE, RANKING_FILE, SPLIT_FILE,
+                GENERATE_MANIFEST_FILE)
 
 METRICS_HEADER = ("feature_set", "participants", "epsilon", "seed", "split",
                   "n_scripts", "n_positive", "auprc")
@@ -130,6 +133,11 @@ _FLOAT_FIELDS = frozenset({"zipf_exponent", "limited_knowledge_fraction", "delta
 _OPTIONAL_FLOAT_FIELDS = frozenset({"q", "norm_q"})
 _BOOL_FIELDS = frozenset({"normalize"})
 _STR_FIELDS = frozenset({"feature_set", "norm_mode"})
+# The config fields that decide the corpus, and those that decide the
+# partition drawn from it; a stage refuses artifacts built under others.
+CORPUS_FIELDS = ("generator", "seed")
+PARTITION_FIELDS = CORPUS_FIELDS + ("n_participants", "urls_per_participant",
+                                    "zipf_exponent", "limited_knowledge_fraction")
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,16 +290,18 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file; unspecified fields take their defaults."""
+def read_config_file(path) -> dict:
+    """A JSON config file's object as written; ExperimentConfig.from_dict fills defaults."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(str(path), "config file not found") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(str(path), "config root must be a JSON object")
-    return ExperimentConfig.from_dict(obj)
+    return obj
 
 
 def apply_overrides(config: ExperimentConfig, assignments: Sequence[str]) -> ExperimentConfig:
@@ -505,10 +515,10 @@ def build_participants(prepared: PreparedData,
                        config: ExperimentConfig) -> list[ParticipantDataset]:
     """Partition the training domains and apply the knowledge limits."""
     spec = _knowledge_spec(prepared.train_ranking, config)
-    partition = build_partition(prepared.corpus, prepared.train_ranking,
-                                config.n_participants, config.urls_per_participant,
-                                config.zipf_exponent, config.seed)
-    return apply_spec(partition.participants, spec)
+    participants = build_partition(prepared.corpus, prepared.train_ranking,
+                                   config.n_participants, config.urls_per_participant,
+                                   config.zipf_exponent, config.seed)
+    return apply_spec(participants, spec)
 
 
 def resolve_mask(catalog, name: str) -> np.ndarray:
@@ -597,8 +607,8 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
     run_cfg = TrainingRunConfig(rounds=config.rounds, n_participants=config.n_participants,
                                 q=config.resolved_q, z=budget.z_train,
                                 clip_norm=config.clip_norm, local_epochs=config.local_epochs,
-                                optimizer=config.optimizer, feature_set=config.feature_set,
-                                seed=config.seed, eval_every=config.eval_every)
+                                optimizer=config.optimizer, seed=config.seed,
+                                eval_every=config.eval_every)
     evaluator = None
     if config.eval_every:
         x_test = matrix[prepared.test_rows]
@@ -613,12 +623,16 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
     return TrainOutcome(model, records, ledger, budget, norm_stats, mask, matrix)
 
 
-def _score_splits(model: LogisticModel, matrix: np.ndarray, labels: np.ndarray,
-                  train_rows: np.ndarray, test_rows: np.ndarray,
-                  config: ExperimentConfig) -> list[dict]:
-    """One metrics row per split: the model's AUPRC over those corpus rows."""
+def score_splits(prepared: PreparedData, config: ExperimentConfig, model: LogisticModel,
+                 matrix: np.ndarray) -> list[dict]:
+    """One metrics row per split: the model's AUPRC over that split's corpus rows.
+
+    matrix holds the model's input for every corpus row (masked and,
+    when the run normalizes, normalized).
+    """
+    labels = prepared.corpus.labels
     out = []
-    for split_name, rows in (("train", train_rows), ("test", test_rows)):
+    for split_name, rows in (("train", prepared.train_rows), ("test", prepared.test_rows)):
         scores = model.decision_scores(matrix[rows])
         out.append({
             "feature_set": config.feature_set,
@@ -631,13 +645,6 @@ def _score_splits(model: LogisticModel, matrix: np.ndarray, labels: np.ndarray,
             "auprc": average_precision(scores, labels[rows]),
         })
     return out
-
-
-def evaluate_in_memory(prepared: PreparedData, config: ExperimentConfig,
-                       outcome: TrainOutcome) -> list[dict]:
-    """Score the held-out and training splits with the final model."""
-    return _score_splits(outcome.model, outcome.matrix, prepared.corpus.labels,
-                         prepared.train_rows, prepared.test_rows, config)
 
 
 @dataclass(eq=False)
@@ -653,7 +660,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     prepared = prepare_data(config)
     participants = build_participants(prepared, config)
     outcome = train_in_memory(prepared, participants, config)
-    metrics = evaluate_in_memory(prepared, config, outcome)
+    metrics = score_splits(prepared, config, outcome.model, outcome.matrix)
     return PipelineResult(prepared, participants, outcome, metrics)
 
 
@@ -682,8 +689,8 @@ def stage_generate(config: ExperimentConfig, run_dir) -> dict:
     stream, placements, ranking, split, manifest = generate_stream(
         config.resolved_generator, catalog)
     with atomic_write(run_dir / TRACES_FILE) as fh:
-        rows = SparseRows.collect(_traces_written(stream, fh), catalog.slot_count)
-    write_npz(run_dir / FEATURES_FILE, rows.to_arrays())
+        corpus = ScriptCorpus.collect(_traces_written(stream, fh), catalog, placements)
+    write_npz(run_dir / FEATURES_FILE, corpus.to_arrays())
     save_catalog(catalog, run_dir / CATALOG_FILE)
     _write_json(placements, run_dir / PLACEMENTS_FILE)
     save_ranking(ranking, run_dir / RANKING_FILE)
@@ -696,14 +703,20 @@ def stage_generate(config: ExperimentConfig, run_dir) -> dict:
     return manifest
 
 
-def _check_generated_config(config: ExperimentConfig, run_dir: Path, stage: str) -> None:
-    stored = _read_json(run_dir / GENERATE_MANIFEST_FILE).get("experiment_config", {})
+def _check_config(config: ExperimentConfig, stored: Mapping, fields: Sequence[str],
+                  built: str, rerun: str) -> None:
+    """Refuse artifacts built under other values of the config fields that decide them."""
     current = config.to_dict()
-    for key in ("generator", "seed"):
+    for key in fields:
         if stored.get(key) != current[key]:
             raise StageDependencyError(
-                f"stage {stage!r}: the corpus in {run_dir} came from a different "
-                f"{key} setting; re-run the generate stage")
+                f"{built} was built with {key}={stored.get(key)!r} but the config says "
+                f"{current[key]!r}; re-run the {rerun} stage")
+
+
+def _check_corpus_config(config: ExperimentConfig, manifest: dict, run_dir: Path) -> None:
+    _check_config(config, manifest.get("experiment_config", {}), CORPUS_FIELDS,
+                  f"the corpus in {run_dir}", "generate")
 
 
 def stage_partition(config: ExperimentConfig, run_dir) -> dict:
@@ -711,10 +724,10 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
     run_dir = Path(run_dir)
     _require(run_dir, "partition",
              (RANKING_FILE, SPLIT_FILE, PLACEMENTS_FILE, GENERATE_MANIFEST_FILE))
-    _check_generated_config(config, run_dir, "partition")
+    generated = _read_json(run_dir / GENERATE_MANIFEST_FILE)
+    _check_corpus_config(config, generated, run_dir)
     ranking = load_ranking(run_dir / RANKING_FILE)
-    placements, split = _generated_domains(
-        run_dir, _read_json(run_dir / GENERATE_MANIFEST_FILE))
+    placements, split = _generated_domains(run_dir, generated)
     train_ranking = training_ranking(ranking, split)
     spec = _knowledge_spec(train_ranking, config)
     draws = draw_domains(train_ranking, config.n_participants, config.urls_per_participant,
@@ -736,36 +749,22 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
     return manifest
 
 
-_PARTITION_FIELDS = ("generator", "n_participants", "urls_per_participant",
-                     "zipf_exponent", "limited_knowledge_fraction", "seed")
+def load_corpus(run_dir) -> PreparedData:
+    """Read the generate stage's artifacts back as the PreparedData prepare_data gives.
 
-
-def _check_partition_config(config: ExperimentConfig, manifest: dict) -> None:
-    stored = manifest.get("config", {})
-    current = config.to_dict()
-    for key in _PARTITION_FIELDS:
-        if stored.get(key) != current[key]:
-            raise StageDependencyError(
-                f"partition.json was built with {key}={stored.get(key)!r} but the "
-                f"config says {current[key]!r}; re-run the partition stage")
-
-
-def load_corpus(run_dir) -> tuple[ScriptCorpus, SplitSpec]:
-    """Rebuild the labeled corpus from features.npz, catalog and placements.
-
-    Refuses (StageDependencyError) a features.npz, placements.json or
-    split.json that is missing or whose sha256 differs from the one
-    generate_manifest.json records.
+    Refuses (StageDependencyError) a run directory missing any of
+    CORPUS_FILES, and a features.npz, placements.json or split.json
+    whose sha256 differs from the one generate_manifest.json records.
+    The manifest is the stored one, with the run's config snapshot.
     """
     run_dir = Path(run_dir)
-    _require(run_dir, "load_corpus",
-             (FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE, GENERATE_MANIFEST_FILE))
+    _require(run_dir, "load_corpus", CORPUS_FILES)
     manifest = _read_json(run_dir / GENERATE_MANIFEST_FILE)
     data = _recorded_bytes(run_dir, FEATURES_FILE, manifest.get("features_sha256"), "generate")
-    rows = SparseRows.from_arrays(read_npz(data))
-    catalog = load_catalog(run_dir / CATALOG_FILE)
     placements, split = _generated_domains(run_dir, manifest)
-    return ScriptCorpus.from_sparse(rows, catalog, placements), split
+    corpus = ScriptCorpus.from_arrays(read_npz(data), load_catalog(run_dir / CATALOG_FILE),
+                                      placements)
+    return PreparedData(corpus, load_ranking(run_dir / RANKING_FILE), split, manifest)
 
 
 def corpus_from_traces(run_dir) -> ScriptCorpus:
@@ -798,17 +797,14 @@ def participants_from_manifest(manifest: dict,
 def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
     """Calibrate, normalize and train from the stored corpus artifacts."""
     run_dir = Path(run_dir)
-    _require(run_dir, "train", (CATALOG_FILE, FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE,
-                                RANKING_FILE, GENERATE_MANIFEST_FILE, PARTITION_FILE))
-    _check_generated_config(config, run_dir, "train")
+    _require(run_dir, "train", CORPUS_FILES + (PARTITION_FILE,))
+    prepared = load_corpus(run_dir)
+    _check_corpus_config(config, prepared.manifest, run_dir)
     partition_bytes = (run_dir / PARTITION_FILE).read_bytes()
     manifest = json.loads(partition_bytes)
-    _check_partition_config(config, manifest)
-    corpus, split = load_corpus(run_dir)
-    ranking = load_ranking(run_dir / RANKING_FILE)
-    prepared = PreparedData(corpus, ranking, split,
-                            _read_json(run_dir / GENERATE_MANIFEST_FILE))
-    participants = participants_from_manifest(manifest, corpus)
+    _check_config(config, manifest.get("config", {}), PARTITION_FIELDS, PARTITION_FILE,
+                  "partition")
+    participants = participants_from_manifest(manifest, prepared.corpus)
     outcome = train_in_memory(prepared, participants, config)
     norm_stats_sha256 = None
     if outcome.norm_stats is not None:
@@ -824,7 +820,7 @@ def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
         "weights": [float(w) for w in outcome.model.weights],
         "bias": float(outcome.model.bias),
         "feature_set": config.feature_set,
-        "catalog_hash": catalog_hash(corpus.catalog),
+        "catalog_hash": catalog_hash(prepared.corpus.catalog),
         "normalize": config.normalize,
         "norm_mode": config.norm_mode,
         "z_norm": outcome.budget.z_norm,
@@ -845,12 +841,13 @@ def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
 def stage_evaluate(run_dir) -> list[dict]:
     """Score both splits with the stored checkpoint and write metrics.csv."""
     run_dir = Path(run_dir)
-    _require(run_dir, "evaluate", (CATALOG_FILE, FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE,
-                                   GENERATE_MANIFEST_FILE, PARTITION_FILE, CHECKPOINT_FILE))
+    _require(run_dir, "evaluate", CORPUS_FILES + (PARTITION_FILE, CHECKPOINT_FILE))
     checkpoint = _read_json(run_dir / CHECKPOINT_FILE)
     _recorded_bytes(run_dir, PARTITION_FILE, checkpoint.get("partition_sha256"), "train")
     config = ExperimentConfig.from_dict(checkpoint["config"])
-    corpus, split = load_corpus(run_dir)
+    prepared = load_corpus(run_dir)
+    _check_corpus_config(config, prepared.manifest, run_dir)
+    corpus = prepared.corpus
     if checkpoint["catalog_hash"] != catalog_hash(corpus.catalog):
         raise StageDependencyError(
             "checkpoint was trained against a different catalog; re-run training")
@@ -868,8 +865,7 @@ def stage_evaluate(run_dir) -> list[dict]:
         stats = load_norm_stats(run_dir / NORM_STATS_FILE)
         x = normalize_matrix(x, stats, str(checkpoint["norm_mode"]),
                              variance_floor=config.variance_floor)
-    rows_out = _score_splits(model, x, corpus.labels, _rows_for(corpus, split.train_domains),
-                             _rows_for(corpus, split.test_domains), config)
+    rows_out = score_splits(prepared, config, model, x)
     write_csv(run_dir / METRICS_FILE, METRICS_HEADER,
                [tuple(r[k] for k in METRICS_HEADER) for r in rows_out],
                snapshot=config_snapshot_line(config))
@@ -897,27 +893,18 @@ def stage_account(run_dir) -> dict:
         key = (str(mechanism), float(q), float(z))
         total.record(*key, int(count))
         phases.setdefault(key, PrivacyLedger()).record(*key, int(count))
-    orders = np.asarray(total.orders, dtype=float)
 
     def rdp_list(vec: np.ndarray):
         return None if np.isinf(vec).any() else [float(v) for v in vec]
 
-    if not entries:
-        epsilon, best_order = math.inf, None
-    else:
-        rdp = total.total_rdp
-        if np.isinf(rdp).all():
-            epsilon, best_order = math.inf, None
-        else:
-            eps_at = rdp + math.log(1.0 / delta) / (orders - 1.0)
-            best = int(np.argmin(eps_at))
-            epsilon, best_order = float(eps_at[best]), float(orders[best])
+    epsilon, best_order = (epsilon_and_order(total.total_rdp, total.orders, delta)
+                           if entries else (math.inf, None))
     report = {
         "delta": delta,
         "epsilon": _encode_epsilon(epsilon),
         "best_order": best_order,
         "n_queries": sum(int(e[3]) for e in entries),
-        "orders": [float(a) for a in orders],
+        "orders": [float(a) for a in total.orders],
         "total_rdp": rdp_list(total.total_rdp) if entries else None,
         "phases": [
             {"mechanism": name,

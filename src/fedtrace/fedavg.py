@@ -32,7 +32,6 @@ class TrainingRunConfig:
     clip_norm: float = 1.0
     local_epochs: int = 1
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    feature_set: str = "All"
     seed: int = 0
     eval_every: int = 1  # 0 disables per-round evaluation
 

@@ -125,71 +125,6 @@ def zipf_sample_domains(ranking: DomainRanking, d: int, exponent: float = DEFAUL
     return [ranking.domains[i] for i in winners]
 
 
-@dataclass(eq=False)
-class SparseRows:
-    """Feature rows as a CSR matrix, with each row's script id, label and bitmask.
-
-    matrix holds float32 values over int32 column indices; scipy's
-    check_format(full_check=True) validates its structure on construction.
-    """
-
-    script_ids: tuple[str, ...]
-    matrix: csr_matrix
-    labels: np.ndarray       # bool
-    fp_bitmasks: np.ndarray  # uint8 over FP_TYPES bits
-
-    def __post_init__(self):
-        try:
-            self.matrix.check_format(full_check=True)
-        except ValueError as exc:
-            raise InvalidInput(f"bad feature rows: {exc}") from None
-        n = len(self.script_ids)
-        if self.matrix.shape[0] != n or self.labels.shape != (n,) \
-                or self.fp_bitmasks.shape != (n,):
-            raise InvalidInput("feature rows, labels and bitmasks need one entry per script")
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
-
-    @classmethod
-    def collect(cls, items: Iterable[tuple[LabeledScript, np.ndarray, np.ndarray]],
-                n_cols: int) -> "SparseRows":
-        """Gather (script, columns, values) rows in the order they arrive."""
-        ids, labels, masks, indices, data = [], [], [], [], []
-        for script, cols, vals in items:
-            ids.append(script.trace.script_id)
-            labels.append(script.label)
-            masks.append(types_to_bitmask(script.fp_types))
-            indices.append(cols)
-            data.append(vals)
-        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum([c.size for c in indices], out=indptr[1:])
-        matrix = _csr(np.concatenate(data or [np.empty(0, np.float32)]),
-                      np.concatenate(indices or [np.empty(0, np.int32)]),
-                      indptr, (len(ids), n_cols))
-        return cls(tuple(ids), matrix, np.asarray(labels, dtype=bool),
-                   np.asarray(masks, dtype=np.uint8))
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {"shape": np.asarray(self.matrix.shape, dtype=np.int64),
-                "indptr": self.matrix.indptr, "indices": self.matrix.indices,
-                "data": self.matrix.data, "labels": self.labels,
-                "fp_bitmasks": self.fp_bitmasks,
-                "script_ids": np.asarray(self.script_ids, dtype=str)}
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "SparseRows":
-        try:
-            shape = tuple(int(v) for v in arrays["shape"])
-            matrix = _csr(arrays["data"], arrays["indices"], arrays["indptr"], shape)
-            return cls(tuple(str(s) for s in arrays["script_ids"].tolist()), matrix,
-                       arrays["labels"].astype(bool, copy=False),
-                       arrays["fp_bitmasks"].astype(np.uint8, copy=False))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad feature rows: {exc}") from None
-
-
 def _csr(data, indices, indptr, shape) -> csr_matrix:
     """float32 CSR matrix over int32 column indices; ValueError if they disagree."""
     return csr_matrix((np.asarray(data, dtype=np.float32),
@@ -200,9 +135,11 @@ def _csr(data, indices, indptr, shape) -> csr_matrix:
 class ScriptCorpus:
     """Shared feature matrix plus the domain -> row-index placement map.
 
-    X is the CSR matrix the rows arrive in (float32 values over int32
-    column indices), never a dense copy; columns(mask) densifies one
-    feature set's columns.
+    The one container of feature rows: collect gathers them as they
+    arrive, and to_arrays/from_arrays are features.npz's format. X is
+    the CSR matrix the rows arrive in (float32 values over int32 column
+    indices), never a dense copy; columns(mask) densifies one feature
+    set's columns.
     """
 
     catalog: FeatureCatalog
@@ -215,9 +152,11 @@ class ScriptCorpus:
     def __post_init__(self):
         n = len(self.script_ids)
         if self.X.shape != (n, self.catalog.slot_count):
-            raise InvalidInput("feature matrix shape does not match scripts and catalog")
+            raise InvalidInput(f"feature matrix is {self.X.shape[0]}x{self.X.shape[1]} but "
+                               f"there are {n} scripts and {self.catalog.slot_count} "
+                               f"catalog slots")
         if self.labels.shape != (n,) or self.fp_bitmasks.shape != (n,):
-            raise InvalidInput("label arrays must have one entry per script")
+            raise InvalidInput("labels and bitmasks need one entry per script")
 
     @property
     def n_scripts(self) -> int:
@@ -264,18 +203,59 @@ class ScriptCorpus:
             for item in scripts:
                 derived.setdefault(item.trace.source_domain, []).append(item.trace.script_id)
             placements = derived
-        return cls.from_sparse(SparseRows.collect(rows(), catalog.slot_count), catalog,
-                               placements)
+        return cls.collect(rows(), catalog, placements)
 
     @classmethod
-    def from_sparse(cls, rows: SparseRows, catalog: FeatureCatalog,
+    def collect(cls, items: Iterable[tuple[LabeledScript, np.ndarray, np.ndarray]],
+                catalog: FeatureCatalog,
+                placements: Mapping[str, Sequence[str]]) -> "ScriptCorpus":
+        """Gather (script, columns, values) rows in the order they arrive.
+
+        placements maps domain -> script ids in load order; every id it
+        lists must arrive as a row.
+        """
+        ids, labels, masks, indices, data = [], [], [], [], []
+        for script, cols, vals in items:
+            ids.append(script.trace.script_id)
+            labels.append(script.label)
+            masks.append(types_to_bitmask(script.fp_types))
+            indices.append(cols)
+            data.append(vals)
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum([c.size for c in indices], out=indptr[1:])
+        X = _csr(np.concatenate(data or [np.empty(0, np.float32)]),
+                 np.concatenate(indices or [np.empty(0, np.int32)]),
+                 indptr, (len(ids), catalog.slot_count))
+        return cls(catalog, tuple(ids), X, np.asarray(labels, dtype=bool),
+                   np.asarray(masks, dtype=np.uint8), rows_by_domain(placements, ids))
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The arrays features.npz stores, in its member order."""
+        return {"shape": np.asarray(self.X.shape, dtype=np.int64),
+                "indptr": self.X.indptr, "indices": self.X.indices,
+                "data": self.X.data, "labels": self.labels,
+                "fp_bitmasks": self.fp_bitmasks,
+                "script_ids": np.asarray(self.script_ids, dtype=str)}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray], catalog: FeatureCatalog,
                     placements: Mapping[str, Sequence[str]]) -> "ScriptCorpus":
-        """Keep stored feature rows as the corpus; placements maps domain -> script ids."""
-        if rows.n_cols != catalog.slot_count:
-            raise InvalidInput(f"feature rows have {rows.n_cols} columns but the catalog "
-                               f"has {catalog.slot_count} slots")
-        return cls(catalog, rows.script_ids, rows.matrix, rows.labels,
-                   rows.fp_bitmasks, rows_by_domain(placements, rows.script_ids))
+        """The corpus to_arrays wrote; InvalidInput if the arrays are malformed.
+
+        The arrays come from a file, so scipy's check_format(full_check=True)
+        validates the matrix structure before any row is read.
+        """
+        try:
+            X = _csr(arrays["data"], arrays["indices"], arrays["indptr"],
+                     tuple(int(v) for v in arrays["shape"]))
+            X.check_format(full_check=True)
+            script_ids = tuple(str(s) for s in arrays["script_ids"].tolist())
+            labels = arrays["labels"].astype(bool, copy=False)
+            fp_bitmasks = arrays["fp_bitmasks"].astype(np.uint8, copy=False)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"bad feature rows: {exc}") from None
+        return cls(catalog, script_ids, X, labels, fp_bitmasks,
+                   rows_by_domain(placements, script_ids))
 
 
 def rows_by_domain(placements: Mapping[str, Sequence[str]],
@@ -359,20 +339,6 @@ def assign_scripts(domains: Sequence[str], corpus: ScriptCorpus,
                               corpus.X, corpus.labels, corpus.fp_bitmasks, corpus.script_ids)
 
 
-@dataclass(eq=False)
-class Partition:
-    corpus: ScriptCorpus
-    ranking: DomainRanking
-    participants: list[ParticipantDataset]
-    urls_per_participant: int
-    zipf_exponent: float
-    master_seed: int
-
-    @property
-    def n_participants(self) -> int:
-        return len(self.participants)
-
-
 def draw_domains(ranking: DomainRanking, n_participants: int,
                  urls_per_participant: int = DEFAULT_URLS_PER_PARTICIPANT,
                  zipf_exponent: float = DEFAULT_ZIPF_EXPONENT,
@@ -392,7 +358,7 @@ def draw_domains(ranking: DomainRanking, n_participants: int,
 def build_partition(corpus: ScriptCorpus, ranking: DomainRanking, n_participants: int,
                     urls_per_participant: int = DEFAULT_URLS_PER_PARTICIPANT,
                     zipf_exponent: float = DEFAULT_ZIPF_EXPONENT,
-                    master_seed: int = 0) -> Partition:
+                    master_seed: int = 0) -> list[ParticipantDataset]:
     """Draw every participant's domains (draw_domains) and assign their scripts."""
     missing = [d for d in ranking if d not in corpus.domain_rows]
     if missing:
@@ -400,10 +366,8 @@ def build_partition(corpus: ScriptCorpus, ranking: DomainRanking, n_participants
                            f"first: {missing[0]!r}")
     draws = draw_domains(ranking, n_participants, urls_per_participant, zipf_exponent,
                          master_seed)
-    participants = [assign_scripts(domains, corpus, participant_id=pid)
-                    for pid, domains in enumerate(draws)]
-    return Partition(corpus, ranking, participants, urls_per_participant,
-                     zipf_exponent, master_seed)
+    return [assign_scripts(domains, corpus, participant_id=pid)
+            for pid, domains in enumerate(draws)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -167,7 +167,11 @@ def rdp_subsampled_gaussian(q: float, z: float, orders=DEFAULT_ORDERS) -> np.nda
     return np.array(_rdp_grid_cached(float(q), float(z), tuple(float(a) for a in orders_arr)))
 
 
-def rdp_to_epsilon(rdp, orders, delta: float) -> float:
+def epsilon_and_order(rdp, orders, delta: float) -> tuple[float, float | None]:
+    """The smallest epsilon over the orders and the order that attains it.
+
+    The order is None when the RDP is infinite at every order.
+    """
     if not 0.0 < delta < 1.0:
         raise InvalidInput(f"delta must be in (0, 1): {delta}")
     rdp = np.asarray(rdp, dtype=float)
@@ -175,9 +179,14 @@ def rdp_to_epsilon(rdp, orders, delta: float) -> float:
     if rdp.shape != orders.shape:
         raise InvalidInput("rdp and orders shape mismatch")
     if np.isinf(rdp).all():
-        return math.inf
+        return math.inf, None
     eps = rdp + math.log(1.0 / delta) / (orders - 1.0)
-    return float(eps.min())
+    best = int(np.argmin(eps))
+    return float(eps[best]), float(orders[best])
+
+
+def rdp_to_epsilon(rdp, orders, delta: float) -> float:
+    return epsilon_and_order(rdp, orders, delta)[0]
 
 
 @dataclass(frozen=True, slots=True)

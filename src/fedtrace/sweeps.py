@@ -36,14 +36,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .experiment import (ExperimentConfig, PreparedData, build_participants,
-                         config_snapshot_line, evaluate_in_memory, prepare_data,
-                         resolve_mask, smoke_preset, train_in_memory, write_csv)
+from .experiment import (PARTITION_FIELDS, ExperimentConfig, PreparedData,
+                         build_participants, config_snapshot_line, prepare_data,
+                         resolve_mask, score_splits, smoke_preset, train_in_memory,
+                         write_csv)
 from .features import build_ext_high_entropy, feature_importance
 from .fednorm import participant_moments
 from .metrics import summarize_runs
 from .partition import ParticipantDataset, non_iidness_score
 from .seeding import SCORE_SAMPLING, derive_rng
+from .synth import GeneratorConfig
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 EXT_REBUILD_K = 40  # extra slots grafted onto HighEntropy by the rebuild recipe
@@ -83,25 +85,34 @@ class SweepResult:
     files: dict[str, Path]
 
 
+def _partition_key(config: ExperimentConfig) -> tuple:
+    return tuple(getattr(config, name) for name in PARTITION_FIELDS)
+
+
 class _GridCache:
-    """Prepared corpora, partitions and moments shared across a recipe."""
+    """Prepared corpora, partitions and moments shared across a recipe.
+
+    A corpus is keyed by its resolved generator config, a partition by
+    the config fields that decide it (experiment.PARTITION_FIELDS), and
+    moments by those plus the feature set.
+    """
 
     def __init__(self):
-        self.prepared: dict[int, PreparedData] = {}
+        self.prepared: dict[GeneratorConfig, PreparedData] = {}
         self.participants: dict[tuple, list[ParticipantDataset]] = {}
         self.moments: dict[tuple, object] = {}
 
     def data_for(self, config: ExperimentConfig) -> PreparedData:
-        prepared = self.prepared.get(config.seed)
+        key = config.resolved_generator
+        prepared = self.prepared.get(key)
         if prepared is None:
             prepared = prepare_data(config)
-            self.prepared[config.seed] = prepared
+            self.prepared[key] = prepared
         return prepared
 
     def participants_for(self, prepared: PreparedData,
                          config: ExperimentConfig) -> list[ParticipantDataset]:
-        key = (config.seed, config.n_participants, config.urls_per_participant,
-               config.zipf_exponent, config.limited_knowledge_fraction)
+        key = _partition_key(config)
         parts = self.participants.get(key)
         if parts is None:
             parts = build_participants(prepared, config)
@@ -109,9 +120,7 @@ class _GridCache:
         return parts
 
     def moments_for(self, prepared: PreparedData, participants, config: ExperimentConfig):
-        key = (config.seed, config.n_participants, config.urls_per_participant,
-               config.zipf_exponent, config.limited_knowledge_fraction,
-               config.feature_set)
+        key = (*_partition_key(config), config.feature_set)
         moments = self.moments.get(key)
         if moments is None:
             mask = resolve_mask(prepared.corpus.catalog, config.feature_set)
@@ -131,7 +140,8 @@ def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: _GridCache
     if config.normalize:
         moments = cache.moments_for(prepared, participants, config)
     outcome = train_in_memory(prepared, participants, config, moments=moments)
-    metrics = {row["split"]: row for row in evaluate_in_memory(prepared, config, outcome)}
+    metrics = {row["split"]: row
+               for row in score_splits(prepared, config, outcome.model, outcome.matrix)}
     extra = extra_fn(config, prepared, participants, outcome) if extra_fn else {}
     return SweepRun(config, spec.series, spec.x,
                     metrics["train"]["auprc"], metrics["test"]["auprc"], extra)
@@ -208,7 +218,7 @@ def _recipe_ext_high_entropy(base, seeds):
         probe = _run_one(base, probe_spec, seed, cache, extra_fn=keep_weights)
         weights = probe.extra.pop("_weights")
         runs.append(probe)
-        prepared = cache.prepared[seed]
+        prepared = cache.data_for(probe.config)
         catalog = prepared.corpus.catalog
         ranking = feature_importance(weights)
         outside = ranking[~np.isin(ranking, catalog.mask("HighEntropy"))]

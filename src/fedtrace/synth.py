@@ -38,7 +38,7 @@ from .features import (
     signal_slots,
     take_nonzeros,
 )
-from .partition import DomainRanking, ScriptCorpus, SparseRows
+from .partition import DomainRanking, ScriptCorpus
 from .seeding import GENERATOR, derive_rng
 from .traces import (
     FP_TYPES,
@@ -548,5 +548,4 @@ def generate_corpus(config: GeneratorConfig, catalog: FeatureCatalog
     same config.
     """
     stream, placements, ranking, split, manifest = generate_stream(config, catalog)
-    rows = SparseRows.collect(stream, catalog.slot_count)
-    return ScriptCorpus.from_sparse(rows, catalog, placements), ranking, split, manifest
+    return ScriptCorpus.collect(stream, catalog, placements), ranking, split, manifest

@@ -6,7 +6,11 @@ import pytest
 from fedtrace.artifacts import atomic_write, read_npz, write_npz
 from fedtrace.errors import InvalidInput
 from fedtrace.experiment import write_csv
-from fedtrace.partition import SparseRows
+from fedtrace.features import FeatureCatalog
+from fedtrace.partition import ScriptCorpus
+
+CATALOG = FeatureCatalog(("a", "b", "c", "d"), ())
+PLACEMENTS = {"x.com": ["s0", "s2"], "y.com": ["s1"]}
 
 
 def _rows_then_crash():
@@ -58,29 +62,38 @@ class TestNpz:
 
 
 class TestSparseRows:
-    def _rows(self):
-        arrays = {"shape": np.asarray([3, 4]), "indptr": np.asarray([0, 2, 2, 3]),
-                  "indices": np.asarray([1, 3, 0], dtype=np.int32),
-                  "data": np.asarray([2.0, 1.0, 5.0], dtype=np.float32),
-                  "labels": np.asarray([True, False, False]),
-                  "fp_bitmasks": np.asarray([1, 0, 0], dtype=np.uint8),
-                  "script_ids": np.asarray(["s0", "s1", "s2"])}
-        return SparseRows.from_arrays(arrays)
+    """features.npz's sparse rows, written and read through ScriptCorpus."""
+
+    def _arrays(self):
+        return {"shape": np.asarray([3, 4]), "indptr": np.asarray([0, 2, 2, 3]),
+                "indices": np.asarray([1, 3, 0], dtype=np.int32),
+                "data": np.asarray([2.0, 1.0, 5.0], dtype=np.float32),
+                "labels": np.asarray([True, False, False]),
+                "fp_bitmasks": np.asarray([1, 0, 0], dtype=np.uint8),
+                "script_ids": np.asarray(["s0", "s1", "s2"])}
+
+    def _corpus(self):
+        return ScriptCorpus.from_arrays(self._arrays(), CATALOG, PLACEMENTS)
 
     def test_dense(self):
-        x = self._rows().matrix.toarray()
+        x = self._corpus().X.toarray()
         assert x.dtype == np.float32
         assert np.array_equal(x, [[0, 2, 0, 1], [0, 0, 0, 0], [5, 0, 0, 0]])
 
     def test_arrays_round_trip(self, tmp_path):
-        rows = self._rows()
-        write_npz(tmp_path / "f.npz", rows.to_arrays())
-        back = SparseRows.from_arrays(read_npz((tmp_path / "f.npz").read_bytes()))
-        assert back.script_ids == rows.script_ids
-        assert back.matrix.indices.dtype == np.int32
-        assert np.array_equal(back.matrix.toarray(), rows.matrix.toarray())
-        assert np.array_equal(back.labels, rows.labels)
-        assert np.array_equal(back.fp_bitmasks, rows.fp_bitmasks)
+        corpus = self._corpus()
+        arrays = corpus.to_arrays()
+        assert list(arrays) == list(self._arrays())
+        write_npz(tmp_path / "f.npz", arrays)
+        back = ScriptCorpus.from_arrays(read_npz((tmp_path / "f.npz").read_bytes()),
+                                        CATALOG, PLACEMENTS)
+        assert back.script_ids == corpus.script_ids
+        assert back.X.indices.dtype == np.int32
+        assert np.array_equal(back.X.toarray(), corpus.X.toarray())
+        assert np.array_equal(back.labels, corpus.labels)
+        assert np.array_equal(back.fp_bitmasks, corpus.fp_bitmasks)
+        assert np.array_equal(back.domain_rows["x.com"], [0, 2])
+        assert np.array_equal(back.domain_rows["y.com"], [1])
 
     @pytest.mark.parametrize("name, value", [
         ("indptr", np.asarray([0, 2, 1, 3])),
@@ -89,7 +102,7 @@ class TestSparseRows:
         ("labels", np.asarray([True, False])),
     ])
     def test_inconsistent_arrays_are_refused(self, name, value):
-        arrays = self._rows().to_arrays()
+        arrays = self._corpus().to_arrays()
         arrays[name] = value
         with pytest.raises(InvalidInput):
-            SparseRows.from_arrays(arrays)
+            ScriptCorpus.from_arrays(arrays, CATALOG, PLACEMENTS)

@@ -1,5 +1,6 @@
 """Command-line interface tests, driven in-process through main()."""
 
+import dataclasses
 import json
 import re
 
@@ -8,6 +9,7 @@ import pytest
 from fedtrace.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, _parse_seeds,
                           build_parser, main, resolve_config)
 from fedtrace.errors import ConfigError
+from fedtrace.experiment import preset_config
 from fedtrace.sweeps import DEFAULT_SEEDS
 
 TINY = [
@@ -75,6 +77,21 @@ class TestConfigResolution:
         assert config.rounds == 3                    # file overrides preset
         assert config.epsilon == 4.0                 # --set overrides file
         assert config.seed == 9                      # --seed wins last
+
+    def test_config_file_sets_only_its_own_fields_over_the_preset(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"epsilon": 2, "generator": {"n_scripts": 5000}}))
+        args = build_parser().parse_args([
+            "train", "--preset", "smoke", "--config", str(cfg_file), "--out", "x"])
+        config = resolve_config(args)
+        assert config.epsilon == 2.0
+        assert config.generator.n_scripts == 5000
+        # every field the file leaves out keeps the preset's value
+        smoke = preset_config("smoke")
+        assert (config.rounds, config.q, config.local_iterations) == (10, 1.0, 10)
+        assert config == dataclasses.replace(
+            smoke, epsilon=2.0,
+            generator=dataclasses.replace(smoke.generator, n_scripts=5000))
 
     def test_missing_config_file(self, tmp_path):
         args = build_parser().parse_args(

@@ -13,13 +13,14 @@ from scipy.sparse import csr_matrix
 
 from fedtrace.artifacts import ZIP_EPOCH, read_npz
 from fedtrace.errors import CalibrationError, ConfigError, InvalidInput, StageDependencyError
-from fedtrace.experiment import (CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE, METRICS_FILE,
-                                 NORM_STATS_FILE, PARTITION_FILE, PLACEMENTS_FILE,
-                                 ROUND_RECORDS_FILE, SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget, apply_overrides,
-                                 build_participants, calibrate_budget, config_snapshot_line,
-                                 corpus_from_traces, load_config, load_corpus,
-                                 participants_from_manifest, preset_config, read_metrics,
-                                 resolve_mask, run_pipeline, smoke_preset,
+from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE,
+                                 METRICS_FILE, NORM_STATS_FILE, PARTITION_FILE,
+                                 PLACEMENTS_FILE, RANKING_FILE, ROUND_RECORDS_FILE,
+                                 SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget,
+                                 apply_overrides, build_participants, calibrate_budget,
+                                 config_snapshot_line, corpus_from_traces, load_corpus,
+                                 participants_from_manifest, preset_config, read_config_file,
+                                 read_metrics, resolve_mask, run_pipeline, smoke_preset,
                                  stage_account, stage_evaluate, stage_generate,
                                  stage_partition, stage_train, training_ranking, write_csv)
 from fedtrace.features import default_catalog
@@ -158,7 +159,7 @@ class TestOverridesAndFiles:
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"rounds": 4, "generator": {"n_scripts": 123}}))
-        cfg = load_config(path)
+        cfg = ExperimentConfig.from_dict(read_config_file(path))
         assert cfg.rounds == 4
         assert cfg.generator.n_scripts == 123
 
@@ -166,13 +167,13 @@ class TestOverridesAndFiles:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config_file(path)
 
     def test_load_config_non_object(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config_file(path)
 
     def test_presets(self):
         smoke = preset_config("smoke")
@@ -270,6 +271,17 @@ class TestStages:
         by_split = {r["split"]: r for r in rows}
         for rec in memory_result.metrics:
             assert float(by_split[rec["split"]]["auprc"]) == rec["auprc"]
+
+    def test_load_corpus_equals_prepare_data(self, run_cfg, run_dir, memory_result):
+        loaded = load_corpus(run_dir)
+        prepared = memory_result.prepared
+        assert loaded.corpus.script_ids == prepared.corpus.script_ids
+        assert (loaded.corpus.X != prepared.corpus.X).nnz == 0
+        assert loaded.ranking == prepared.ranking
+        assert loaded.split == prepared.split
+        assert np.array_equal(loaded.train_rows, prepared.train_rows)
+        assert np.array_equal(loaded.test_rows, prepared.test_rows)
+        assert loaded.manifest["experiment_config"] == run_cfg.to_dict()
 
     def test_split_rows_partition_the_corpus(self, memory_result):
         prepared = memory_result.prepared
@@ -403,6 +415,22 @@ class TestStageGuards:
         with pytest.raises(StageDependencyError):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("name", [CATALOG_FILE, RANKING_FILE])
+    def test_load_corpus_refuses_missing_catalog_or_ranking(self, tmp_path, name):
+        stage_generate(tiny_config(), tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(StageDependencyError, match=name):
+            load_corpus(tmp_path)
+
+    def test_evaluate_refuses_a_regenerated_corpus(self, tmp_path):
+        cfg = tiny_config()
+        stage_generate(cfg, tmp_path)
+        stage_partition(cfg, tmp_path)
+        stage_train(cfg, tmp_path)
+        stage_generate(tiny_config(seed=8), tmp_path)
+        with pytest.raises(StageDependencyError, match="seed"):
+            stage_evaluate(tmp_path)
+
     def test_features_from_another_seed_are_refused(self, tmp_path):
         cfg = tiny_config()
         stage_generate(cfg, tmp_path / "a")
@@ -511,7 +539,7 @@ class TestPinnedPartition:
 
 class TestPersistedFeatures:
     def test_persisted_corpus_equals_the_one_rebuilt_from_traces(self, run_cfg, run_dir):
-        stored, _ = load_corpus(run_dir)
+        stored = load_corpus(run_dir).corpus
         rebuilt = corpus_from_traces(run_dir)
         manifest = json.loads((run_dir / "generate_manifest.json").read_text())
         assert manifest["n_shared"] > 0
@@ -526,7 +554,7 @@ class TestPersistedFeatures:
 
     def test_corpus_matrix_stays_sparse(self, run_cfg, run_dir):
         stored = read_npz((run_dir / FEATURES_FILE).read_bytes())
-        loaded, _ = load_corpus(run_dir)
+        loaded = load_corpus(run_dir).corpus
         generated, *_ = generate_corpus(run_cfg.resolved_generator, default_catalog())
         for corpus in (loaded, generated):
             assert isinstance(corpus.X, csr_matrix)

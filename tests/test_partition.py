@@ -261,17 +261,18 @@ def test_partition_datasets_are_subsets_of_corpus():
         **{d: [s.trace.script_id for s in scripts if s.trace.source_domain == d]
            for d in domains},
     })
-    part = build_partition(corpus, ranking, n_participants=8, urls_per_participant=12,
-                           master_seed=99)
+    parts = build_partition(corpus, ranking, n_participants=8, urls_per_participant=12,
+                            master_seed=99)
+    assert [p.participant_id for p in parts] == list(range(8))
     all_ids = set(corpus.script_ids)
-    for p in part.participants:
+    for p in parts:
         assert len(p.urls) == 12
         assert set(p.script_ids) <= all_ids
         assert len(set(p.script_ids)) == p.n_scripts
 
     again = build_partition(corpus, ranking, n_participants=8, urls_per_participant=12,
                             master_seed=99)
-    for a, b in zip(part.participants, again.participants):
+    for a, b in zip(parts, again):
         assert a.urls == b.urls and np.array_equal(a.rows, b.rows)
 
     with pytest.raises(InvalidInput):

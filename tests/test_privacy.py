@@ -14,6 +14,7 @@ from fedtrace.privacy import (
     PrivacyLedger,
     calibrate_noise,
     clip_l2,
+    epsilon_and_order,
     gaussian_noise,
     noise_stddev,
     plan_epsilon,
@@ -136,6 +137,17 @@ def test_conversion_matches_scalar_minimization_oracle():
     got = rdp_to_epsilon(orders / 2, orders, delta)
     assert got >= res.fun - 1e-12  # grid minimum cannot beat continuous
     assert got == pytest.approx(res.fun, rel=1e-3)
+
+
+def test_conversion_reports_the_order_it_minimizes_at():
+    delta = 1e-5
+    orders = np.asarray(DEFAULT_ORDERS)
+    epsilon, order = epsilon_and_order(orders / 2, orders, delta)
+    assert epsilon == rdp_to_epsilon(orders / 2, orders, delta)
+    # a/2 + log(1/delta)/(a-1) is smallest near a = 1 + sqrt(2 log(1/delta)) = 5.80
+    assert order == 5.75
+    assert epsilon == order / 2 + math.log(1 / delta) / (order - 1)
+    assert epsilon_and_order(np.full(orders.size, math.inf), orders, delta) == (math.inf, None)
 
 
 def test_conversion_validates_delta():
