@@ -9,9 +9,12 @@ Subcommands mirror the pipeline stages plus the sweep runner:
     fedtrace account   --out runs/smoke
     fedtrace sweep non_iid --out sweeps --seeds 0,1,2
 
-Configuration layers, later wins: preset (--preset), config file
-(--config, JSON), dotted-path overrides (--set key.path=value,
-repeatable), then --seed. evaluate and account work from stored
+Configuration layers, later wins: preset (--preset, else the defaults),
+the fields a config file sets (--config, JSON), dotted-path overrides
+(--set key.path=value, repeatable), then --seed. The layers merge into
+one dict that ExperimentConfig.from_dict reads once, so only the merged
+value of a field is checked, and generator.* fields are typed like the
+top-level ones (fedtrace.config). evaluate and account work from stored
 artifacts alone; the metrics identity comes from the checkpoint's saved
 config, so they need no config flags.
 
@@ -22,14 +25,14 @@ Exit codes: 0 success, 2 bad configuration, 3 missing stage artifacts,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import sys
 from typing import Sequence
 
 from .errors import ConfigError, FedTraceError, StageDependencyError
-from .experiment import (ExperimentConfig, PRESETS, apply_overrides, preset_config,
-                         read_config_file, stage_account, stage_evaluate, stage_generate,
-                         stage_partition, stage_train)
+from .experiment import (ExperimentConfig, PRESETS, preset_config, read_config_file,
+                         stage_account, stage_evaluate, stage_generate, stage_partition,
+                         stage_train)
 from .sweeps import DEFAULT_SEEDS, RECIPES, run_sweep
 
 EXIT_OK = 0
@@ -93,17 +96,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def apply_overrides(data: dict, assignments: Sequence[str]) -> None:
+    """Set dotted-path overrides like generator.n_scripts=5000 in a config dict.
+
+    Values parse as JSON literals where possible and fall back to raw
+    strings, so feature_set=HighEntropy and epsilon=inf both work.
+    """
+    for item in assignments:
+        path, sep, raw = item.partition("=")
+        path = path.strip()
+        if not sep or not path:
+            raise ConfigError(item, "override must look like field.path=value")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        keys = path.split(".")
+        node = data
+        for key in keys[:-1]:
+            node = node.get(key)
+            if not isinstance(node, dict):
+                raise ConfigError(path, f"{key!r} is not a config section")
+        node[keys[-1]] = value
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Preset, then only the fields the config file sets, then --set, then --seed."""
-    data = preset_config(args.preset).to_dict() if args.preset else {}
+    """Merge every layer into one dict and read it once.
+
+    The layers: the preset's fields (the defaults without --preset), the
+    fields the config file sets, each --set, then --seed.
+    """
+    data = (preset_config(args.preset) if args.preset else ExperimentConfig()).to_dict()
     if args.config:
         _merge(data, read_config_file(args.config))
-    config = ExperimentConfig.from_dict(data)
-    if args.overrides:
-        config = apply_overrides(config, args.overrides)
+    apply_overrides(data, args.overrides)
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
+        data["seed"] = args.seed
+    return ExperimentConfig.from_dict(data)
 
 
 def _parse_seeds(text: str | None) -> tuple[int, ...]:

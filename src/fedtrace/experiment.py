@@ -61,8 +61,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import atomic_write, file_sha256, read_npz, write_npz
-from .errors import (CalibrationError, ConfigError, InvalidInput, InvalidMask,
-                     StageDependencyError)
+from .config import ALLOW_INF, JsonConfig
+from .errors import CalibrationError, ConfigError, InvalidMask, StageDependencyError
 from .features import catalog_hash, default_catalog, load_catalog, save_catalog
 from .fedavg import TrainingRunConfig, RoundRecord, train
 from .fednorm import (DEFAULT_CLIP_MU, DEFAULT_CLIP_VAR, NORMALIZE_MODES, VARIANCE_FLOOR,
@@ -112,27 +112,8 @@ def _encode_epsilon(value: float):
     return "inf" if math.isinf(value) else float(value)
 
 
-def _decode_epsilon(value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError("epsilon", f"not a number: {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError("epsilon", f"not a number: {value!r}") from None
-
-
 # --------------------------------------------------------------- config
 
-_INT_FIELDS = frozenset({"n_participants", "urls_per_participant", "rounds",
-                         "local_epochs", "local_iterations", "eval_every", "seed"})
-_FLOAT_FIELDS = frozenset({"zipf_exponent", "limited_knowledge_fraction", "delta",
-                           "norm_fraction", "clip_mu", "clip_var", "variance_floor",
-                           "clip_norm"})
-_OPTIONAL_FLOAT_FIELDS = frozenset({"q", "norm_q"})
-_BOOL_FIELDS = frozenset({"normalize"})
-_STR_FIELDS = frozenset({"feature_set", "norm_mode"})
 # The config fields that decide the corpus, and those that decide the
 # partition drawn from it; a stage refuses artifacts built under others.
 CORPUS_FIELDS = ("generator", "seed")
@@ -141,7 +122,7 @@ PARTITION_FIELDS = CORPUS_FIELDS + ("n_participants", "urls_per_participant",
 
 
 @dataclass(frozen=True, slots=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonConfig):
     """Everything one run depends on; `seed` moves every random stream.
 
     The embedded generator config's own seed is overridden by the
@@ -157,7 +138,7 @@ class ExperimentConfig:
     zipf_exponent: float = DEFAULT_ZIPF_EXPONENT
     limited_knowledge_fraction: float = 0.0
     feature_set: str = "ExtHighEntropy"
-    epsilon: float = math.inf
+    epsilon: float = field(default=math.inf, metadata={ALLOW_INF: True})
     delta: float = DEFAULT_DELTA
     norm_fraction: float = DEFAULT_NORM_FRACTION
     normalize: bool = True
@@ -235,60 +216,6 @@ class ExperimentConfig:
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(max_iterations=self.local_iterations)
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "generator":
-                value = value.to_dict()
-            elif f.name == "epsilon":
-                value = _encode_epsilon(value)
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "ExperimentConfig":
-        data = dict(obj)
-        kwargs = {}
-        gen = data.pop("generator", None)
-        if gen is not None:
-            if not isinstance(gen, Mapping):
-                raise ConfigError("generator", "must be an object")
-            known = {f.name for f in dataclasses.fields(GeneratorConfig)}
-            for key in gen:
-                if key not in known:
-                    raise ConfigError(f"generator.{key}", "unknown field")
-            try:
-                kwargs["generator"] = GeneratorConfig.from_dict(gen)
-            except InvalidInput as exc:
-                raise ConfigError("generator", str(exc)) from exc
-        if "epsilon" in data:
-            kwargs["epsilon"] = _decode_epsilon(data.pop("epsilon"))
-        for name in list(data):
-            value = data.pop(name)
-            try:
-                if name in _INT_FIELDS:
-                    if isinstance(value, float) and not value.is_integer():
-                        raise ValueError(f"not an integer: {value}")
-                    kwargs[name] = int(value)
-                elif name in _FLOAT_FIELDS:
-                    kwargs[name] = float(value)
-                elif name in _OPTIONAL_FLOAT_FIELDS:
-                    kwargs[name] = None if value is None else float(value)
-                elif name in _BOOL_FIELDS:
-                    if not isinstance(value, bool):
-                        raise ValueError(f"expected true/false: {value!r}")
-                    kwargs[name] = value
-                elif name in _STR_FIELDS:
-                    if not isinstance(value, str):
-                        raise ValueError(f"expected a string: {value!r}")
-                    kwargs[name] = value
-                else:
-                    raise ConfigError(name, "unknown field")
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(name, f"bad value: {exc}") from exc
-        return cls(**kwargs)
-
 
 def read_config_file(path) -> dict:
     """A JSON config file's object as written; ExperimentConfig.from_dict fills defaults."""
@@ -302,33 +229,6 @@ def read_config_file(path) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(str(path), "config root must be a JSON object")
     return obj
-
-
-def apply_overrides(config: ExperimentConfig, assignments: Sequence[str]) -> ExperimentConfig:
-    """Apply dotted-path overrides like generator.n_scripts=5000.
-
-    Values parse as JSON literals where possible and fall back to raw
-    strings, so feature_set=HighEntropy and epsilon=inf both work.
-    """
-    data = config.to_dict()
-    for item in assignments:
-        path, sep, raw = item.partition("=")
-        path = path.strip()
-        if not sep or not path:
-            raise ConfigError(item, "override must look like field.path=value")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        keys = path.split(".")
-        node = data
-        for key in keys[:-1]:
-            nxt = node.get(key)
-            if not isinstance(nxt, dict):
-                raise ConfigError(path, f"{key!r} is not a config section")
-            node = nxt
-        node[keys[-1]] = value
-    return ExperimentConfig.from_dict(data)
 
 
 def smoke_preset() -> ExperimentConfig:
@@ -403,31 +303,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def read_metrics(path) -> tuple[dict | None, list[dict]]:
-    """Read a metrics-style CSV back as (config snapshot, row dicts).
-
-    Cell values come back as strings; the snapshot is the parsed JSON
-    from the leading config comment, or None when absent.
-    """
-    config = None
-    header = None
-    rows: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if config is None and line.startswith(CONFIG_COMMENT_PREFIX):
-                    config = json.loads(line[len(CONFIG_COMMENT_PREFIX):])
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(dict(zip(header, line.split(","))))
-    return config, rows
 
 
 def _require(run_dir: Path, stage: str, names: Sequence[str]) -> None:

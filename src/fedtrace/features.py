@@ -14,7 +14,7 @@ maps each length to its slots. A call then costs one lookup for its API
 and one per (position, kind) its specs read. CustomFeatureSpec.matches
 states the same semantics one spec at a time.
 
-The shipped default catalog is synthetic but honors the reference
+The default catalog (default_catalog()) is synthetic but honors the reference
 cardinalities: 684 counted APIs + 830 custom features (1514 slots), and
 named sets All=1514, FPInspector=1330 (500+830), JShelter=588 (96+492),
 HighEntropy=109 (counts only), ExtHighEntropy=149 (HighEntropy + 17
@@ -124,9 +124,6 @@ class FeatureCatalog:
     @property
     def slot_count(self) -> int:
         return self.n_api + self.n_custom
-
-    def custom_slot(self, i: int) -> int:
-        return self.n_api + i
 
     @cached_property
     def _api_index(self) -> dict[str, int]:
@@ -332,19 +329,6 @@ def load_catalog(path) -> FeatureCatalog:
             raise CardinalityError(
                 f"named set {name!r} has {actual} slots, declared {size}")
     return catalog
-
-
-def shipped_catalog_path():
-    from importlib.resources import files
-
-    return files("fedtrace").joinpath("data/catalog.json")
-
-
-def load_shipped_catalog() -> FeatureCatalog:
-    from importlib.resources import as_file
-
-    with as_file(shipped_catalog_path()) as p:
-        return load_catalog(p)
 
 
 # ---------------------------------------------------------------------------

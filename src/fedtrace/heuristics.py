@@ -45,9 +45,6 @@ class LabelSet:
     def types(self) -> frozenset[str]:
         return frozenset(t for t in FP_TYPES if getattr(self, t))
 
-    def bitmask(self) -> int:
-        return (self.canvas | self.canvas_font << 1 | self.webrtc << 2 | self.audio << 3)
-
 
 class _Scan:
     """Single pass over the calls, accumulating what the detectors need."""

@@ -60,9 +60,6 @@ class LogisticModel:
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.bias
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return expit(self.decision_scores(X))
-
 
 def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
                            l2_lambda: float = DEFAULT_L2) -> tuple[float, np.ndarray]:

@@ -28,6 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from . import heuristics
+from .config import JsonConfig
 from .errors import InvalidInput
 from .features import (
     CustomFeatureSpec,
@@ -87,7 +88,7 @@ _ARG_FILLER = ("#000000", "2d", "anonymous", "none", "auto", "en-US", 0.0, 1.0)
 
 
 @dataclass(frozen=True, slots=True)
-class GeneratorConfig:
+class GeneratorConfig(JsonConfig):
     n_scripts: int
     fp_prevalence: float = DEFAULT_PREVALENCE
     fp_type_mix: tuple[float, ...] = DEFAULT_TYPE_MIX
@@ -119,26 +120,6 @@ class GeneratorConfig:
         if not 0.0 <= self.shared_script_rate < 1.0:
             raise InvalidInput(f"shared_script_rate must be in [0, 1): "
                                f"{self.shared_script_rate}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_scripts": self.n_scripts,
-            "fp_prevalence": self.fp_prevalence,
-            "fp_type_mix": list(self.fp_type_mix),
-            "near_miss_rate": self.near_miss_rate,
-            "benign_pool_size": self.benign_pool_size,
-            "n_domains": self.n_domains,
-            "scripts_per_domain_mean": self.scripts_per_domain_mean,
-            "shared_script_rate": self.shared_script_rate,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GeneratorConfig":
-        data = dict(obj)
-        if "fp_type_mix" in data:
-            data["fp_type_mix"] = tuple(data["fp_type_mix"])
-        return cls(**data)
 
 
 @dataclass(frozen=True, slots=True)

@@ -138,12 +138,6 @@ def types_to_bitmask(types) -> int:
     return mask
 
 
-def bitmask_to_types(mask: int) -> frozenset[str]:
-    if not 0 <= mask < 16:
-        raise InvalidInput(f"type bitmask out of range: {mask}")
-    return frozenset(name for name, bit in _TYPE_BIT.items() if mask & bit)
-
-
 _HEX = set("0123456789abcdefABCDEF")
 
 

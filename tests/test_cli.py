@@ -93,6 +93,19 @@ class TestConfigResolution:
             smoke, epsilon=2.0,
             generator=dataclasses.replace(smoke.generator, n_scripts=5000))
 
+    def test_only_the_merged_value_is_checked(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"rounds": 0}))
+        args = build_parser().parse_args([
+            "train", "--config", str(cfg_file), "--set", "rounds=3", "--out", "x"])
+        assert resolve_config(args).rounds == 3
+
+    def test_integral_float_sets_an_int_generator_field(self):
+        args = build_parser().parse_args([
+            "generate", "--set", "generator.n_scripts=5e3", "--out", "x"])
+        n_scripts = resolve_config(args).generator.n_scripts
+        assert n_scripts == 5000 and type(n_scripts) is int
+
     def test_missing_config_file(self, tmp_path):
         args = build_parser().parse_args(
             ["generate", "--config", str(tmp_path / "nope.json"), "--out", "x"])
@@ -121,6 +134,17 @@ class TestExitCodes:
         assert main(["generate", "--set", "nope=1", "--out", out]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "epsilon" in err and "nope" in err
+
+    @pytest.mark.parametrize("override,field", [
+        ("generator.n_scripts=500.5", "generator.n_scripts"),
+        ('generator.n_scripts="500"', "generator.n_scripts"),
+        ("generator.fp_type_mix=3", "generator.fp_type_mix"),
+        ("clip_norm=NaN", "clip_norm"),
+    ])
+    def test_mistyped_value_is_a_config_error(self, tmp_path, capsys, override, field):
+        assert main(["generate", "--set", override, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
 
     def test_bad_seed_list(self, tmp_path):
         assert main(["sweep", "feature_sets", *TINY,

@@ -12,15 +12,16 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from fedtrace.artifacts import ZIP_EPOCH, read_npz
+from fedtrace.cli import apply_overrides
 from fedtrace.errors import CalibrationError, ConfigError, InvalidInput, StageDependencyError
 from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE,
                                  METRICS_FILE, NORM_STATS_FILE, PARTITION_FILE,
                                  PLACEMENTS_FILE, RANKING_FILE, ROUND_RECORDS_FILE,
                                  SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget,
-                                 apply_overrides, build_participants, calibrate_budget,
+                                 build_participants, calibrate_budget,
                                  config_snapshot_line, corpus_from_traces, load_corpus,
                                  participants_from_manifest, preset_config, read_config_file,
-                                 read_metrics, resolve_mask, run_pipeline, smoke_preset,
+                                 resolve_mask, run_pipeline, smoke_preset,
                                  stage_account, stage_evaluate, stage_generate,
                                  stage_partition, stage_train, training_ranking, write_csv)
 from fedtrace.features import default_catalog
@@ -28,6 +29,7 @@ from fedtrace.fednorm import participant_moments
 from fedtrace.partition import DomainRanking
 from fedtrace.privacy import PlannedQuery, PrivacyLedger, plan_epsilon
 from fedtrace.synth import GeneratorConfig, SplitSpec, generate_corpus
+from tables import read_metrics
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -112,6 +114,37 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"normalize": "yes"})
 
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", math.nan),
+        ("clip_norm", math.nan),
+        ("zipf_exponent", math.nan),
+        ("variance_floor", math.inf),
+        ("clip_var", 10 ** 400),
+    ])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({field: value})
+        assert err.value.field == field
+
+    def test_integral_float_reads_as_int(self):
+        cfg = ExperimentConfig.from_dict({"rounds": 4.0, "generator": {"n_scripts": 5e3}})
+        assert (cfg.rounds, cfg.generator.n_scripts) == (4, 5000)
+        assert type(cfg.rounds) is int and type(cfg.generator.n_scripts) is int
+
+    @pytest.mark.parametrize("generator,field", [
+        ({"n_scripts": 500.5}, "generator.n_scripts"),
+        ({"n_scripts": "500"}, "generator.n_scripts"),
+        ({"n_scripts": 500, "fp_type_mix": 3}, "generator.fp_type_mix"),
+        ({"n_scripts": 500, "fp_prevalence": math.nan}, "generator.fp_prevalence"),
+        ({"n_scripts": 500, "near_miss_rate": True}, "generator.near_miss_rate"),
+        ({"fp_prevalence": 0.1}, "generator.n_scripts"),
+    ], ids=["int-as-fraction", "int-as-string", "mix-as-scalar", "nan-prevalence",
+            "bool-as-float", "missing-n_scripts"])
+    def test_generator_fields_are_typed(self, generator, field):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"generator": generator})
+        assert err.value.field == field
+
     def test_resolved_q_targets_hundred_sampled(self):
         assert ExperimentConfig(n_participants=10_000).resolved_q == pytest.approx(0.01)
         assert ExperimentConfig(n_participants=50).resolved_q == 1.0
@@ -131,9 +164,15 @@ class TestConfig:
         assert ExperimentConfig(local_iterations=7).optimizer.max_iterations == 7
 
 
+def overridden(assignments) -> ExperimentConfig:
+    data = ExperimentConfig().to_dict()
+    apply_overrides(data, assignments)
+    return ExperimentConfig.from_dict(data)
+
+
 class TestOverridesAndFiles:
     def test_dotted_overrides(self):
-        cfg = apply_overrides(ExperimentConfig(), [
+        cfg = overridden([
             "generator.n_scripts=5000",
             "feature_set=HighEntropy",   # bare string falls back to str
             "epsilon=inf",
@@ -146,15 +185,15 @@ class TestOverridesAndFiles:
 
     def test_override_requires_assignment(self):
         with pytest.raises(ConfigError):
-            apply_overrides(ExperimentConfig(), ["rounds"])
+            overridden(["rounds"])
 
     def test_override_through_scalar_rejected(self):
         with pytest.raises(ConfigError):
-            apply_overrides(ExperimentConfig(), ["rounds.inner=1"])
+            overridden(["rounds.inner=1"])
 
     def test_override_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
-            apply_overrides(ExperimentConfig(), ["nope=1"])
+            overridden(["nope=1"])
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"

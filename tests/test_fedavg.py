@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fedtrace.errors import InvalidInput
 from fedtrace.fedavg import (
@@ -223,4 +224,4 @@ def test_centralized_fit_smoke():
     model = centralized_fit(X, y)
     # recovers the sign pattern of the strong coefficients
     assert model.weights[0] > 0 > model.weights[1]
-    assert model.predict_proba(X).shape == (200,)
+    assert expit(model.decision_scores(X)).shape == (200,)

@@ -15,7 +15,7 @@ from fedtrace.heuristics import (
     LabelSet,
     label,
 )
-from fedtrace.traces import ScriptTrace, api_call
+from fedtrace.traces import ScriptTrace, api_call, types_to_bitmask
 
 
 def _trace(*calls) -> ScriptTrace:
@@ -153,7 +153,7 @@ def test_empty_trace_all_false():
     assert got == LabelSet()
     assert not got.is_fingerprinting()
     assert got.types() == frozenset()
-    assert got.bitmask() == 0
+    assert types_to_bitmask(got.types()) == 0
 
 
 def test_multiple_types_reported_together():
@@ -161,7 +161,7 @@ def test_multiple_types_reported_together():
     got = label(trace)
     assert got == LabelSet(canvas=True, audio=True)
     assert got.types() == {"canvas", "audio"}
-    assert got.bitmask() == 0b1001
+    assert types_to_bitmask(got.types()) == 0b1001
 
 
 def test_order_insensitive():

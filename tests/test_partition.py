@@ -19,7 +19,7 @@ import pytest
 from scipy import stats
 
 from fedtrace.errors import InsufficientData, InvalidInput, ParseError
-from fedtrace.features import default_catalog, load_shipped_catalog
+from fedtrace.features import default_catalog
 from fedtrace.partition import (
     DomainRanking,
     KL_SMOOTHING,
@@ -61,7 +61,7 @@ def two_distribution_symkl(counts_a, counts_b, alpha=KL_SMOOTHING):
 
 # ---------------------------------------------------------------- fixtures
 
-CATALOG = load_shipped_catalog()
+CATALOG = default_catalog()
 
 
 def _script(sid: str, domain: str, fp_types=()) -> LabeledScript:

@@ -6,9 +6,10 @@ import pytest
 
 import fedtrace.sweeps as sweeps
 from fedtrace.errors import ConfigError
-from fedtrace.experiment import ExperimentConfig, read_metrics
+from fedtrace.experiment import ExperimentConfig
 from fedtrace.sweeps import DEFAULT_SEEDS, RECIPES, run_sweep
 from fedtrace.synth import GeneratorConfig
+from tables import read_metrics
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ from scipy.sparse import csr_matrix
 
 from fedtrace import heuristics
 from fedtrace.errors import InvalidInput
-from fedtrace.features import default_catalog, load_shipped_catalog, signal_slots
+from fedtrace.features import default_catalog, signal_slots
 from fedtrace.fedavg import centralized_fit
 from fedtrace.fednorm import exact_stats, normalize_matrix
 from fedtrace.metrics import average_precision
@@ -18,9 +18,9 @@ from fedtrace.synth import (
     generate,
     generate_corpus,
 )
-from fedtrace.traces import bitmask_to_types
+from fedtrace.traces import types_to_bitmask
 
-CATALOG = load_shipped_catalog()
+CATALOG = default_catalog()
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +193,7 @@ class TestStreamingPath:
         assert np.array_equal(corpus.labels,
                               np.array([s.label for s in full.scripts]))
         for i in (0, 99, 999):
-            assert bitmask_to_types(int(corpus.fp_bitmasks[i])) == \
-                full.scripts[i].fp_types
+            assert corpus.fp_bitmasks[i] == types_to_bitmask(full.scripts[i].fp_types)
         for domain, sids in full.placements.items():
             rows = corpus.domain_rows[domain]
             assert [corpus.script_ids[r] for r in rows] == sids
