@@ -6,10 +6,16 @@ JsonConfig. from_dict takes a JSON-shaped object, gives every absent
 field its default, and refuses an unknown field or a wrongly typed value
 with a ConfigError naming the dotted field path (generator.n_scripts).
 An integral float such as 5e3 reads as an int field's 5000; a string
-never reads as a number. Floats must be finite, except in a field whose
-metadata sets ALLOW_INF, which also takes "inf" or "infinity".
-to_dict writes the same JSON shape back: lists for tuples, a nested
-object for a nested config and "inf" for infinity.
+never reads as a number; a field whose metadata sets ALLOW_INF also takes
+"inf" or "infinity". to_dict writes the same JSON shape back: lists for
+tuples, a nested object for a nested config and "inf" for infinity.
+
+Construction checks every config, however it was built (from_dict,
+directly, or dataclasses.replace): a float value must be finite, except
+that a field whose metadata sets ALLOW_INF may be infinite, and then the
+subclass's _check runs its range checks. Both raise a ConfigError naming
+the field, so every config that can be built can be read back from its
+to_dict.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import types
 import typing
 from typing import Mapping
 
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError
 
 ALLOW_INF = "allow_inf"
 
@@ -30,12 +36,29 @@ class JsonConfig:
 
     __slots__ = ()
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _refuse_non_finite(getattr(self, f.name), f.name, f.metadata.get(ALLOW_INF, False))
+        self._check()
+
+    def _check(self) -> None:
+        """The subclass's range checks; each raises a ConfigError naming its field."""
+
     def to_dict(self) -> dict:
         return {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, obj: Mapping):
         return _read_config(cls, obj, "")
+
+
+def _refuse_non_finite(value, where: str, allow_inf: bool) -> None:
+    if isinstance(value, tuple):
+        for i, v in enumerate(value):
+            _refuse_non_finite(v, f"{where}[{i}]", False)
+    elif isinstance(value, float) and (math.isnan(value)
+                                       or (math.isinf(value) and not allow_inf)):
+        raise ConfigError(where, f"must be finite: {value!r}")
 
 
 def _encode(value):
@@ -65,8 +88,10 @@ def _read_config(cls, obj, path: str):
             raise ConfigError(f"{path}.{name}" if path else name, "required field missing")
     try:
         return cls(**kwargs)
-    except InvalidInput as exc:
-        raise ConfigError(path or cls.__name__, str(exc)) from exc
+    except ConfigError as exc:
+        if not path:
+            raise
+        raise ConfigError(f"{path}.{exc.field}", exc.message) from None
 
 
 def _read(tp, value, where: str, allow_inf: bool = False):
@@ -94,12 +119,9 @@ def _read(tp, value, where: str, allow_inf: bool = False):
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(where, f"not an integer: {value!r}")
         return int(value)
-    if tp is float:
+    if tp is float:  # construction refuses what is not finite
         try:
-            value = float(value)
+            return float(value)
         except OverflowError:  # an int beyond the float range
-            value = math.inf
-        if math.isnan(value) or (math.isinf(value) and not allow_inf):
-            raise ConfigError(where, f"must be finite: {value!r}")
-        return value
+            return math.inf
     raise TypeError(f"{where}: no reader for config type {tp!r}")

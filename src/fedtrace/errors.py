@@ -61,9 +61,10 @@ class StageDependencyError(FedTraceError):
     """A pipeline stage was invoked before the artifacts it consumes exist."""
 
 
-class ConfigError(FedTraceError):
+class ConfigError(InvalidInput):
     """Bad configuration value; message names the offending field path."""
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")

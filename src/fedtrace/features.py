@@ -12,7 +12,9 @@ under (api_name, argument position or return, is-bool, value), and a
 strlen spec in a small side table keyed by (api_name, position) that
 maps each length to its slots. A call then costs one lookup for its API
 and one per (position, kind) its specs read. CustomFeatureSpec.matches
-states the same semantics one spec at a time.
+states the same semantics one spec at a time. A caller that shares
+call records can also pass a CallTable (see fedtrace.traces): a call with
+an entry there sets the slots call_slots found for it once.
 
 The default catalog (default_catalog()) is synthetic but honors the reference
 cardinalities: 684 counted APIs + 830 custom features (1514 slots), and
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,7 +36,7 @@ import numpy as np
 from . import heuristics
 from .artifacts import atomic_write
 from .errors import CardinalityError, InvalidInput, InvalidMask, ParseError
-from .traces import MAX_ARGS, LongString, ScriptTrace, Scalar
+from .traces import MAX_ARGS, ApiCallRecord, CallTable, LongString, ScriptTrace, Scalar
 
 REQUIRED_SET_NAMES = ("All", "FPInspector", "JShelter", "HighEntropy", "ExtHighEntropy")
 
@@ -167,7 +170,8 @@ class FeatureCatalog:
             raise InvalidMask(f"unknown named set: {name!r}") from None
 
 
-def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarray) -> None:
+def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarray,
+                     compiled: CallTable | None = None) -> None:
     """Accumulate api-call counts and custom indicators for one trace into row.
 
     Works from the catalog's compiled table: one dict lookup per call
@@ -175,10 +179,29 @@ def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarra
     features need, and each probe is one more lookup of the call's value,
     so the cost is O(calls) however many specs an API carries. The
     result equals testing every spec of the call's API with
-    CustomFeatureSpec.matches.
+    CustomFeatureSpec.matches. A call with an entry in compiled sets that
+    entry's slots instead; counts are whole numbers, so the order in which
+    calls add to a slot does not change the row.
     """
+    calls = trace.calls
+    if compiled is not None:
+        calls = []
+        for call in trace.calls:
+            entry = compiled.get(id(call))
+            if entry is None:
+                calls.append(call)
+                continue
+            if entry.count_slot is not None:
+                row[entry.count_slot] += 1.0
+            for cslot in entry.custom_slots:
+                row[cslot] = 1.0
+    _fill_calls(calls, catalog, row)
+
+
+def _fill_calls(calls, catalog: FeatureCatalog, row) -> None:
+    """fill_feature_row's per-call code; row is the array, or a dict of the slots set."""
     probes, equals = catalog._fill_table
-    for call in trace.calls:
+    for call in calls:
         name = call.api_name
         entry = probes.get(name)
         if entry is None:
@@ -204,6 +227,15 @@ def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarra
             if slots:
                 for cslot in slots:
                     row[cslot] = 1.0
+
+
+def call_slots(call: ApiCallRecord, catalog: FeatureCatalog) -> tuple[int | None, tuple[int, ...]]:
+    """The count slot (None if uncounted) and the custom slots one call sets."""
+    row: dict[int, float] = defaultdict(float)
+    _fill_calls((call,), catalog, row)
+    slots = sorted(row)
+    counted = [s for s in slots if s < catalog.n_api]
+    return (counted[0] if counted else None), tuple(s for s in slots if s >= catalog.n_api)
 
 
 def take_nonzeros(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

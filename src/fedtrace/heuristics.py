@@ -6,14 +6,16 @@ pipeline, so thresholds are strict and interfaces are scoped narrowly:
 member names are only consulted on the interfaces the technique
 actually touches (canvas conditions on canvas interfaces, audio on
 audio-context interfaces, WebRTC on RTCPeerConnection). Condition order
-within a trace is irrelevant.
+within a trace is irrelevant, so a trace's scan is the merge of its
+calls' scans: label can take a CallTable (see fedtrace.traces) whose
+entries carry call_facts, each call's scan made once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .traces import FP_TYPES, ScriptTrace
+from .traces import FP_TYPES, ApiCallRecord, CallTable, ScriptTrace
 
 CANVAS_INTERFACES = frozenset({"HTMLCanvasElement", "CanvasRenderingContext2D"})
 AUDIO_INTERFACES = frozenset({"AudioContext", "OfflineAudioContext", "BaseAudioContext"})
@@ -52,7 +54,7 @@ class _Scan:
     __slots__ = ("text", "style", "extract", "evasion", "fonts", "measure",
                  "rtc_setup", "rtc_gather", "audio")
 
-    def __init__(self, trace: ScriptTrace):
+    def __init__(self, calls):
         self.text = False
         self.style = False
         self.extract = False
@@ -62,7 +64,7 @@ class _Scan:
         self.rtc_setup = False
         self.rtc_gather = False
         self.audio = False
-        for call in trace.calls:
+        for call in calls:
             # one split per call; same values as call.interface / call.member
             iface, _, member = call.api_name.partition(".")
             member = member or iface
@@ -88,9 +90,42 @@ class _Scan:
                 if member in _AUDIO_MEMBERS:
                     self.audio = True
 
+    def reads_anything(self) -> bool:
+        return bool(self.text or self.style or self.extract or self.evasion or self.fonts
+                    or self.measure or self.rtc_setup or self.rtc_gather or self.audio)
 
-def label(trace: ScriptTrace) -> LabelSet:
-    s = _Scan(trace)
+    def absorb(self, other: "_Scan") -> None:
+        """Merge in the scan of other calls of the same trace."""
+        self.text |= other.text
+        self.style |= other.style
+        self.extract |= other.extract
+        self.evasion |= other.evasion
+        self.fonts |= other.fonts
+        self.measure += other.measure
+        self.rtc_setup |= other.rtc_setup
+        self.rtc_gather |= other.rtc_gather
+        self.audio |= other.audio
+
+
+def call_facts(call: ApiCallRecord) -> _Scan | None:
+    """What the detectors read from this one call; None when they read nothing."""
+    s = _Scan((call,))
+    return s if s.reads_anything() else None
+
+
+def _scan_compiled(trace: ScriptTrace, compiled: CallTable) -> _Scan:
+    s = _Scan(())
+    for call in trace.calls:
+        entry = compiled.get(id(call))
+        facts = call_facts(call) if entry is None else entry.facts
+        if facts is not None:
+            s.absorb(facts)
+    return s
+
+
+def label(trace: ScriptTrace, compiled: CallTable | None = None) -> LabelSet:
+    """The trace's labels; a call with an entry in compiled is read from its facts."""
+    s = _Scan(trace.calls) if compiled is None else _scan_compiled(trace, compiled)
     return LabelSet(
         canvas=s.text and s.style and s.extract and not s.evasion,
         canvas_font=len(s.fonts) > FONT_THRESHOLD and s.measure > FONT_THRESHOLD,

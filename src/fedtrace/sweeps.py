@@ -129,10 +129,14 @@ class _GridCache:
         return moments
 
 
+def _run_config(base: ExperimentConfig, spec: RunSpec, seed: int) -> ExperimentConfig:
+    return dataclasses.replace(base, seed=seed, **dict(spec.overrides))
+
+
 def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: _GridCache,
              extra_fn: Callable | None = None,
              prepared: PreparedData | None = None) -> SweepRun:
-    config = dataclasses.replace(base, seed=seed, **dict(spec.overrides))
+    config = _run_config(base, spec, seed)
     if prepared is None:
         prepared = cache.data_for(config)
     participants = cache.participants_for(prepared, config)

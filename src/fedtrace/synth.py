@@ -17,6 +17,16 @@ extra calls, keeping generator and labeler in exact agreement.
 
 All randomness flows through one stream derived from the config seed,
 so a config fully determines the corpus.
+
+Every call record whose content depends on no draw is built once by
+_CallBuilder and shared by all scripts, and compiled once into the
+builder's CallTable (see fedtrace.traces): its JSON fragment, the feature
+slots it sets and what the detectors read from it, each made by running
+the per-call code on that record alone. Labelling, the feature fill and
+the trace writer look each call up by id(record), not by value, since
+equal records can serialize apart (True == 1.0). Records drawn per script
+(fillText's text, fillStyle's colour) have no entry and take the per-call
+code. The table lives as long as the builder, which dies with the stream.
 """
 
 from __future__ import annotations
@@ -29,10 +39,11 @@ import numpy as np
 
 from . import heuristics
 from .config import JsonConfig
-from .errors import InvalidInput
+from .errors import ConfigError, InvalidInput
 from .features import (
     CustomFeatureSpec,
     FeatureCatalog,
+    call_slots,
     catalog_hash,
     classify_custom,
     fill_feature_row,
@@ -43,9 +54,12 @@ from .partition import DomainRanking, ScriptCorpus
 from .seeding import GENERATOR, derive_rng
 from .traces import (
     FP_TYPES,
+    CallTable,
+    CompiledCall,
     LabeledScript,
     ScriptTrace,
     api_call,
+    call_fragment,
     canonical_script_id,
 )
 
@@ -85,6 +99,11 @@ _HEURISTIC_INTERFACES = frozenset(
     heuristics.CANVAS_INTERFACES | heuristics.AUDIO_INTERFACES | {heuristics.RTC_INTERFACE})
 
 _ARG_FILLER = ("#000000", "2d", "anonymous", "none", "auto", "en-US", 0.0, 1.0)
+_EXTRA_FONTS = 10  # a canvas_font base probes FONT_THRESHOLD + 1 to + _EXTRA_FONTS fonts
+_AUDIO_PROBES = (("AudioContext.createOscillator", ()),
+                 ("AudioContext.createDynamicsCompressor", ()),
+                 ("OfflineAudioContext.startRendering", ()),
+                 ("BaseAudioContext.destination", ()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,27 +118,28 @@ class GeneratorConfig(JsonConfig):
     shared_script_rate: float = DEFAULT_SHARED_RATE
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_scripts < 1:
-            raise InvalidInput(f"n_scripts must be >= 1: {self.n_scripts}")
+            raise ConfigError("n_scripts", f"must be >= 1: {self.n_scripts}")
         if not 0.0 < self.fp_prevalence < 1.0:
-            raise InvalidInput(f"prevalence must be in (0, 1): {self.fp_prevalence}")
+            raise ConfigError("fp_prevalence", f"must be in (0, 1): {self.fp_prevalence}")
         mix = np.asarray(self.fp_type_mix, dtype=float)
         if mix.shape != (15,):
-            raise InvalidInput(f"type mix needs 15 entries, got {mix.shape}")
+            raise ConfigError("fp_type_mix", f"needs 15 entries, got {mix.shape}")
         if (mix < 0).any() or abs(float(mix.sum()) - 1.0) > 1e-9:
-            raise InvalidInput("type mix must be non-negative and sum to 1")
+            raise ConfigError("fp_type_mix", "must be non-negative and sum to 1")
         if not 0.0 <= self.near_miss_rate <= 1.0:
-            raise InvalidInput(f"near_miss_rate must be in [0, 1]: {self.near_miss_rate}")
+            raise ConfigError("near_miss_rate", f"must be in [0, 1]: {self.near_miss_rate}")
         if self.benign_pool_size < 10:
-            raise InvalidInput(f"benign pool too small: {self.benign_pool_size}")
+            raise ConfigError("benign_pool_size", f"must be >= 10: {self.benign_pool_size}")
         if self.n_domains is not None and self.n_domains < 1:
-            raise InvalidInput(f"n_domains must be >= 1: {self.n_domains}")
+            raise ConfigError("n_domains", f"must be >= 1: {self.n_domains}")
         if self.scripts_per_domain_mean < 1.0:
-            raise InvalidInput("scripts_per_domain_mean must be >= 1")
+            raise ConfigError("scripts_per_domain_mean",
+                              f"must be >= 1: {self.scripts_per_domain_mean}")
         if not 0.0 <= self.shared_script_rate < 1.0:
-            raise InvalidInput(f"shared_script_rate must be in [0, 1): "
-                               f"{self.shared_script_rate}")
+            raise ConfigError("shared_script_rate",
+                              f"must be in [0, 1): {self.shared_script_rate}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,6 +325,40 @@ class _CallBuilder:
         # per pool API: the bare call, then one call per filler argument
         self.pool = [[api_call(name)] + [api_call(name, (a,)) for a in _ARG_FILLER]
                      for name in pool]
+        # the technique bases' calls that take no draw
+        self.get_context = api_call("HTMLCanvasElement.getContext", ("2d",))
+        self.to_data_url = api_call("HTMLCanvasElement.toDataURL",
+                                    (), "data:image/png;base64," + "A" * 40)
+        self.canvas_save = api_call("CanvasRenderingContext2D.save")
+        # font j then measureText j, for j below the most fonts a base probes
+        self.font_calls = [
+            call
+            for j in range(heuristics.FONT_THRESHOLD + _EXTRA_FONTS)
+            for call in (api_call("CanvasRenderingContext2D.font", (f"{10 + j}px font{j}",)),
+                         api_call("CanvasRenderingContext2D.measureText", ("gM",), 40.0 + j))]
+        self.data_channel = api_call("RTCPeerConnection.createDataChannel", ("chan",))
+        self.create_offer = api_call("RTCPeerConnection.createOffer")
+        self.on_ice = api_call("RTCPeerConnection.onicecandidate", ("cb",))
+        self.local_description = api_call("RTCPeerConnection.localDescription",
+                                          (), "v=0 o=- s=-")
+        self.rtc_close = api_call("RTCPeerConnection.close")
+        self.audio_probes = [api_call(name, args) for name, args in _AUDIO_PROBES]
+        self.analyser = api_call("AudioContext.createAnalyser")
+        self.compiled = self._compile()
+
+    def _compile(self) -> CallTable:
+        """Every record above, compiled once by the per-call code."""
+        records = [
+            *self.signal_api_records, *(call for _, call in self.signal_flat),
+            *self.flavor_records, *self.entropy_records,
+            *(call for calls in self.pool for call in calls),
+            self.get_context, self.to_data_url, self.canvas_save, *self.font_calls,
+            self.data_channel, self.create_offer, self.on_ice, self.local_description,
+            self.rtc_close, *self.audio_probes, self.analyser]
+        return {id(record): CompiledCall(record, call_fragment(record),
+                                         *call_slots(record, self.catalog),
+                                         heuristics.call_facts(record))
+                for record in records}
 
     def pool_calls(self, rng, lo=3, hi=14) -> list:
         k = int(rng.integers(lo, hi))
@@ -356,54 +410,38 @@ class _CallBuilder:
     # -------------------------------------------------- per-technique bases
 
     def canvas_base(self, rng) -> list:
-        calls = [api_call("HTMLCanvasElement.getContext", ("2d",))]
+        calls = [self.get_context]
         for k in range(int(rng.integers(1, 4))):
             calls.append(api_call("CanvasRenderingContext2D.fillText",
                                   (f"sample text {int(rng.integers(1000))}", 2.0, 15.0)))
         calls.append(api_call("CanvasRenderingContext2D.fillStyle",
                               (f"#0{int(rng.integers(10, 100)):02d}",)))
-        calls.append(api_call("HTMLCanvasElement.toDataURL",
-                              (), "data:image/png;base64," + "A" * 40))
+        calls.append(self.to_data_url)
         return calls
 
     def font_base(self, rng, n_fonts: int | None = None) -> list:
         if n_fonts is None:
-            n_fonts = heuristics.FONT_THRESHOLD + 1 + int(rng.integers(0, 10))
-        calls = []
-        for j in range(n_fonts):
-            calls.append(api_call("CanvasRenderingContext2D.font", (f"{10 + j}px font{j}",)))
-            calls.append(api_call("CanvasRenderingContext2D.measureText",
-                                  ("gM",), 40.0 + j))
-        return calls
+            n_fonts = heuristics.FONT_THRESHOLD + 1 + int(rng.integers(0, _EXTRA_FONTS))
+        return self.font_calls[:2 * n_fonts]
 
     def webrtc_base(self, rng) -> list:
-        setup = (api_call("RTCPeerConnection.createDataChannel", ("chan",))
-                 if rng.random() < 0.5 else api_call("RTCPeerConnection.createOffer"))
-        gather = (api_call("RTCPeerConnection.onicecandidate", ("cb",))
-                  if rng.random() < 0.5
-                  else api_call("RTCPeerConnection.localDescription", (), "v=0 o=- s=-"))
+        setup = self.data_channel if rng.random() < 0.5 else self.create_offer
+        gather = self.on_ice if rng.random() < 0.5 else self.local_description
         return [setup, gather]
 
     def audio_base(self, rng) -> list:
-        options = (("AudioContext.createOscillator", ()),
-                   ("AudioContext.createDynamicsCompressor", ()),
-                   ("OfflineAudioContext.startRendering", ()),
-                   ("BaseAudioContext.destination", ()))
-        pick = int(rng.integers(0, len(options)))
-        name, args = options[pick]
-        calls = [api_call(name, args)]
+        calls = [self.audio_probes[int(rng.integers(0, len(self.audio_probes)))]]
         if rng.random() < 0.5:
-            calls.append(api_call("AudioContext.createAnalyser"))
+            calls.append(self.analyser)
         return calls
 
     def near_miss_base(self, rng, pattern: str) -> list:
         if pattern == "canvas_save":
-            return self.canvas_base(rng) + [api_call("CanvasRenderingContext2D.save")]
+            return self.canvas_base(rng) + [self.canvas_save]
         if pattern == "font_boundary":
             return self.font_base(rng, n_fonts=heuristics.FONT_THRESHOLD)
         if pattern == "rtc_no_ice":
-            return [api_call("RTCPeerConnection.createDataChannel", ("chan",)),
-                    api_call("RTCPeerConnection.close")]
+            return [self.data_channel, self.rtc_close]
         raise InvalidInput(f"unknown near-miss pattern: {pattern}")
 
     def fp_base(self, rng, bitmask: int) -> list:
@@ -429,7 +467,7 @@ def _build_script(builder: _CallBuilder, rng, kind, script_id: str,
                  + builder.entropy_calls(rng, True) + builder.signal_calls(rng, types)
                  + builder.flavor_calls(rng, True))
         trace = ScriptTrace(script_id, domain, tuple(calls))
-        got = heuristics.label(trace)
+        got = heuristics.label(trace, builder.compiled)
         if got.types() != types:
             raise RuntimeError(
                 f"generator produced type set {sorted(got.types())} "
@@ -441,11 +479,11 @@ def _build_script(builder: _CallBuilder, rng, kind, script_id: str,
     extras = (builder.entropy_calls(rng, False) + builder.signal_calls(rng)
               + builder.flavor_calls(rng, False))
     trace = ScriptTrace(script_id, domain, tuple(base + extras))
-    if heuristics.label(trace).is_fingerprinting():
+    if heuristics.label(trace, builder.compiled).is_fingerprinting():
         # the random signal draws completed a detector conjunction; keep
         # the script benign by dropping the extras
         trace = ScriptTrace(script_id, domain, tuple(base))
-        if heuristics.label(trace).is_fingerprinting():
+        if heuristics.label(trace, builder.compiled).is_fingerprinting():
             raise RuntimeError(f"benign base calls trip a detector for {script_id}")
     return LabeledScript(trace, False, frozenset())
 
@@ -462,7 +500,7 @@ def _stream(config: GeneratorConfig, catalog: FeatureCatalog):
             domain = plan.domains[plan.domain_of_script[i]]
             yield _build_script(builder, rng, plan.kinds[i], plan.script_ids[i], domain)
 
-    return plan, scripts()
+    return plan, scripts(), builder.compiled
 
 
 def _placements(plan: _Plan, config: GeneratorConfig) -> dict[str, list[str]]:
@@ -491,7 +529,7 @@ def _manifest(plan: _Plan, config: GeneratorConfig, catalog: FeatureCatalog) -> 
 
 def generate(config: GeneratorConfig, catalog: FeatureCatalog) -> GeneratedCorpus:
     """Materialize the full corpus with traces (domain map plus split)."""
-    plan, scripts = _stream(config, catalog)
+    plan, scripts, _ = _stream(config, catalog)
     return GeneratedCorpus(list(scripts), _placements(plan, config),
                            DomainRanking(tuple(plan.domains)), plan.split,
                            _manifest(plan, config, catalog))
@@ -499,7 +537,8 @@ def generate(config: GeneratorConfig, catalog: FeatureCatalog) -> GeneratedCorpu
 
 def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
                     ) -> tuple[Iterator[tuple[LabeledScript, np.ndarray, np.ndarray]],
-                               dict[str, list[str]], DomainRanking, SplitSpec, dict]:
+                               dict[str, list[str]], DomainRanking, SplitSpec, dict,
+                               CallTable]:
     """Each script with its feature row's nonzeros, plus plan-level metadata.
 
     The iterator yields (script, columns, values): the script's int32
@@ -507,18 +546,20 @@ def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
     through one reused row buffer, so no caller needs a dense matrix.
     Same stream order as generate(). The placement map, ranking, split
     and manifest are final before the iterator is consumed, so a caller
-    can write scripts to disk one at a time.
+    can write scripts to disk one at a time. The last item is the
+    builder's call table, for trace_to_json_line; drop it with the
+    iterator.
     """
-    plan, scripts = _stream(config, catalog)
+    plan, scripts, compiled = _stream(config, catalog)
 
     def rows():
         row = np.zeros(catalog.slot_count, dtype=np.float32)
         for script in scripts:
-            fill_feature_row(script.trace, catalog, row)
+            fill_feature_row(script.trace, catalog, row, compiled)
             yield (script, *take_nonzeros(row))
 
     return (rows(), _placements(plan, config), DomainRanking(tuple(plan.domains)),
-            plan.split, _manifest(plan, config, catalog))
+            plan.split, _manifest(plan, config, catalog), compiled)
 
 
 def generate_corpus(config: GeneratorConfig, catalog: FeatureCatalog
@@ -528,5 +569,5 @@ def generate_corpus(config: GeneratorConfig, catalog: FeatureCatalog
     The corpus equals the one built from generate()'s scripts for the
     same config.
     """
-    stream, placements, ranking, split, manifest = generate_stream(config, catalog)
+    stream, placements, ranking, split, manifest, _ = generate_stream(config, catalog)
     return ScriptCorpus.collect(stream, catalog, placements), ranking, split, manifest

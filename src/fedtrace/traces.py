@@ -16,6 +16,19 @@ where <arg>/<ret> are null, a bool, a float, a string (<= 256 chars), or
 {"len": L, "hash": "<16 hex>"} for a summarized long string. <dropped>
 is the count of arguments elided beyond MAX_ARGS. Blank lines are
 ignored. Writes are byte-deterministic (sorted keys, fixed separators).
+
+A trace line is its calls' JSON fragments joined in order. A generator
+that shares call records can do the per-call work once per record: a
+CallTable maps id(record) to a CompiledCall holding the record, its
+fragment (call_fragment), the feature slots it sets and what the
+detectors read from it. trace_to_json_line, features.fill_feature_row
+and heuristics.label take such a table and use an entry in place of
+redoing that record's work; a call with no entry takes the per-call code.
+The table is keyed by the record object, never by its content: records
+that compare equal can serialize differently (api_call("X.y", (True,))
+== api_call("X.y", (1.0,)), as True == 1.0 and both hash alike, yet they
+write [true] and [1.0]). Each entry holds its record, so no other object
+can take a key's id while the table lives.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidInput, ParseError
 
@@ -32,6 +46,7 @@ LONG_STRING_THRESHOLD = 256
 # Fixed order; bit i of a type bitmask refers to FP_TYPES[i].
 FP_TYPES = ("canvas", "canvas_font", "webrtc", "audio")
 _TYPE_BIT = {name: 1 << i for i, name in enumerate(FP_TYPES)}
+_FP_TYPE_SET = frozenset(FP_TYPES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +136,7 @@ class LabeledScript:
     fp_types: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        bad = self.fp_types - set(FP_TYPES)
+        bad = self.fp_types - _FP_TYPE_SET
         if bad:
             raise InvalidInput(f"unknown fingerprinting types: {sorted(bad)}")
         if self.label != bool(self.fp_types):
@@ -169,17 +184,40 @@ def _scalar_from_json(v) -> Scalar:
     raise ValueError(f"bad scalar: {v!r}")
 
 
-def trace_to_json_line(trace: ScriptTrace) -> str:
-    obj = {
-        "script_id": trace.script_id,
-        "source_domain": trace.source_domain,
-        "calls": [
-            [c.api_name, [_scalar_to_json(a) for a in c.args],
-             _scalar_to_json(c.return_value), c.dropped_args]
-            for c in trace.calls
-        ],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def call_fragment(call: ApiCallRecord) -> str:
+    """One call's JSON array, as it appears in its trace's line."""
+    return _ENCODE([call.api_name, [_scalar_to_json(a) for a in call.args],
+                    _scalar_to_json(call.return_value), call.dropped_args])
+
+
+class CompiledCall(NamedTuple):
+    """The per-call work on one shared record, done once (module docstring)."""
+
+    record: ApiCallRecord
+    fragment: str                 # call_fragment(record)
+    count_slot: int | None        # the count slot fill_feature_row adds 1 to
+    custom_slots: tuple[int, ...]  # the custom slots it sets to 1
+    facts: object                 # heuristics.call_facts(record)
+
+
+CallTable = dict[int, CompiledCall]  # keyed by id(entry.record)
+
+
+def trace_to_json_line(trace: ScriptTrace, compiled: CallTable | None = None) -> str:
+    """The trace's line, byte for byte as json.dumps(sort_keys=True) writes it.
+
+    A call with an entry in compiled contributes that entry's fragment.
+    """
+    get = (compiled or {}).get
+    fragments = []
+    for call in trace.calls:
+        entry = get(id(call))
+        fragments.append(call_fragment(call) if entry is None else entry.fragment)
+    return (f'{{"calls":[{",".join(fragments)}],"script_id":{_ENCODE(trace.script_id)},'
+            f'"source_domain":{_ENCODE(trace.source_domain)}}}')
 
 
 def _trace_from_obj(obj) -> ScriptTrace:

@@ -140,6 +140,7 @@ class TestExitCodes:
         ('generator.n_scripts="500"', "generator.n_scripts"),
         ("generator.fp_type_mix=3", "generator.fp_type_mix"),
         ("clip_norm=NaN", "clip_norm"),
+        ("generator.fp_prevalence=2", "generator.fp_prevalence"),
     ])
     def test_mistyped_value_is_a_config_error(self, tmp_path, capsys, override, field):
         assert main(["generate", "--set", override, "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -16,7 +16,7 @@ from fedtrace.cli import apply_overrides
 from fedtrace.errors import CalibrationError, ConfigError, InvalidInput, StageDependencyError
 from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE,
                                  METRICS_FILE, NORM_STATS_FILE, PARTITION_FILE,
-                                 PLACEMENTS_FILE, RANKING_FILE, ROUND_RECORDS_FILE,
+                                 PLACEMENTS_FILE, PRESETS, RANKING_FILE, ROUND_RECORDS_FILE,
                                  SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget,
                                  build_participants, calibrate_budget,
                                  config_snapshot_line, corpus_from_traces, load_corpus,
@@ -28,7 +28,7 @@ from fedtrace.features import default_catalog
 from fedtrace.fednorm import participant_moments
 from fedtrace.partition import DomainRanking
 from fedtrace.privacy import PlannedQuery, PrivacyLedger, plan_epsilon
-from fedtrace.synth import GeneratorConfig, SplitSpec, generate_corpus
+from fedtrace.synth import DEFAULT_TYPE_MIX, GeneratorConfig, SplitSpec, generate_corpus
 from tables import read_metrics
 
 
@@ -125,6 +125,37 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict({field: value})
         assert err.value.field == field
+
+    @pytest.mark.parametrize("field,value", [
+        ("clip_var", math.inf),
+        ("clip_norm", math.nan),
+        ("epsilon", math.nan),
+        ("variance_floor", -math.inf),
+    ])
+    def test_non_finite_float_rejected_at_construction(self, field, value):
+        for build in (lambda: ExperimentConfig(**{field: value}),
+                      lambda: dataclasses.replace(ExperimentConfig(), **{field: value})):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.field == field
+
+    def test_non_finite_generator_float_rejected_at_construction(self):
+        with pytest.raises(ConfigError) as err:
+            GeneratorConfig(n_scripts=10, fp_prevalence=math.inf)
+        assert err.value.field == "fp_prevalence"
+        with pytest.raises(ConfigError) as err:
+            GeneratorConfig(n_scripts=10, fp_type_mix=(math.nan,) + DEFAULT_TYPE_MIX[1:])
+        assert err.value.field == "fp_type_mix[0]"
+
+    @pytest.mark.parametrize("name", ["defaults", *sorted(PRESETS)])
+    def test_to_dict_round_trips(self, name):
+        config = ExperimentConfig() if name == "defaults" else PRESETS[name]()
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_generator_range_error_names_the_field_path(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"generator": {"n_scripts": 10, "fp_prevalence": 2}})
+        assert err.value.field == "generator.fp_prevalence"
 
     def test_integral_float_reads_as_int(self):
         cfg = ExperimentConfig.from_dict({"rounds": 4.0, "generator": {"n_scripts": 5e3}})

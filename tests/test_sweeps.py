@@ -1,12 +1,15 @@
 """Sweep recipe tests on a miniature grid."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import fedtrace.sweeps as sweeps
 from fedtrace.errors import ConfigError
 from fedtrace.experiment import ExperimentConfig
+from fedtrace.features import default_catalog
 from fedtrace.sweeps import DEFAULT_SEEDS, RECIPES, run_sweep
 from fedtrace.synth import GeneratorConfig
 from tables import read_metrics
@@ -38,6 +41,26 @@ def test_unknown_recipe(tmp_path):
 def test_empty_seeds(tmp_path, base):
     with pytest.raises(ConfigError):
         run_sweep("feature_sets", tmp_path, base=base, seeds=())
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_recipe_configs_round_trip(recipe, base, monkeypatch):
+    """Every config a recipe builds reads back from its to_dict (no training run)."""
+    built = []
+    weights = np.zeros(default_catalog().slot_count)
+
+    def run_one(base, spec, seed, cache, extra_fn=None, prepared=None):
+        config = sweeps._run_config(base, spec, seed)
+        built.append(config)
+        return sweeps.SweepRun(config, spec.series, spec.x, 1.0, 1.0, {"_weights": weights})
+
+    monkeypatch.setattr(sweeps, "_run_one", run_one)
+    small = dataclasses.replace(base, generator=GeneratorConfig(n_scripts=300,
+                                                                fp_prevalence=0.05))
+    RECIPES[recipe](small, (0, 1))
+    assert built
+    for config in built:
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
 @pytest.fixture(scope="module")

@@ -6,19 +6,22 @@ from scipy.sparse import csr_matrix
 
 from fedtrace import heuristics
 from fedtrace.errors import InvalidInput
-from fedtrace.features import default_catalog, signal_slots
+from fedtrace.features import default_catalog, fill_feature_row, signal_slots
 from fedtrace.fedavg import centralized_fit
 from fedtrace.fednorm import exact_stats, normalize_matrix
 from fedtrace.metrics import average_precision
 from fedtrace.synth import (
+    DEFAULT_POOL_SIZE,
     DEFAULT_TYPE_MIX,
     GeneratorConfig,
     SplitSpec,
+    _CallBuilder,
+    _stream,
     call_matching,
     generate,
     generate_corpus,
 )
-from fedtrace.traces import types_to_bitmask
+from fedtrace.traces import ScriptTrace, api_call, trace_to_json_line, types_to_bitmask
 
 CATALOG = default_catalog()
 
@@ -233,3 +236,69 @@ def test_planted_signal_separates_classes():
     model = centralized_fit(x, corpus.labels)
     ap = average_precision(model.decision_scores(x), corpus.labels)
     assert ap > 0.9, ap
+
+
+class TestCallTable:
+    """The builder's table against the per-call code it caches."""
+
+    @pytest.fixture(scope="class")
+    def builder(self):
+        return _CallBuilder(CATALOG, DEFAULT_POOL_SIZE)
+
+    @staticmethod
+    def _filled(trace, compiled=None) -> np.ndarray:
+        row = np.zeros(CATALOG.slot_count, dtype=np.float32)
+        fill_feature_row(trace, CATALOG, row, compiled)
+        return row
+
+    def _assert_same_with_and_without(self, trace, compiled):
+        assert trace_to_json_line(trace, compiled) == trace_to_json_line(trace)
+        assert heuristics.label(trace, compiled) == heuristics.label(trace)
+        np.testing.assert_array_equal(self._filled(trace, compiled), self._filled(trace))
+
+    def test_every_entry_equals_the_per_call_code(self, builder):
+        assert len(builder.compiled) > 2900
+        for key, entry in builder.compiled.items():
+            assert key == id(entry.record)
+            one = ScriptTrace("s#00", "d.example", (entry.record,))
+            line = trace_to_json_line(one)
+            assert line.startswith(f'{{"calls":[{entry.fragment}],')
+            cols = np.flatnonzero(self._filled(one)).tolist()
+            assert cols == ([] if entry.count_slot is None else [entry.count_slot]) + list(
+                entry.custom_slots)
+            self._assert_same_with_and_without(one, builder.compiled)
+
+    def test_traces_of_table_records_only(self, builder):
+        records = [entry.record for entry in builder.compiled.values()]
+        rng = np.random.default_rng(0)
+        traces = [ScriptTrace("s#00", "d.example", tuple(records))]
+        for _ in range(50):
+            picks = rng.choice(len(records), size=int(rng.integers(1, 80)))
+            traces.append(ScriptTrace("s#00", "d.example", tuple(records[i] for i in picks)))
+        assert heuristics.label(traces[0]).types() == {"canvas_font", "webrtc", "audio"}
+        for trace in traces:
+            self._assert_same_with_and_without(trace, builder.compiled)
+
+    def test_generated_scripts_miss_only_drawn_records(self):
+        cfg = GeneratorConfig(n_scripts=1500, fp_prevalence=0.1, near_miss_rate=0.3, seed=8)
+        _, scripts, compiled = _stream(cfg, CATALOG)
+        missed = set()
+        for script in scripts:
+            trace = script.trace
+            missed |= {c.api_name for c in trace.calls if id(c) not in compiled}
+            self._assert_same_with_and_without(trace, compiled)
+        assert missed == {"CanvasRenderingContext2D.fillText",
+                          "CanvasRenderingContext2D.fillStyle"}
+
+    def test_keyed_by_object_not_by_equal_content(self, builder):
+        # the signal custom RTCPeerConnection.createOffer(true) is planted as (True,)
+        owned = next(entry.record for entry in builder.compiled.values()
+                     if any(a is True for a in entry.record.args))
+        equal = api_call(owned.api_name, (1.0,))
+        assert equal == owned and hash(equal) == hash(owned) and equal is not owned
+        owned_line = trace_to_json_line(ScriptTrace("s#00", "d.example", (owned,)),
+                                        builder.compiled)
+        equal_trace = ScriptTrace("s#00", "d.example", (equal,))
+        equal_line = trace_to_json_line(equal_trace, builder.compiled)
+        assert "[true]" in owned_line and "[1.0]" in equal_line
+        self._assert_same_with_and_without(equal_trace, builder.compiled)

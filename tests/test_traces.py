@@ -205,6 +205,29 @@ _traces = st.builds(
 )
 
 
+def _reference_line(trace: ScriptTrace) -> str:
+    """The whole trace as one json.dumps, the format's definition."""
+    def scalar(v):
+        return {"len": v.length, "hash": v.digest} if isinstance(v, LongString) else v
+    return json.dumps({"script_id": trace.script_id, "source_domain": trace.source_domain,
+                       "calls": [[c.api_name, [scalar(a) for a in c.args],
+                                  scalar(c.return_value), c.dropped_args]
+                                 for c in trace.calls]},
+                      sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=_traces)
+def test_line_is_one_json_dumps_property(trace):
+    assert trace_to_json_line(trace) == _reference_line(trace)
+
+
+def test_line_writes_non_finite_floats_as_json_dumps_does():
+    trace = ScriptTrace("https://\u00e9.example/s.js#00", "\u00e9.example",
+                        (api_call("A.b", (float("nan"), float("-inf"), "\u2603"), float("inf")),))
+    assert trace_to_json_line(trace) == _reference_line(trace)
+
+
 @settings(max_examples=200, deadline=None)
 @given(trace=_traces)
 def test_serialization_round_trip_property(trace, tmp_path_factory):
