@@ -10,17 +10,20 @@ never reads as a number; a field whose metadata sets ALLOW_INF also takes
 "inf" or "infinity". to_dict writes the same JSON shape back: lists for
 tuples, a nested object for a nested config and "inf" for infinity.
 
-Construction checks every config, however it was built (from_dict,
-directly, or dataclasses.replace): a float value must be finite, except
-that a field whose metadata sets ALLOW_INF may be infinite, and then the
-subclass's _check runs its range checks. Both raise a ConfigError naming
-the field, so every config that can be built can be read back from its
-to_dict.
+Construction reads every field by these same rules, however the config
+was built (from_dict, directly, or dataclasses.replace), and stores what
+it read: ExperimentConfig(rounds=4.0) holds the int 4, and
+ExperimentConfig(rounds="5") is refused. A float value must then be
+finite, except that a field whose metadata sets ALLOW_INF may be
+infinite, and the subclass's _check runs its range checks. All of these
+raise a ConfigError naming the field, so every config that can be built
+can be read back from its to_dict.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import types
 import typing
@@ -37,8 +40,12 @@ class JsonConfig:
     __slots__ = ()
 
     def __post_init__(self):
+        hints = _type_hints(type(self))
         for f in dataclasses.fields(self):
-            _refuse_non_finite(getattr(self, f.name), f.name, f.metadata.get(ALLOW_INF, False))
+            allow_inf = f.metadata.get(ALLOW_INF, False)
+            value = _read(hints[f.name], getattr(self, f.name), f.name, allow_inf)
+            _refuse_non_finite(value, f.name, allow_inf)
+            object.__setattr__(self, f.name, value)
         self._check()
 
     def _check(self) -> None:
@@ -71,23 +78,24 @@ def _encode(value):
     return value
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
 def _read_config(cls, obj, path: str):
+    """Build cls from a JSON object; construction reads each value (_read)."""
     if not isinstance(obj, Mapping):
         raise ConfigError(path or cls.__name__, "must be an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for name, value in obj.items():
-        where = f"{path}.{name}" if path else name
+    for name in obj:
         if name not in fields:
-            raise ConfigError(where, "unknown field")
-        kwargs[name] = _read(hints[name], value, where,
-                             fields[name].metadata.get(ALLOW_INF, False))
+            raise ConfigError(f"{path}.{name}" if path else name, "unknown field")
     for name, f in fields.items():
-        if name not in kwargs and f.default is f.default_factory is dataclasses.MISSING:
+        if name not in obj and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{path}.{name}" if path else name, "required field missing")
     try:
-        return cls(**kwargs)
+        return cls(**obj)
     except ConfigError as exc:
         if not path:
             raise
@@ -106,7 +114,7 @@ def _read(tp, value, where: str, allow_inf: bool = False):
             raise ConfigError(where, f"expected a list: {value!r}")
         return tuple(_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if isinstance(tp, type) and issubclass(tp, JsonConfig):
-        return _read_config(tp, value, where)
+        return value if isinstance(value, tp) else _read_config(tp, value, where)
     if tp is bool or tp is str:
         if not isinstance(value, tp):
             raise ConfigError(where, f"expected a {tp.__name__}: {value!r}")

@@ -25,10 +25,12 @@ Artifacts, all inside one run directory:
     placements.json         domain -> script ids in load order
     ranking.txt             rank<TAB>domain popularity ranking
     split.json              train/test domain lists
-    generate_manifest.json  corpus counts, the config snapshot and the
-                            sha256 of features.npz, placements.json and
-                            split.json
-    partition.json          per-participant domain draws + knowledge map
+    generate_manifest.json  corpus counts, the config snapshot, the
+                            catalog's hash and the sha256 of features.npz,
+                            placements.json and split.json
+    partition.json          per-participant domain draws, each with its
+                            script count before the knowledge limit, and
+                            the knowledge limits
     normstats.json          private normalization statistics (if enabled)
     checkpoint.json         final model weights plus provenance hashes,
                             including the sha256 of partition.json,
@@ -43,8 +45,9 @@ stored config, so metrics always describe the model they score.
 
 Every artifact is replaced atomically (artifacts.atomic_write), and the
 hashes recorded in generate_manifest.json and checkpoint.json make a
-later stage refuse a features.npz, placements.json, split.json,
-partition.json, normstats.json or ledger.json that another run wrote.
+later stage refuse a catalog.json, features.npz, placements.json,
+split.json, partition.json, normstats.json or ledger.json that another
+run wrote.
 """
 
 from __future__ import annotations
@@ -72,9 +75,9 @@ from .heuristics import label
 from .metrics import average_precision
 from .model import LogisticModel, OptimizerConfig
 from .partition import (DEFAULT_URLS_PER_PARTICIPANT, DEFAULT_ZIPF_EXPONENT, DomainRanking,
-                        LimitedKnowledgeSpec, ParticipantDataset, ScriptCorpus, apply_spec,
-                        assign_scripts, build_partition, draw_domains, load_ranking,
-                        make_limited_knowledge, save_ranking)
+                        LimitedKnowledgeSpec, ParticipantDataset, ScriptCorpus,
+                        build_partition, draw_domains, load_ranking, make_limited_knowledge,
+                        save_ranking)
 from .privacy import PlannedQuery, PrivacyLedger, calibrate_noise, epsilon_and_order
 from .seeding import NORM_QUERY, derive_rng
 from .synth import GeneratorConfig, SplitSpec, generate_corpus, generate_stream
@@ -376,24 +379,26 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     return PreparedData(corpus, ranking, split, manifest)
 
 
-def _knowledge_spec(train_ranking: DomainRanking,
-                    config: ExperimentConfig) -> LimitedKnowledgeSpec:
-    """The run's knowledge limits, once its url count fits the training domains."""
+def _partition_plan(train_ranking: DomainRanking, config: ExperimentConfig
+                    ) -> tuple[list[list[str]], LimitedKnowledgeSpec]:
+    """The run's domain draws and knowledge limits.
+
+    ConfigError unless urls_per_participant fits the training domains.
+    """
     if config.urls_per_participant > len(train_ranking):
         raise ConfigError("urls_per_participant",
                           f"only {len(train_ranking)} training domains available")
-    return make_limited_knowledge(range(config.n_participants),
+    spec = make_limited_knowledge(range(config.n_participants),
                                   config.limited_knowledge_fraction, config.seed)
+    draws = draw_domains(train_ranking, config.n_participants, config.urls_per_participant,
+                         config.zipf_exponent, config.seed)
+    return draws, spec
 
 
 def build_participants(prepared: PreparedData,
                        config: ExperimentConfig) -> list[ParticipantDataset]:
-    """Partition the training domains and apply the knowledge limits."""
-    spec = _knowledge_spec(prepared.train_ranking, config)
-    participants = build_partition(prepared.corpus, prepared.train_ranking,
-                                   config.n_participants, config.urls_per_participant,
-                                   config.zipf_exponent, config.seed)
-    return apply_spec(participants, spec)
+    """Partition the training domains under the knowledge limits."""
+    return build_partition(prepared.corpus, *_partition_plan(prepared.train_ranking, config))
 
 
 def resolve_mask(catalog, name: str) -> np.ndarray:
@@ -605,10 +610,7 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
     _check_corpus_config(config, generated, run_dir)
     ranking = load_ranking(run_dir / RANKING_FILE)
     placements, split = _generated_domains(run_dir, generated)
-    train_ranking = training_ranking(ranking, split)
-    spec = _knowledge_spec(train_ranking, config)
-    draws = draw_domains(train_ranking, config.n_participants, config.urls_per_participant,
-                         config.zipf_exponent, config.seed)
+    draws, spec = _partition_plan(training_ranking(ranking, split), config)
     participants = [{"participant_id": pid, "urls": domains,
                      "n_scripts": len(set().union(*(placements[d] for d in domains)))}
                     for pid, domains in enumerate(draws)]
@@ -617,8 +619,7 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
         "n_participants": config.n_participants,
         "urls_per_participant": config.urls_per_participant,
         "zipf_exponent": config.zipf_exponent,
-        "limited_knowledge": {"fraction": spec.fraction,
-                              "assignments": [[pid, t] for pid, t in spec.assignments]},
+        "limited_knowledge": spec.to_dict(),
         "participants": participants,
         "config": config.to_dict(),
     }
@@ -630,8 +631,9 @@ def load_corpus(run_dir) -> PreparedData:
     """Read the generate stage's artifacts back as the PreparedData prepare_data gives.
 
     Refuses (StageDependencyError) a run directory missing any of
-    CORPUS_FILES, and a features.npz, placements.json or split.json
-    whose sha256 differs from the one generate_manifest.json records.
+    CORPUS_FILES, a features.npz, placements.json or split.json whose
+    sha256 differs from the one generate_manifest.json records, and a
+    catalog.json whose catalog_hash differs from the recorded one.
     The manifest is the stored one, with the run's config snapshot.
     """
     run_dir = Path(run_dir)
@@ -639,8 +641,12 @@ def load_corpus(run_dir) -> PreparedData:
     manifest = _read_json(run_dir / GENERATE_MANIFEST_FILE)
     data = _recorded_bytes(run_dir, FEATURES_FILE, manifest.get("features_sha256"), "generate")
     placements, split = _generated_domains(run_dir, manifest)
-    corpus = ScriptCorpus.from_arrays(read_npz(data), load_catalog(run_dir / CATALOG_FILE),
-                                      placements)
+    catalog = load_catalog(run_dir / CATALOG_FILE)
+    if catalog_hash(catalog) != manifest.get("catalog_hash"):
+        raise StageDependencyError(
+            f"{CATALOG_FILE} in {run_dir} is not the one this run recorded; "
+            f"re-run the generate stage")
+    corpus = ScriptCorpus.from_arrays(read_npz(data), catalog, placements)
     return PreparedData(corpus, load_ranking(run_dir / RANKING_FILE), split, manifest)
 
 
@@ -661,14 +667,9 @@ def corpus_from_traces(run_dir) -> ScriptCorpus:
 
 def participants_from_manifest(manifest: dict,
                                corpus: ScriptCorpus) -> list[ParticipantDataset]:
-    """Rebuild row views from the stored domain draws and knowledge map."""
-    parts = [assign_scripts(entry["urls"], corpus,
-                            participant_id=int(entry["participant_id"]))
-             for entry in manifest["participants"]]
-    lk = manifest.get("limited_knowledge") or {"fraction": 0.0, "assignments": []}
-    spec = LimitedKnowledgeSpec(float(lk["fraction"]),
-                                tuple((int(pid), str(t)) for pid, t in lk["assignments"]))
-    return apply_spec(parts, spec)
+    """Rebuild the views from the stored domain draws and knowledge limits."""
+    return build_partition(corpus, [entry["urls"] for entry in manifest["participants"]],
+                           LimitedKnowledgeSpec.from_dict(manifest["limited_knowledge"]))
 
 
 def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:

@@ -323,22 +323,6 @@ class ParticipantDataset:
         return tuple(self.corpus_script_ids[i] for i in self.rows)
 
 
-def _dedup_keep_first(rows: np.ndarray) -> np.ndarray:
-    if rows.size == 0:
-        return rows
-    _, first = np.unique(rows, return_index=True)
-    return rows[np.sort(first)]
-
-
-def assign_scripts(domains: Sequence[str], corpus: ScriptCorpus,
-                   participant_id: int = 0) -> ParticipantDataset:
-    """Union of the domains' script lists, deduplicated by script id."""
-    chunks = [corpus.rows_for_domain(d) for d in domains]
-    rows = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
-    return ParticipantDataset(participant_id, tuple(domains), _dedup_keep_first(rows),
-                              corpus.X, corpus.labels, corpus.fp_bitmasks, corpus.script_ids)
-
-
 def draw_domains(ranking: DomainRanking, n_participants: int,
                  urls_per_participant: int = DEFAULT_URLS_PER_PARTICIPANT,
                  zipf_exponent: float = DEFAULT_ZIPF_EXPONENT,
@@ -355,24 +339,12 @@ def draw_domains(ranking: DomainRanking, n_participants: int,
             for pid in range(n_participants)]
 
 
-def build_partition(corpus: ScriptCorpus, ranking: DomainRanking, n_participants: int,
-                    urls_per_participant: int = DEFAULT_URLS_PER_PARTICIPANT,
-                    zipf_exponent: float = DEFAULT_ZIPF_EXPONENT,
-                    master_seed: int = 0) -> list[ParticipantDataset]:
-    """Draw every participant's domains (draw_domains) and assign their scripts."""
-    missing = [d for d in ranking if d not in corpus.domain_rows]
-    if missing:
-        raise InvalidInput(f"ranking has {len(missing)} domains absent from the corpus, "
-                           f"first: {missing[0]!r}")
-    draws = draw_domains(ranking, n_participants, urls_per_participant, zipf_exponent,
-                         master_seed)
-    return [assign_scripts(domains, corpus, participant_id=pid)
-            for pid, domains in enumerate(draws)]
-
-
 @dataclass(frozen=True, slots=True)
 class LimitedKnowledgeSpec:
-    """Which participants see only one fingerprinting type, and which type."""
+    """Which participants see only one fingerprinting type, and which type.
+
+    to_dict/from_dict are partition.json's "limited_knowledge" object.
+    """
 
     fraction: float
     assignments: tuple[tuple[int, str], ...]  # (participant_id, allowed type)
@@ -385,8 +357,17 @@ class LimitedKnowledgeSpec:
                 raise InvalidInput(f"unknown fingerprinting type {allowed!r} "
                                    f"for participant {pid}")
 
-    def as_dict(self) -> dict[int, str]:
-        return dict(self.assignments)
+    def to_dict(self) -> dict:
+        return {"fraction": self.fraction,
+                "assignments": [[pid, allowed] for pid, allowed in self.assignments]}
+
+    @classmethod
+    def from_dict(cls, obj: Mapping) -> "LimitedKnowledgeSpec":
+        try:
+            return cls(float(obj["fraction"]),
+                       tuple((int(pid), str(allowed)) for pid, allowed in obj["assignments"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"bad limited_knowledge: {exc}") from None
 
 
 def make_limited_knowledge(participant_ids: Sequence[int], fraction: float,
@@ -404,24 +385,29 @@ def make_limited_knowledge(participant_ids: Sequence[int], fraction: float,
     return LimitedKnowledgeSpec(fraction, assignments)
 
 
-def apply_limited_knowledge(dataset: ParticipantDataset, allowed_type: str) -> ParticipantDataset:
-    """Drop fingerprinting scripts not of allowed_type; keep benign scripts."""
-    if allowed_type not in FP_TYPES:
-        raise InvalidInput(f"unknown fingerprinting type: {allowed_type!r}")
-    bit = types_to_bitmask((allowed_type,))
-    masks = dataset.fp_bitmasks
-    keep = (masks == 0) | ((masks & bit) != 0)
-    return dataclasses.replace(dataset, rows=dataset.rows[keep])
+def build_partition(corpus: ScriptCorpus, draws: Sequence[Sequence[str]],
+                    spec: LimitedKnowledgeSpec) -> list[ParticipantDataset]:
+    """One view per draw: participant k holds the scripts of the domains draws[k].
 
-
-def apply_spec(participants: Sequence[ParticipantDataset],
-               spec: LimitedKnowledgeSpec) -> list[ParticipantDataset]:
-    by_id = spec.as_dict()
-    out = []
-    for p in participants:
-        allowed = by_id.get(p.participant_id)
-        out.append(p if allowed is None else apply_limited_knowledge(p, allowed))
-    return out
+    A view's rows are its domains' rows concatenated and deduplicated in
+    first-seen order. A participant the spec limits keeps its benign
+    scripts and those of its allowed type. An unknown domain raises
+    InvalidInput.
+    """
+    allowed = dict(spec.assignments)
+    views = []
+    for pid, domains in enumerate(draws):
+        chunks = [corpus.rows_for_domain(d) for d in domains]
+        rows = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
+        if rows.size:
+            _, first = np.unique(rows, return_index=True)
+            rows = rows[np.sort(first)]
+        if pid in allowed:
+            masks = corpus.fp_bitmasks[rows]
+            rows = rows[(masks == 0) | ((masks & types_to_bitmask((allowed[pid],))) != 0)]
+        views.append(ParticipantDataset(pid, tuple(domains), rows, corpus.X, corpus.labels,
+                                        corpus.fp_bitmasks, corpus.script_ids))
+    return views
 
 
 def _combination_counts(dataset: ParticipantDataset) -> np.ndarray:

@@ -256,12 +256,6 @@ def _x_sort_key(x) -> tuple:
     return (0, float(x))
 
 
-def _cellify(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
-
-
 def _series_rows(runs: Sequence[SweepRun]) -> list[tuple]:
     groups: dict[tuple, list[float]] = {}
     for r in runs:
@@ -271,7 +265,7 @@ def _series_rows(runs: Sequence[SweepRun]) -> list[tuple]:
                                       key=lambda kv: (kv[0][0], _x_sort_key(kv[0][1]))):
         arr = np.asarray(values)
         std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        rows.append((_cellify(x), float(arr.mean()), series, std, int(arr.size)))
+        rows.append((x, float(arr.mean()), series, std, int(arr.size)))
     return rows
 
 
@@ -283,7 +277,7 @@ def write_sweep_outputs(recipe: str, base: ExperimentConfig, runs: Sequence[Swee
     extras = sorted({key for r in runs for key in r.extra})
     runs_path = out_dir / f"{recipe}_runs.csv"
     write_csv(runs_path, RUNS_HEADER + tuple(extras),
-              [(r.series, _cellify(r.x), r.config.feature_set, r.config.n_participants,
+              [(r.series, r.x, r.config.feature_set, r.config.n_participants,
                 r.config.epsilon, r.config.seed, r.train_auprc, r.auprc,
                 *(r.extra.get(key) for key in extras))
                for r in runs],

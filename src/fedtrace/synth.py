@@ -490,19 +490,6 @@ def _build_script(builder: _CallBuilder, rng, kind, script_id: str,
 
 # ------------------------------------------------------------------ entry points
 
-def _stream(config: GeneratorConfig, catalog: FeatureCatalog):
-    rng = derive_rng(config.seed, GENERATOR)
-    plan = _make_plan(config, rng)
-    builder = _CallBuilder(catalog, config.benign_pool_size)
-
-    def scripts() -> Iterator[LabeledScript]:
-        for i in range(config.n_scripts):
-            domain = plan.domains[plan.domain_of_script[i]]
-            yield _build_script(builder, rng, plan.kinds[i], plan.script_ids[i], domain)
-
-    return plan, scripts(), builder.compiled
-
-
 def _placements(plan: _Plan, config: GeneratorConfig) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {d: [] for d in plan.domains}
     for i in range(config.n_scripts):
@@ -527,14 +514,6 @@ def _manifest(plan: _Plan, config: GeneratorConfig, catalog: FeatureCatalog) -> 
     }
 
 
-def generate(config: GeneratorConfig, catalog: FeatureCatalog) -> GeneratedCorpus:
-    """Materialize the full corpus with traces (domain map plus split)."""
-    plan, scripts, _ = _stream(config, catalog)
-    return GeneratedCorpus(list(scripts), _placements(plan, config),
-                           DomainRanking(tuple(plan.domains)), plan.split,
-                           _manifest(plan, config, catalog))
-
-
 def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
                     ) -> tuple[Iterator[tuple[LabeledScript, np.ndarray, np.ndarray]],
                                dict[str, list[str]], DomainRanking, SplitSpec, dict,
@@ -544,30 +523,40 @@ def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
     The iterator yields (script, columns, values): the script's int32
     column indices in ascending order and their float32 values, filled
     through one reused row buffer, so no caller needs a dense matrix.
-    Same stream order as generate(). The placement map, ranking, split
-    and manifest are final before the iterator is consumed, so a caller
-    can write scripts to disk one at a time. The last item is the
-    builder's call table, for trace_to_json_line; drop it with the
-    iterator.
+    The placement map, ranking, split and manifest are final before the
+    iterator is consumed, so a caller can write scripts to disk one at a
+    time. The last item is the builder's call table, for
+    trace_to_json_line; drop it with the iterator.
     """
-    plan, scripts, compiled = _stream(config, catalog)
+    rng = derive_rng(config.seed, GENERATOR)
+    plan = _make_plan(config, rng)
+    builder = _CallBuilder(catalog, config.benign_pool_size)
 
     def rows():
         row = np.zeros(catalog.slot_count, dtype=np.float32)
-        for script in scripts:
-            fill_feature_row(script.trace, catalog, row, compiled)
+        for i in range(config.n_scripts):
+            domain = plan.domains[plan.domain_of_script[i]]
+            script = _build_script(builder, rng, plan.kinds[i], plan.script_ids[i], domain)
+            fill_feature_row(script.trace, catalog, row, builder.compiled)
             yield (script, *take_nonzeros(row))
 
     return (rows(), _placements(plan, config), DomainRanking(tuple(plan.domains)),
-            plan.split, _manifest(plan, config, catalog), compiled)
+            plan.split, _manifest(plan, config, catalog), builder.compiled)
+
+
+def generate(config: GeneratorConfig, catalog: FeatureCatalog) -> GeneratedCorpus:
+    """generate_stream's scripts with their traces, plus its plan-level metadata.
+
+    Its one caller is bench/tests/test_checks.py; the package and tests/
+    read generate_stream directly.
+    """
+    stream, placements, ranking, split, manifest, _ = generate_stream(config, catalog)
+    return GeneratedCorpus([item[0] for item in stream], placements, ranking, split,
+                           manifest)
 
 
 def generate_corpus(config: GeneratorConfig, catalog: FeatureCatalog
                     ) -> tuple[ScriptCorpus, DomainRanking, SplitSpec, dict]:
-    """Collect generate_stream's rows into the sparse corpus, dropping each trace.
-
-    The corpus equals the one built from generate()'s scripts for the
-    same config.
-    """
+    """Collect generate_stream's rows into the sparse corpus, dropping each trace."""
     stream, placements, ranking, split, manifest, _ = generate_stream(config, catalog)
     return ScriptCorpus.collect(stream, catalog, placements), ranking, split, manifest

@@ -20,13 +20,14 @@ from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, L
                                  SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget,
                                  build_participants, calibrate_budget,
                                  config_snapshot_line, corpus_from_traces, load_corpus,
-                                 participants_from_manifest, preset_config, read_config_file,
+                                 participants_from_manifest, prepare_data, preset_config,
+                                 read_config_file,
                                  resolve_mask, run_pipeline, smoke_preset,
                                  stage_account, stage_evaluate, stage_generate,
                                  stage_partition, stage_train, training_ranking, write_csv)
 from fedtrace.features import default_catalog
 from fedtrace.fednorm import participant_moments
-from fedtrace.partition import DomainRanking
+from fedtrace.partition import DomainRanking, LimitedKnowledgeSpec, build_partition
 from fedtrace.privacy import PlannedQuery, PrivacyLedger, plan_epsilon
 from fedtrace.synth import DEFAULT_TYPE_MIX, GeneratorConfig, SplitSpec, generate_corpus
 from tables import read_metrics
@@ -138,6 +139,33 @@ class TestConfig:
             with pytest.raises(ConfigError) as err:
                 build()
             assert err.value.field == field
+
+    @pytest.mark.parametrize("field,value", [
+        ("feature_set", 5),
+        ("normalize", "no"),
+        ("n_participants", 2.5),
+        ("clip_var", 10 ** 400),
+        ("rounds", "5"),
+    ], ids=["int-as-str", "str-as-bool", "fraction-as-int", "int-beyond-float",
+            "str-as-int"])
+    def test_wrongly_typed_value_rejected_at_construction(self, field, value):
+        for build in (lambda: ExperimentConfig(**{field: value}),
+                      lambda: dataclasses.replace(ExperimentConfig(), **{field: value})):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.field == field
+
+    def test_construction_stores_what_from_dict_reads(self):
+        cfg = ExperimentConfig(rounds=4.0, epsilon=5, q=1,
+                               generator=GeneratorConfig(n_scripts=5e3))
+        assert (type(cfg.rounds), type(cfg.epsilon), type(cfg.q)) == (int, float, float)
+        assert type(cfg.generator.n_scripts) is int
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        listed = GeneratorConfig(n_scripts=10, fp_type_mix=list(DEFAULT_TYPE_MIX))
+        assert listed.fp_type_mix == DEFAULT_TYPE_MIX
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(generator={"n_scripts": 10, "nope": 1})
+        assert err.value.field == "generator.nope"
 
     def test_non_finite_generator_float_rejected_at_construction(self):
         with pytest.raises(ConfigError) as err:
@@ -492,6 +520,20 @@ class TestStageGuards:
         with pytest.raises(StageDependencyError, match=name):
             load_corpus(tmp_path)
 
+    def test_load_corpus_refuses_an_edited_catalog(self, tmp_path):
+        cfg = tiny_config(feature_set="HighEntropy")
+        stage_generate(cfg, tmp_path)
+        stage_partition(cfg, tmp_path)
+        stage_train(cfg, tmp_path)
+        catalog = json.loads((tmp_path / CATALOG_FILE).read_text())
+        catalog["sets"]["HighEntropy"] = catalog["sets"]["HighEntropy"][:50]
+        catalog["declared_sizes"]["HighEntropy"] = 50  # a catalog load_catalog accepts
+        (tmp_path / CATALOG_FILE).write_text(json.dumps(catalog))
+        for stage in (lambda: stage_train(cfg, tmp_path), lambda: stage_evaluate(tmp_path),
+                      lambda: load_corpus(tmp_path)):
+            with pytest.raises(StageDependencyError, match=CATALOG_FILE):
+                stage()
+
     def test_evaluate_refuses_a_regenerated_corpus(self, tmp_path):
         cfg = tiny_config()
         stage_generate(cfg, tmp_path)
@@ -605,6 +647,27 @@ class TestPinnedPartition:
         assert len(manifest["limited_knowledge"]["assignments"]) == 6
         got = hashlib.sha256((tmp_path / PARTITION_FILE).read_bytes()).hexdigest()
         assert got == self.PINNED[seed]
+
+
+class TestPartitionPaths:
+    def test_staged_and_in_memory_views_match_under_knowledge_limits(self, tmp_path):
+        cfg = ExperimentConfig(generator=GeneratorConfig(n_scripts=3000, fp_prevalence=0.05),
+                               n_participants=12, urls_per_participant=5,
+                               limited_knowledge_fraction=0.5, seed=4)
+        stage_generate(cfg, tmp_path)
+        manifest = stage_partition(cfg, tmp_path)
+        corpus = load_corpus(tmp_path).corpus
+        staged = participants_from_manifest(manifest, corpus)
+        direct = build_participants(prepare_data(cfg), cfg)
+        assert len(staged) == len(direct) == cfg.n_participants
+        for entry, part, same in zip(manifest["participants"], staged, direct):
+            assert (part.participant_id, part.urls) == (same.participant_id, same.urls) \
+                == (entry["participant_id"], tuple(entry["urls"]))
+            assert np.array_equal(part.rows, same.rows)
+            # partition.json counts the scripts before the knowledge limit
+            whole = build_partition(corpus, [entry["urls"]], LimitedKnowledgeSpec(0.0, ()))[0]
+            assert entry["n_scripts"] == whole.n_scripts >= part.n_scripts
+        assert (manifest["participants"][0]["n_scripts"], staged[0].n_scripts) == (76, 72)
 
 
 class TestPersistedFeatures:

@@ -19,8 +19,9 @@ from fedtrace.features import (
     signal_slots,
     validate_mask,
 )
-from fedtrace.synth import GeneratorConfig, generate
+from fedtrace.synth import GeneratorConfig
 from fedtrace.traces import ApiCallRecord, LongString, ScriptTrace, api_call
+from generated import generate_scripts
 
 
 @pytest.fixture(scope="module")
@@ -229,8 +230,8 @@ class TestCompiledFill:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_generated_row_matches_the_oracle(self, catalog, seed):
-        scripts = generate(GeneratorConfig(n_scripts=400, fp_prevalence=0.05, seed=seed),
-                           catalog).scripts
+        scripts = generate_scripts(
+            GeneratorConfig(n_scripts=400, fp_prevalence=0.05, seed=seed), catalog).scripts
         assert any(s.label for s in scripts)
         fired = 0
         for script in scripts:

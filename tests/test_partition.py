@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,11 +25,11 @@ from fedtrace.partition import (
     DomainRanking,
     KL_SMOOTHING,
     N_TYPE_COMBINATIONS,
+    LimitedKnowledgeSpec,
+    ParticipantDataset,
     ScriptCorpus,
-    apply_limited_knowledge,
-    apply_spec,
-    assign_scripts,
     build_partition,
+    draw_domains,
     load_ranking,
     make_limited_knowledge,
     non_iidness_score,
@@ -62,6 +63,7 @@ def two_distribution_symkl(counts_a, counts_b, alpha=KL_SMOOTHING):
 # ---------------------------------------------------------------- fixtures
 
 CATALOG = default_catalog()
+NO_LIMITS = LimitedKnowledgeSpec(0.0, ())
 
 
 def _script(sid: str, domain: str, fp_types=()) -> LabeledScript:
@@ -74,8 +76,13 @@ def _corpus(scripts, placements=None) -> ScriptCorpus:
     return ScriptCorpus.from_scripts(scripts, CATALOG, placements=placements)
 
 
-def _participant(pid, per_combo_counts, corpus_domain="d0") -> ParticipantDataset:
-    """Participant whose FP scripts realize the given combo -> count map."""
+def _participant(pid, per_combo_counts, corpus_domain="d0",
+                 spec=NO_LIMITS) -> ParticipantDataset:
+    """Participant whose FP scripts realize the given combo -> count map.
+
+    The view is participant pid's of a partition where every participant
+    visits corpus_domain, so spec's limit for pid applies to it.
+    """
     scripts = []
     k = 0
     for combo, count in per_combo_counts.items():
@@ -85,7 +92,7 @@ def _participant(pid, per_combo_counts, corpus_domain="d0") -> ParticipantDatase
             k += 1
     scripts.append(_script(f"s{pid}-benign#00", corpus_domain))
     corpus = _corpus(scripts)
-    return assign_scripts([corpus_domain], corpus, participant_id=pid)
+    return build_partition(corpus, [[corpus_domain]] * (pid + 1), spec)[pid]
 
 
 # ---------------------------------------------------------------- ranking
@@ -198,28 +205,33 @@ def test_assign_scripts_dedups_and_keeps_order():
                       label=False, fp_types=frozenset()),
     ]
     corpus = _corpus(scripts)
-    ds = assign_scripts(["a.com", "b.com"], corpus, participant_id=3)
+    other, ds = build_partition(corpus, [["b.com"], ["a.com", "b.com"]], NO_LIMITS)
     assert ds.script_ids == ("a1#00", "shared#00", "b1#00")
-    assert ds.participant_id == 3
+    assert ds.participant_id == 1
     assert ds.urls == ("a.com", "b.com")
     assert ds.labels.tolist() == [False, False, True]
+    assert (other.participant_id, other.script_ids) == (0, ("b1#00", "shared#00"))
 
     with pytest.raises(InvalidInput):
-        assign_scripts(["missing.com"], corpus)
+        build_partition(corpus, [["a.com"], ["missing.com"]], NO_LIMITS)
 
 
 def test_assign_scripts_empty_domains_yield_empty_dataset():
     corpus = _corpus([_script("s#00", "a.com")], placements={"a.com": ["s#00"], "b.com": []})
-    ds = assign_scripts(["b.com"], corpus)
-    assert ds.n_scripts == 0
-    assert ds.features.shape == (0, CATALOG.slot_count)
+    limited = LimitedKnowledgeSpec(1.0, ((0, "canvas"), (1, "audio")))
+    for spec in (NO_LIMITS, limited):
+        empty_domain, no_domains = build_partition(corpus, [["b.com"], []], spec)
+        for ds in (empty_domain, no_domains):
+            assert ds.n_scripts == 0
+            assert ds.features.shape == (0, CATALOG.slot_count)
+    assert build_partition(corpus, [], NO_LIMITS) == []
 
 
 def test_view_over_another_matrix_keeps_rows_and_labels():
     scripts = [_script("a1#00", "a.com"), _script("b1#00", "b.com", ("canvas",)),
                _script("b2#00", "b.com")]
     corpus = _corpus(scripts)
-    ds = assign_scripts(["b.com"], corpus, participant_id=4)
+    ds = build_partition(corpus, [["b.com"]] * 5, NO_LIMITS)[4]
     x = np.arange(corpus.n_scripts * 2, dtype=float).reshape(corpus.n_scripts, 2)
     view = ds.over(x)
     assert np.array_equal(view.features, x[ds.rows])
@@ -261,8 +273,8 @@ def test_partition_datasets_are_subsets_of_corpus():
         **{d: [s.trace.script_id for s in scripts if s.trace.source_domain == d]
            for d in domains},
     })
-    parts = build_partition(corpus, ranking, n_participants=8, urls_per_participant=12,
-                            master_seed=99)
+    draws = draw_domains(ranking, 8, urls_per_participant=12, master_seed=99)
+    parts = build_partition(corpus, draws, NO_LIMITS)
     assert [p.participant_id for p in parts] == list(range(8))
     all_ids = set(corpus.script_ids)
     for p in parts:
@@ -270,38 +282,48 @@ def test_partition_datasets_are_subsets_of_corpus():
         assert set(p.script_ids) <= all_ids
         assert len(set(p.script_ids)) == p.n_scripts
 
-    again = build_partition(corpus, ranking, n_participants=8, urls_per_participant=12,
-                            master_seed=99)
-    for a, b in zip(parts, again):
-        assert a.urls == b.urls and np.array_equal(a.rows, b.rows)
+    spec = make_limited_knowledge(range(8), 0.5, master_seed=99)
+    limited = build_partition(corpus, draw_domains(ranking, 8, 12, master_seed=99), spec)
+    again = build_partition(corpus, draw_domains(ranking, 8, 12, master_seed=99), spec)
+    allowed = dict(spec.assignments)
+    for full, a, b in zip(parts, limited, again):
+        assert a.urls == b.urls == full.urls and np.array_equal(a.rows, b.rows)
+        if full.participant_id in allowed:
+            assert set(a.rows.tolist()) <= set(full.rows.tolist())
+        else:
+            assert np.array_equal(a.rows, full.rows)
 
     with pytest.raises(InvalidInput):
-        build_partition(corpus, DomainRanking(("nowhere.com",)), 2, 1)
+        build_partition(corpus, [["nowhere.com"]], NO_LIMITS)
 
 
 # ---------------------------------------------------------------- limited knowledge
 
 def test_apply_limited_knowledge_filters_and_is_idempotent():
-    ds = _participant(1, {0b0001: 3, 0b0100: 2, 0b0101: 1})
-    out = apply_limited_knowledge(ds, "canvas")
+    combos = {0b0001: 3, 0b0100: 2, 0b0101: 1}
+    ds = _participant(1, combos)
+    out = _participant(1, combos, spec=LimitedKnowledgeSpec(1.0, ((1, "canvas"),)))
     masks = out.fp_bitmasks
+    # every kept row passes the rule, so limiting the view again would keep it whole
     assert ((masks == 0) | (masks & 0b0001 != 0)).all()
-    # benign script plus 3 pure canvas plus 1 canvas+webrtc
+    # benign script plus 3 pure canvas plus 1 canvas+webrtc, in the unlimited order
     assert out.n_scripts == 5
-    twice = apply_limited_knowledge(out, "canvas")
-    assert np.array_equal(out.rows, twice.rows)
+    keep = (ds.fp_bitmasks == 0) | (ds.fp_bitmasks & 0b0001 != 0)
+    assert np.array_equal(out.rows, ds.rows[keep])
+    # a limit on another participant leaves this one whole
+    other = _participant(1, combos, spec=LimitedKnowledgeSpec(1.0, ((0, "canvas"),)))
+    assert np.array_equal(other.rows, ds.rows)
 
     with pytest.raises(InvalidInput):
-        apply_limited_knowledge(ds, "fonts")
+        LimitedKnowledgeSpec(1.0, ((1, "fonts"),))
 
 
 def test_apply_limited_knowledge_trivial_cases():
-    only_webrtc = _participant(2, {0b0100: 4})
-    cleared = apply_limited_knowledge(only_webrtc, "canvas")
-    assert (cleared.fp_bitmasks == 0).all() and cleared.n_scripts == 1
+    only_webrtc = _participant(2, {0b0100: 4}, spec=LimitedKnowledgeSpec(1.0, ((2, "canvas"),)))
+    assert (only_webrtc.fp_bitmasks == 0).all() and only_webrtc.n_scripts == 1
 
     benign = _participant(3, {})
-    same = apply_limited_knowledge(benign, "audio")
+    same = _participant(3, {}, spec=LimitedKnowledgeSpec(1.0, ((3, "audio"),)))
     assert np.array_equal(same.rows, benign.rows)
 
 
@@ -313,12 +335,23 @@ def test_make_limited_knowledge_spec():
     assert spec == again
     assert make_limited_knowledge(range(100), 0.0, master_seed=4).assignments == ()
 
-    ds = _participant(7, {0b0010: 2})
-    out = apply_spec([ds], make_limited_knowledge([7], 1.0, master_seed=1))
-    assert len(out) == 1
+    everyone = make_limited_knowledge([7], 1.0, master_seed=1)
+    assert [pid for pid, _ in everyone.assignments] == [7]
 
     with pytest.raises(InvalidInput):
         make_limited_knowledge(range(4), 1.5)
+
+
+def test_limited_knowledge_spec_json_round_trips():
+    spec = make_limited_knowledge(range(10), 0.3, master_seed=2)
+    encoded = json.loads(json.dumps(spec.to_dict()))
+    assert encoded == {"fraction": 0.3,
+                       "assignments": [[pid, t] for pid, t in spec.assignments]}
+    assert LimitedKnowledgeSpec.from_dict(encoded) == spec
+    for bad in ({"assignments": []}, {"fraction": 0.1}, {"fraction": 0.1, "assignments": 3},
+                {"fraction": 0.1, "assignments": [[0, "fonts"]]}):
+        with pytest.raises(InvalidInput):
+            LimitedKnowledgeSpec.from_dict(bad)
 
 
 # ---------------------------------------------------------------- non-iidness

@@ -16,25 +16,25 @@ from fedtrace.synth import (
     GeneratorConfig,
     SplitSpec,
     _CallBuilder,
-    _stream,
     call_matching,
-    generate,
     generate_corpus,
+    generate_stream,
 )
 from fedtrace.traces import ScriptTrace, api_call, trace_to_json_line, types_to_bitmask
+from generated import generate_scripts
 
 CATALOG = default_catalog()
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return generate(GeneratorConfig(n_scripts=4000, seed=3), CATALOG)
+    return generate_scripts(GeneratorConfig(n_scripts=4000, seed=3), CATALOG)
 
 
 class TestLabelAgreement:
     def test_exact_agreement_across_seeds(self):
         for seed in (0, 1, 2):
-            out = generate(GeneratorConfig(n_scripts=1200, seed=seed), CATALOG)
+            out = generate_scripts(GeneratorConfig(n_scripts=1200, seed=seed), CATALOG)
             for script in out.scripts:
                 got = heuristics.label(script.trace)
                 assert got.types() == script.fp_types
@@ -44,7 +44,7 @@ class TestLabelAgreement:
         # all mass on the four-technique combination
         mix = tuple(0.0 if i < 14 else 1.0 for i in range(15))
         cfg = GeneratorConfig(n_scripts=300, fp_prevalence=0.3, fp_type_mix=mix, seed=5)
-        out = generate(cfg, CATALOG)
+        out = generate_scripts(cfg, CATALOG)
         fp = [s for s in out.scripts if s.label]
         assert len(fp) > 50
         for script in fp:
@@ -53,7 +53,7 @@ class TestLabelAgreement:
     def test_single_technique_mix(self):
         mix = tuple(1.0 if i == 3 else 0.0 for i in range(15))  # webrtc only
         cfg = GeneratorConfig(n_scripts=300, fp_prevalence=0.3, fp_type_mix=mix, seed=6)
-        out = generate(cfg, CATALOG)
+        out = generate_scripts(cfg, CATALOG)
         fp = [s for s in out.scripts if s.label]
         assert len(fp) > 50
         assert all(s.fp_types == {"webrtc"} for s in fp)
@@ -62,7 +62,7 @@ class TestLabelAgreement:
 class TestPrevalence:
     def test_fingerprinting_count_within_binomial_3_sigma(self):
         n, p = 20_000, 0.0041
-        out = generate(GeneratorConfig(n_scripts=n, seed=9), CATALOG)
+        out = generate_scripts(GeneratorConfig(n_scripts=n, seed=9), CATALOG)
         count = sum(s.label for s in out.scripts)
         sigma = (n * p * (1 - p)) ** 0.5
         assert abs(count - n * p) <= 3 * sigma
@@ -142,16 +142,16 @@ class TestSplit:
 class TestDeterminismAndConfig:
     def test_identical_config_identical_corpus(self):
         cfg = GeneratorConfig(n_scripts=800, seed=21)
-        a = generate(cfg, CATALOG)
-        b = generate(cfg, CATALOG)
+        a = generate_scripts(cfg, CATALOG)
+        b = generate_scripts(cfg, CATALOG)
         assert [s.trace for s in a.scripts] == [s.trace for s in b.scripts]
         assert a.placements == b.placements
         assert a.split == b.split
         assert a.manifest == b.manifest
 
     def test_seed_changes_corpus(self):
-        a = generate(GeneratorConfig(n_scripts=800, seed=21), CATALOG)
-        b = generate(GeneratorConfig(n_scripts=800, seed=22), CATALOG)
+        a = generate_scripts(GeneratorConfig(n_scripts=800, seed=21), CATALOG)
+        b = generate_scripts(GeneratorConfig(n_scripts=800, seed=22), CATALOG)
         assert [s.trace for s in a.scripts] != [s.trace for s in b.scripts]
 
     def test_config_round_trip(self):
@@ -179,7 +179,7 @@ class TestDeterminismAndConfig:
             GeneratorConfig(n_scripts=10, fp_prevalence=1.0)
 
     def test_fixed_domain_count_is_exact(self):
-        out = generate(GeneratorConfig(n_scripts=500, n_domains=7, seed=2), CATALOG)
+        out = generate_scripts(GeneratorConfig(n_scripts=500, n_domains=7, seed=2), CATALOG)
         assert len(out.ranking.domains) == 7
         assert sum(len(v) for v in out.placements.values()) >= 500
 
@@ -187,7 +187,7 @@ class TestDeterminismAndConfig:
 class TestStreamingPath:
     def test_matches_full_generation(self):
         cfg = GeneratorConfig(n_scripts=1000, seed=13)
-        full = generate(cfg, CATALOG)
+        full = generate_scripts(cfg, CATALOG)
         corpus, ranking, split, manifest = generate_corpus(cfg, CATALOG)
         assert manifest == full.manifest
         assert ranking.domains == full.ranking.domains
@@ -281,9 +281,9 @@ class TestCallTable:
 
     def test_generated_scripts_miss_only_drawn_records(self):
         cfg = GeneratorConfig(n_scripts=1500, fp_prevalence=0.1, near_miss_rate=0.3, seed=8)
-        _, scripts, compiled = _stream(cfg, CATALOG)
+        stream, *_, compiled = generate_stream(cfg, CATALOG)
         missed = set()
-        for script in scripts:
+        for script, _, _ in stream:
             trace = script.trace
             missed |= {c.api_name for c in trace.calls if id(c) not in compiled}
             self._assert_same_with_and_without(trace, compiled)
