@@ -546,10 +546,10 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
 
 # --------------------------------------------------------- file stages
 
-def _traces_written(stream, fh, compiled):
+def _traces_written(stream, fh):
     """Pass the stream's items on, writing each script's trace line first."""
     for item in stream:
-        fh.write(trace_to_json_line(item[0].trace, compiled))
+        fh.write(trace_to_json_line(item[0].trace))
         fh.write("\n")
         yield item
 
@@ -566,12 +566,10 @@ def stage_generate(config: ExperimentConfig, run_dir) -> dict:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     catalog = default_catalog()
-    stream, placements, ranking, split, manifest, compiled = generate_stream(
+    stream, placements, ranking, split, manifest = generate_stream(
         config.resolved_generator, catalog)
     with atomic_write(run_dir / TRACES_FILE) as fh:
-        corpus = ScriptCorpus.collect(_traces_written(stream, fh, compiled), catalog,
-                                      placements)
-    del stream, compiled  # the generator's call table is not needed past here
+        corpus = ScriptCorpus.collect(_traces_written(stream, fh), catalog, placements)
     write_npz(run_dir / FEATURES_FILE, corpus.to_arrays())
     save_catalog(catalog, run_dir / CATALOG_FILE)
     _write_json(placements, run_dir / PLACEMENTS_FILE)

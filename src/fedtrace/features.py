@@ -12,9 +12,10 @@ under (api_name, argument position or return, is-bool, value), and a
 strlen spec in a small side table keyed by (api_name, position) that
 maps each length to its slots. A call then costs one lookup for its API
 and one per (position, kind) its specs read. CustomFeatureSpec.matches
-states the same semantics one spec at a time. A caller that shares
-call records can also pass a CallTable (see fedtrace.traces): a call with
-an entry there sets the slots call_slots found for it once.
+states the same semantics one spec at a time. A shared call record
+that carries compiled work (see fedtrace.traces) sets the slots
+call_slots found for it once, but only when it was compiled under the
+same catalog object; under any other catalog it takes the per-call code.
 
 The default catalog (default_catalog()) is synthetic but honors the reference
 cardinalities: 684 counted APIs + 830 custom features (1514 slots), and
@@ -36,7 +37,7 @@ import numpy as np
 from . import heuristics
 from .artifacts import atomic_write
 from .errors import CardinalityError, InvalidInput, InvalidMask, ParseError
-from .traces import MAX_ARGS, ApiCallRecord, CallTable, LongString, ScriptTrace, Scalar
+from .traces import MAX_ARGS, ApiCallRecord, LongString, ScriptTrace, Scalar
 
 REQUIRED_SET_NAMES = ("All", "FPInspector", "JShelter", "HighEntropy", "ExtHighEntropy")
 
@@ -170,8 +171,7 @@ class FeatureCatalog:
             raise InvalidMask(f"unknown named set: {name!r}") from None
 
 
-def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarray,
-                     compiled: CallTable | None = None) -> None:
+def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarray) -> None:
     """Accumulate api-call counts and custom indicators for one trace into row.
 
     Works from the catalog's compiled table: one dict lookup per call
@@ -179,23 +179,10 @@ def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarra
     features need, and each probe is one more lookup of the call's value,
     so the cost is O(calls) however many specs an API carries. The
     result equals testing every spec of the call's API with
-    CustomFeatureSpec.matches. A call with an entry in compiled sets that
-    entry's slots instead; counts are whole numbers, so the order in which
-    calls add to a slot does not change the row.
+    CustomFeatureSpec.matches. A record compiled under this catalog sets
+    its compiled slots instead.
     """
-    calls = trace.calls
-    if compiled is not None:
-        calls = []
-        for call in trace.calls:
-            entry = compiled.get(id(call))
-            if entry is None:
-                calls.append(call)
-                continue
-            if entry.count_slot is not None:
-                row[entry.count_slot] += 1.0
-            for cslot in entry.custom_slots:
-                row[cslot] = 1.0
-    _fill_calls(calls, catalog, row)
+    _fill_calls(trace.calls, catalog, row)
 
 
 def _fill_calls(calls, catalog: FeatureCatalog, row) -> None:
@@ -205,6 +192,13 @@ def _fill_calls(calls, catalog: FeatureCatalog, row) -> None:
         name = call.api_name
         entry = probes.get(name)
         if entry is None:
+            continue
+        c = call.compiled
+        if c is not None and c.catalog is catalog:
+            if c.count_slot is not None:
+                row[c.count_slot] += 1.0
+            for cslot in c.custom_slots:
+                row[cslot] = 1.0
             continue
         slot, at = entry
         if slot is not None:

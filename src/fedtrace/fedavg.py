@@ -122,8 +122,8 @@ def run_round(theta_global: np.ndarray, participants: Sequence, cfg: TrainingRun
 
 def train(participants: Sequence, n_features: int, cfg: TrainingRunConfig,
           ledger: PrivacyLedger | None = None,
-          evaluator: Callable[[np.ndarray], float] | None = None,
-          local_fn: Callable | None = None) -> tuple[LogisticModel, list[RoundRecord]]:
+          evaluator: Callable[[np.ndarray], float] | None = None
+          ) -> tuple[LogisticModel, list[RoundRecord]]:
     """Run R rounds from a zero model; deterministic given cfg.seed.
 
     Round r>=1 draws all randomness from the stream derived from
@@ -135,7 +135,7 @@ def train(participants: Sequence, n_features: int, cfg: TrainingRunConfig,
     records: list[RoundRecord] = []
     for r in range(1, cfg.rounds + 1):
         rng = derive_rng(cfg.seed, ROUND_SAMPLING, r)
-        result = run_round(theta, participants, cfg, rng, ledger=ledger, local_fn=local_fn)
+        result = run_round(theta, participants, cfg, rng, ledger=ledger)
         theta = result.theta
         score = None
         if evaluator is not None and cfg.eval_every:

@@ -7,15 +7,15 @@ member names are only consulted on the interfaces the technique
 actually touches (canvas conditions on canvas interfaces, audio on
 audio-context interfaces, WebRTC on RTCPeerConnection). Condition order
 within a trace is irrelevant, so a trace's scan is the merge of its
-calls' scans: label can take a CallTable (see fedtrace.traces) whose
-entries carry call_facts, each call's scan made once.
+calls' scans: a record that carries compiled work (see fedtrace.traces)
+is read from its call_facts, that call's scan made once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .traces import FP_TYPES, ApiCallRecord, CallTable, ScriptTrace
+from .traces import FP_TYPES, ApiCallRecord, ScriptTrace
 
 CANVAS_INTERFACES = frozenset({"HTMLCanvasElement", "CanvasRenderingContext2D"})
 AUDIO_INTERFACES = frozenset({"AudioContext", "OfflineAudioContext", "BaseAudioContext"})
@@ -65,6 +65,11 @@ class _Scan:
         self.rtc_gather = False
         self.audio = False
         for call in calls:
+            c = call.compiled
+            if c is not None:
+                if c.facts is not None:
+                    self.absorb(c.facts)
+                continue
             # one split per call; same values as call.interface / call.member
             iface, _, member = call.api_name.partition(".")
             member = member or iface
@@ -113,19 +118,9 @@ def call_facts(call: ApiCallRecord) -> _Scan | None:
     return s if s.reads_anything() else None
 
 
-def _scan_compiled(trace: ScriptTrace, compiled: CallTable) -> _Scan:
-    s = _Scan(())
-    for call in trace.calls:
-        entry = compiled.get(id(call))
-        facts = call_facts(call) if entry is None else entry.facts
-        if facts is not None:
-            s.absorb(facts)
-    return s
-
-
-def label(trace: ScriptTrace, compiled: CallTable | None = None) -> LabelSet:
-    """The trace's labels; a call with an entry in compiled is read from its facts."""
-    s = _Scan(trace.calls) if compiled is None else _scan_compiled(trace, compiled)
+def label(trace: ScriptTrace) -> LabelSet:
+    """The trace's labels, one per detector."""
+    s = _Scan(trace.calls)
     return LabelSet(
         canvas=s.text and s.style and s.extract and not s.evasion,
         canvas_font=len(s.fonts) > FONT_THRESHOLD and s.measure > FONT_THRESHOLD,

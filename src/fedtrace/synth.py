@@ -19,14 +19,14 @@ All randomness flows through one stream derived from the config seed,
 so a config fully determines the corpus.
 
 Every call record whose content depends on no draw is built once by
-_CallBuilder and shared by all scripts, and compiled once into the
-builder's CallTable (see fedtrace.traces): its JSON fragment, the feature
-slots it sets and what the detectors read from it, each made by running
-the per-call code on that record alone. Labelling, the feature fill and
-the trace writer look each call up by id(record), not by value, since
-equal records can serialize apart (True == 1.0). Records drawn per script
-(fillText's text, fillStyle's colour) have no entry and take the per-call
-code. The table lives as long as the builder, which dies with the stream.
+_CallBuilder, shared by all scripts, and carries its own compiled work
+(see fedtrace.traces): its JSON fragment, the feature slots it sets under
+the builder's catalog and what the detectors read from it, each made by
+running the per-call code on that record alone. Labelling, the feature
+fill and the trace writer read that work from the record object, never
+from a record of equal content, since equal records can serialize apart
+(True == 1.0). Records drawn per script (fillText's text, fillStyle's
+colour) carry none and take the per-call code.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .partition import DomainRanking, ScriptCorpus
 from .seeding import GENERATOR, derive_rng
 from .traces import (
     FP_TYPES,
-    CallTable,
     CompiledCall,
     LabeledScript,
     ScriptTrace,
@@ -344,10 +343,10 @@ class _CallBuilder:
         self.rtc_close = api_call("RTCPeerConnection.close")
         self.audio_probes = [api_call(name, args) for name, args in _AUDIO_PROBES]
         self.analyser = api_call("AudioContext.createAnalyser")
-        self.compiled = self._compile()
+        self._compile()
 
-    def _compile(self) -> CallTable:
-        """Every record above, compiled once by the per-call code."""
+    def _compile(self) -> None:
+        """Give every record above its work, done once by the per-call code."""
         records = [
             *self.signal_api_records, *(call for _, call in self.signal_flat),
             *self.flavor_records, *self.entropy_records,
@@ -355,10 +354,10 @@ class _CallBuilder:
             self.get_context, self.to_data_url, self.canvas_save, *self.font_calls,
             self.data_channel, self.create_offer, self.on_ice, self.local_description,
             self.rtc_close, *self.audio_probes, self.analyser]
-        return {id(record): CompiledCall(record, call_fragment(record),
-                                         *call_slots(record, self.catalog),
-                                         heuristics.call_facts(record))
-                for record in records}
+        for record in records:
+            object.__setattr__(record, "compiled", CompiledCall(
+                call_fragment(record), self.catalog, *call_slots(record, self.catalog),
+                heuristics.call_facts(record)))
 
     def pool_calls(self, rng, lo=3, hi=14) -> list:
         k = int(rng.integers(lo, hi))
@@ -467,7 +466,7 @@ def _build_script(builder: _CallBuilder, rng, kind, script_id: str,
                  + builder.entropy_calls(rng, True) + builder.signal_calls(rng, types)
                  + builder.flavor_calls(rng, True))
         trace = ScriptTrace(script_id, domain, tuple(calls))
-        got = heuristics.label(trace, builder.compiled)
+        got = heuristics.label(trace)
         if got.types() != types:
             raise RuntimeError(
                 f"generator produced type set {sorted(got.types())} "
@@ -479,11 +478,11 @@ def _build_script(builder: _CallBuilder, rng, kind, script_id: str,
     extras = (builder.entropy_calls(rng, False) + builder.signal_calls(rng)
               + builder.flavor_calls(rng, False))
     trace = ScriptTrace(script_id, domain, tuple(base + extras))
-    if heuristics.label(trace, builder.compiled).is_fingerprinting():
+    if heuristics.label(trace).is_fingerprinting():
         # the random signal draws completed a detector conjunction; keep
         # the script benign by dropping the extras
         trace = ScriptTrace(script_id, domain, tuple(base))
-        if heuristics.label(trace, builder.compiled).is_fingerprinting():
+        if heuristics.label(trace).is_fingerprinting():
             raise RuntimeError(f"benign base calls trip a detector for {script_id}")
     return LabeledScript(trace, False, frozenset())
 
@@ -516,8 +515,7 @@ def _manifest(plan: _Plan, config: GeneratorConfig, catalog: FeatureCatalog) -> 
 
 def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
                     ) -> tuple[Iterator[tuple[LabeledScript, np.ndarray, np.ndarray]],
-                               dict[str, list[str]], DomainRanking, SplitSpec, dict,
-                               CallTable]:
+                               dict[str, list[str]], DomainRanking, SplitSpec, dict]:
     """Each script with its feature row's nonzeros, plus plan-level metadata.
 
     The iterator yields (script, columns, values): the script's int32
@@ -525,8 +523,7 @@ def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
     through one reused row buffer, so no caller needs a dense matrix.
     The placement map, ranking, split and manifest are final before the
     iterator is consumed, so a caller can write scripts to disk one at a
-    time. The last item is the builder's call table, for
-    trace_to_json_line; drop it with the iterator.
+    time.
     """
     rng = derive_rng(config.seed, GENERATOR)
     plan = _make_plan(config, rng)
@@ -537,11 +534,11 @@ def generate_stream(config: GeneratorConfig, catalog: FeatureCatalog
         for i in range(config.n_scripts):
             domain = plan.domains[plan.domain_of_script[i]]
             script = _build_script(builder, rng, plan.kinds[i], plan.script_ids[i], domain)
-            fill_feature_row(script.trace, catalog, row, builder.compiled)
+            fill_feature_row(script.trace, catalog, row)
             yield (script, *take_nonzeros(row))
 
     return (rows(), _placements(plan, config), DomainRanking(tuple(plan.domains)),
-            plan.split, _manifest(plan, config, catalog), builder.compiled)
+            plan.split, _manifest(plan, config, catalog))
 
 
 def generate(config: GeneratorConfig, catalog: FeatureCatalog) -> GeneratedCorpus:
@@ -550,7 +547,7 @@ def generate(config: GeneratorConfig, catalog: FeatureCatalog) -> GeneratedCorpu
     Its one caller is bench/tests/test_checks.py; the package and tests/
     read generate_stream directly.
     """
-    stream, placements, ranking, split, manifest, _ = generate_stream(config, catalog)
+    stream, placements, ranking, split, manifest = generate_stream(config, catalog)
     return GeneratedCorpus([item[0] for item in stream], placements, ranking, split,
                            manifest)
 
@@ -558,5 +555,5 @@ def generate(config: GeneratorConfig, catalog: FeatureCatalog) -> GeneratedCorpu
 def generate_corpus(config: GeneratorConfig, catalog: FeatureCatalog
                     ) -> tuple[ScriptCorpus, DomainRanking, SplitSpec, dict]:
     """Collect generate_stream's rows into the sparse corpus, dropping each trace."""
-    stream, placements, ranking, split, manifest, _ = generate_stream(config, catalog)
+    stream, placements, ranking, split, manifest = generate_stream(config, catalog)
     return ScriptCorpus.collect(stream, catalog, placements), ranking, split, manifest

@@ -18,17 +18,18 @@ is the count of arguments elided beyond MAX_ARGS. Blank lines are
 ignored. Writes are byte-deterministic (sorted keys, fixed separators).
 
 A trace line is its calls' JSON fragments joined in order. A generator
-that shares call records can do the per-call work once per record: a
-CallTable maps id(record) to a CompiledCall holding the record, its
-fragment (call_fragment), the feature slots it sets and what the
-detectors read from it. trace_to_json_line, features.fill_feature_row
-and heuristics.label take such a table and use an entry in place of
-redoing that record's work; a call with no entry takes the per-call code.
-The table is keyed by the record object, never by its content: records
-that compare equal can serialize differently (api_call("X.y", (True,))
-== api_call("X.y", (1.0,)), as True == 1.0 and both hash alike, yet they
-write [true] and [1.0]). Each entry holds its record, so no other object
-can take a key's id while the table lives.
+that shares call records can do the per-call work once per record and
+keep it on the record: ApiCallRecord.compiled holds a CompiledCall with
+its fragment (call_fragment), the catalog it was compiled under, the
+feature slots it sets there and what the detectors read from it.
+trace_to_json_line, features.fill_feature_row and heuristics.label use it
+in place of redoing that record's work; the slots only under the same
+catalog object. A record with compiled None takes the per-call code.
+The work travels with the object, never with its content: records that
+compare equal can serialize differently (api_call("X.y", (True,)) ==
+api_call("X.y", (1.0,)), as True == 1.0 and both hash alike, yet they
+write [true] and [1.0]), so compiled takes no part in equality, and
+dataclasses.replace gives a record with compiled None.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ def summarize_value(value) -> Scalar:
     raise InvalidInput(f"unsupported trace value type: {type(value).__name__}")
 
 
+class CompiledCall(NamedTuple):
+    """The per-call work on one shared record, done once (module docstring)."""
+
+    fragment: str                 # call_fragment(record)
+    catalog: object               # the features.FeatureCatalog the slots index
+    count_slot: int | None        # the count slot fill_feature_row adds 1 to
+    custom_slots: tuple[int, ...]  # the custom slots it sets to 1
+    facts: object                 # heuristics.call_facts(record)
+
+
 @dataclass(frozen=True, slots=True)
 class ApiCallRecord:
     """One instrumented call. args must already be canonical summaries."""
@@ -87,6 +98,9 @@ class ApiCallRecord:
     args: tuple = ()
     return_value: Scalar = None
     dropped_args: int = 0
+    # set once by whoever shares the record (module docstring)
+    compiled: CompiledCall | None = field(default=None, init=False, compare=False,
+                                          repr=False)
 
     def __post_init__(self):
         if not self.api_name:
@@ -193,29 +207,15 @@ def call_fragment(call: ApiCallRecord) -> str:
                     _scalar_to_json(call.return_value), call.dropped_args])
 
 
-class CompiledCall(NamedTuple):
-    """The per-call work on one shared record, done once (module docstring)."""
-
-    record: ApiCallRecord
-    fragment: str                 # call_fragment(record)
-    count_slot: int | None        # the count slot fill_feature_row adds 1 to
-    custom_slots: tuple[int, ...]  # the custom slots it sets to 1
-    facts: object                 # heuristics.call_facts(record)
-
-
-CallTable = dict[int, CompiledCall]  # keyed by id(entry.record)
-
-
-def trace_to_json_line(trace: ScriptTrace, compiled: CallTable | None = None) -> str:
+def trace_to_json_line(trace: ScriptTrace) -> str:
     """The trace's line, byte for byte as json.dumps(sort_keys=True) writes it.
 
-    A call with an entry in compiled contributes that entry's fragment.
+    A record that carries compiled work contributes its fragment.
     """
-    get = (compiled or {}).get
     fragments = []
     for call in trace.calls:
-        entry = get(id(call))
-        fragments.append(call_fragment(call) if entry is None else entry.fragment)
+        c = call.compiled
+        fragments.append(call_fragment(call) if c is None else c.fragment)
     return (f'{{"calls":[{",".join(fragments)}],"script_id":{_ENCODE(trace.script_id)},'
             f'"source_domain":{_ENCODE(trace.source_domain)}}}')
 

@@ -4,7 +4,7 @@ from collections import namedtuple
 
 from fedtrace.synth import generate_stream
 
-Generated = namedtuple("Generated", "scripts placements ranking split manifest compiled")
+Generated = namedtuple("Generated", "scripts placements ranking split manifest")
 
 
 def generate_scripts(config, catalog) -> Generated:

@@ -413,6 +413,30 @@ class TestStages:
         assert by_mechanism == {"norm-mean": 149, "norm-var": 149,
                                 "fedavg-round": run_cfg.rounds}
 
+    def test_ledger_at_q_below_one_follows_the_calibration_plan(self, run_dir, tmp_path):
+        # tiny_config's W=20 resolves q to 1; sample half the participants instead
+        cfg = tiny_config(eval_every=2, q=0.5)
+        assert cfg.resolved_q == 0.5
+        shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
+        stage_train(cfg, tmp_path)
+        budget = calibrate_budget(cfg, 149)
+        stored = json.loads((tmp_path / LEDGER_FILE).read_text())
+        q_norm = cfg.resolved_norm_q
+        assert stored["entries"] == (
+            [["norm-mean", q_norm, budget.z_norm, 149], ["norm-var", q_norm, budget.z_norm, 149]]
+            + [["fedavg-round", 0.5, budget.z_train, 1]] * cfg.rounds)
+        report = stage_account(tmp_path)
+        assert 0.99 * cfg.epsilon <= report["epsilon"] <= cfg.epsilon
+
+    def test_last_round_auprc_scores_the_test_rows(self):
+        # seed 0 is one where the two splits' AUPRCs differ
+        result = run_pipeline(tiny_config(eval_every=1, seed=0))
+        by_split = {m["split"]: m["auprc"] for m in result.metrics}
+        assert by_split["train"] != by_split["test"]
+        records = result.outcome.records
+        assert all(r.auprc is not None for r in records)
+        assert records[-1].auprc == by_split["test"]
+
     def test_partition_manifest_counts_match_rebuilt_views(self, run_cfg, run_dir,
                                                            memory_result):
         manifest = json.loads((run_dir / PARTITION_FILE).read_text())

@@ -173,6 +173,31 @@ def test_local_update_multi_epoch_progresses():
     assert l_many <= l_one + 1e-9
 
 
+
+def test_local_update_clips_after_every_epoch():
+    # an oracle loop that re-anchors each epoch's start inside the clip ball
+    rng = np.random.default_rng(3)
+    X, y = random_instance(rng, n=120, dim=6)
+    X *= 2.0
+    clip, theta_global = 0.5, np.zeros(7)
+    optimizer = OptimizerConfig(max_iterations=3)  # no epoch converges
+    cfg = LocalUpdateConfig(epochs=3, clip_norm=clip, optimizer=optimizer)
+
+    def clipped(delta):
+        return delta * (clip / max(clip, np.linalg.norm(delta)))
+
+    theta = once = theta_global
+    for _ in range(3):
+        theta, info = fit_logistic(X, y, theta, optimizer)
+        assert info["status"] == "max_iterations"
+        assert np.linalg.norm(theta - theta_global) > clip  # the epoch leaves the ball
+        theta = theta_global + clipped(theta - theta_global)
+        once, _ = fit_logistic(X, y, once, optimizer)
+    got = local_update(theta_global, X, y, cfg)
+    np.testing.assert_allclose(got, theta - theta_global, rtol=0, atol=1e-12)
+    # a loop that clips only once, after all epochs, lands elsewhere
+    assert np.abs(clipped(once - theta_global) - got).max() > 1e-3
+
 def test_config_validation():
     with pytest.raises(InvalidInput):
         OptimizerConfig(wolfe_c1=0.5, wolfe_c2=0.1)

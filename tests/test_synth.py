@@ -1,12 +1,20 @@
 """Synthetic corpus generator checked against the rule-based labeler."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
 from fedtrace import heuristics
 from fedtrace.errors import InvalidInput
-from fedtrace.features import default_catalog, fill_feature_row, signal_slots
+from fedtrace.features import (
+    FeatureCatalog,
+    call_slots,
+    default_catalog,
+    fill_feature_row,
+    signal_slots,
+)
 from fedtrace.fedavg import centralized_fit
 from fedtrace.fednorm import exact_stats, normalize_matrix
 from fedtrace.metrics import average_precision
@@ -20,7 +28,14 @@ from fedtrace.synth import (
     generate_corpus,
     generate_stream,
 )
-from fedtrace.traces import ScriptTrace, api_call, trace_to_json_line, types_to_bitmask
+from fedtrace.traces import (
+    ApiCallRecord,
+    ScriptTrace,
+    api_call,
+    call_fragment,
+    trace_to_json_line,
+    types_to_bitmask,
+)
 from generated import generate_scripts
 
 CATALOG = default_catalog()
@@ -238,38 +253,70 @@ def test_planted_signal_separates_classes():
     assert ap > 0.9, ap
 
 
+def _plain(record: ApiCallRecord) -> ApiCallRecord:
+    """An equal record that carries no compiled work."""
+    return ApiCallRecord(record.api_name, record.args, record.return_value,
+                         record.dropped_args)
+
+
+def _plain_trace(trace: ScriptTrace) -> ScriptTrace:
+    return ScriptTrace(trace.script_id, trace.source_domain,
+                       tuple(_plain(c) for c in trace.calls))
+
+
+def _facts(scan):
+    return None if scan is None else tuple(getattr(scan, k) for k in scan.__slots__)
+
+
 class TestCallTable:
-    """The builder's table against the per-call code it caches."""
+    """Each shared record's compiled work against the per-call code on an uncompiled copy."""
 
     @pytest.fixture(scope="class")
-    def builder(self):
-        return _CallBuilder(CATALOG, DEFAULT_POOL_SIZE)
+    def records(self):
+        builder = _CallBuilder(CATALOG, DEFAULT_POOL_SIZE)
+        found = []
+
+        def walk(value):
+            if isinstance(value, ApiCallRecord):
+                found.append(value)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    walk(item)
+
+        for value in vars(builder).values():
+            walk(value)
+        return found
 
     @staticmethod
-    def _filled(trace, compiled=None) -> np.ndarray:
-        row = np.zeros(CATALOG.slot_count, dtype=np.float32)
-        fill_feature_row(trace, CATALOG, row, compiled)
+    def _filled(trace, catalog=CATALOG) -> np.ndarray:
+        row = np.zeros(catalog.slot_count, dtype=np.float32)
+        fill_feature_row(trace, catalog, row)
         return row
 
-    def _assert_same_with_and_without(self, trace, compiled):
-        assert trace_to_json_line(trace, compiled) == trace_to_json_line(trace)
-        assert heuristics.label(trace, compiled) == heuristics.label(trace)
-        np.testing.assert_array_equal(self._filled(trace, compiled), self._filled(trace))
+    def _assert_same_as_plain(self, trace, catalog=CATALOG):
+        plain = _plain_trace(trace)
+        assert all(c.compiled is None for c in plain.calls)
+        assert trace_to_json_line(trace) == trace_to_json_line(plain)
+        assert heuristics.label(trace) == heuristics.label(plain)
+        np.testing.assert_array_equal(self._filled(trace, catalog),
+                                      self._filled(plain, catalog))
 
-    def test_every_entry_equals_the_per_call_code(self, builder):
-        assert len(builder.compiled) > 2900
-        for key, entry in builder.compiled.items():
-            assert key == id(entry.record)
-            one = ScriptTrace("s#00", "d.example", (entry.record,))
-            line = trace_to_json_line(one)
-            assert line.startswith(f'{{"calls":[{entry.fragment}],')
+    def test_every_entry_equals_the_per_call_code(self, records):
+        assert len(records) > 2900
+        for record in records:
+            c, plain = record.compiled, _plain(record)
+            assert c is not None and c.catalog is CATALOG
+            assert c.fragment == call_fragment(plain)
+            assert (c.count_slot, c.custom_slots) == call_slots(plain, CATALOG)
+            assert _facts(c.facts) == _facts(heuristics.call_facts(plain))
+            one = ScriptTrace("s#00", "d.example", (record,))
+            assert trace_to_json_line(one).startswith(f'{{"calls":[{c.fragment}],')
             cols = np.flatnonzero(self._filled(one)).tolist()
-            assert cols == ([] if entry.count_slot is None else [entry.count_slot]) + list(
-                entry.custom_slots)
-            self._assert_same_with_and_without(one, builder.compiled)
+            assert cols == ([] if c.count_slot is None else [c.count_slot]) + list(
+                c.custom_slots)
+            self._assert_same_as_plain(one)
 
-    def test_traces_of_table_records_only(self, builder):
-        records = [entry.record for entry in builder.compiled.values()]
+    def test_traces_of_table_records_only(self, records):
         rng = np.random.default_rng(0)
         traces = [ScriptTrace("s#00", "d.example", tuple(records))]
         for _ in range(50):
@@ -277,28 +324,43 @@ class TestCallTable:
             traces.append(ScriptTrace("s#00", "d.example", tuple(records[i] for i in picks)))
         assert heuristics.label(traces[0]).types() == {"canvas_font", "webrtc", "audio"}
         for trace in traces:
-            self._assert_same_with_and_without(trace, builder.compiled)
+            self._assert_same_as_plain(trace)
 
     def test_generated_scripts_miss_only_drawn_records(self):
         cfg = GeneratorConfig(n_scripts=1500, fp_prevalence=0.1, near_miss_rate=0.3, seed=8)
-        stream, *_, compiled = generate_stream(cfg, CATALOG)
+        stream, *_ = generate_stream(cfg, CATALOG)
         missed = set()
         for script, _, _ in stream:
             trace = script.trace
-            missed |= {c.api_name for c in trace.calls if id(c) not in compiled}
-            self._assert_same_with_and_without(trace, compiled)
+            missed |= {c.api_name for c in trace.calls if c.compiled is None}
+            self._assert_same_as_plain(trace)
         assert missed == {"CanvasRenderingContext2D.fillText",
                           "CanvasRenderingContext2D.fillStyle"}
 
-    def test_keyed_by_object_not_by_equal_content(self, builder):
+    def test_keyed_by_object_not_by_equal_content(self, records):
         # the signal custom RTCPeerConnection.createOffer(true) is planted as (True,)
-        owned = next(entry.record for entry in builder.compiled.values()
-                     if any(a is True for a in entry.record.args))
+        owned = next(r for r in records if any(a is True for a in r.args))
         equal = api_call(owned.api_name, (1.0,))
         assert equal == owned and hash(equal) == hash(owned) and equal is not owned
-        owned_line = trace_to_json_line(ScriptTrace("s#00", "d.example", (owned,)),
-                                        builder.compiled)
+        assert equal.compiled is None
+        owned_trace = ScriptTrace("s#00", "d.example", (owned,))
         equal_trace = ScriptTrace("s#00", "d.example", (equal,))
-        equal_line = trace_to_json_line(equal_trace, builder.compiled)
-        assert "[true]" in owned_line and "[1.0]" in equal_line
-        self._assert_same_with_and_without(equal_trace, builder.compiled)
+        assert "[true]" in trace_to_json_line(owned_trace)
+        assert "[1.0]" in trace_to_json_line(equal_trace)
+        self._assert_same_as_plain(owned_trace)
+        self._assert_same_as_plain(equal_trace)
+
+    def test_another_catalog_takes_the_per_call_code(self, records):
+        trace = ScriptTrace("s#00", "d.example", tuple(records))
+        shuffled = FeatureCatalog(tuple(reversed(CATALOG.api_count_entries)),
+                                  tuple(reversed(CATALOG.custom_entries)))
+        # the compiled slots index CATALOG, so taking them here would be wrong
+        assert not np.array_equal(self._filled(trace, shuffled), self._filled(trace))
+        self._assert_same_as_plain(trace, shuffled)
+        self._assert_same_as_plain(trace, default_catalog())  # equal, but another object
+
+    def test_replace_gives_a_record_without_compiled_work(self, records):
+        owned = next(r for r in records if r.args and r.compiled.custom_slots)
+        changed = dataclasses.replace(owned, args=("other",) + owned.args[1:])
+        assert owned.compiled is not None and changed.compiled is None
+        self._assert_same_as_plain(ScriptTrace("s#00", "d.example", (changed,)))
