@@ -73,12 +73,13 @@ def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
     margins = X @ w.astype(compute, copy=False) + compute(theta[-1])
     yf = y.astype(compute, copy=False)
     # mean(softplus(m) - y*m) == mean BCE
-    loss = float(np.mean(np.logaddexp(0.0, margins) - yf * margins, dtype=np.float64))
+    loss = float(np.add.reduce(np.logaddexp(0.0, margins) - yf * margins,
+                               dtype=np.float64)) / n
     loss += 0.5 * l2_lambda * float(w @ w)
     residual = expit(margins) - yf
     grad = np.empty_like(theta, dtype=np.float64)
     grad[:-1] = (X.T @ residual).astype(np.float64) / n + l2_lambda * w
-    grad[-1] = residual.mean(dtype=np.float64)
+    grad[-1] = float(np.add.reduce(residual, dtype=np.float64)) / n
     return loss, grad
 
 
@@ -169,6 +170,7 @@ def lbfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfi
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
+    gamma = 1.0  # initial Hessian scale s.y / y.y of the newest pair
     fallbacks = 0
     status = "max_iterations"
     iterations = 0
@@ -178,15 +180,14 @@ def lbfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfi
             iterations -= 1
             break
         # two-loop recursion
-        d = -grad.copy()
+        d = -grad
         alphas = []
         for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
             a = rho * float(s @ d)
             alphas.append(a)
             d -= a * yv
         if y_hist:
-            yy = float(y_hist[-1] @ y_hist[-1])
-            d *= float(s_hist[-1] @ y_hist[-1]) / yy
+            d *= gamma
         for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
             b = rho * float(yv @ d)
             d += (a - b) * s
@@ -204,10 +205,12 @@ def lbfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfi
             step = alpha * -grad
         y_vec = grad_new - grad
         sy = float(step @ y_vec)
-        if sy > 1e-10 * float(np.linalg.norm(step) * np.linalg.norm(y_vec)):
+        yy = float(y_vec @ y_vec)
+        if sy > 1e-10 * (math.sqrt(float(step @ step)) * math.sqrt(yy)):
             s_hist.append(step)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
+            gamma = sy / yy
             if len(s_hist) > config.history:
                 s_hist.pop(0)
                 y_hist.pop(0)
@@ -230,6 +233,8 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, theta0: np.ndarray | None = None,
         theta0 = np.zeros(dim + 1)
     if theta0.shape != (dim + 1,):
         raise InvalidInput(f"theta0 must have shape ({dim + 1},)")
+    # the labels in the matmuls' dtype once per solve, not once per evaluation
+    y = y.astype(np.float32 if X.dtype == np.float32 else np.float64, copy=False)
     return lbfgs_minimize(
         lambda t: logistic_loss_and_grad(t, X, y, config.l2_lambda), theta0, config)
 

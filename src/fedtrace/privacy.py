@@ -11,7 +11,17 @@ epsilon = min_alpha [ rdp(alpha) + log(1/delta) / (alpha - 1) ].
 The RDP of one subsampled Gaussian follows the stable evaluation of the
 moment series (Mironov, Talwar & Zhang 2019): a finite binomial sum in
 log space for integer orders and the two-piece erfc series for
-fractional orders.
+fractional orders. One evaluator, `_rdp_orders`, computes every order
+of a call at once as numpy blocks: the integer orders as one padded
+(orders x terms) block, the fractional ones in blocks of 64 terms, each
+order stopping after its first index i > alpha - 1 where both terms are
+below e^-30. Every row is reduced by a sequential logaddexp, so an
+order's value is the same, bit for bit, whichever orders share the
+call. The signed fractional series is summed as P - N (the terms with
+non-negative and with negative binomial coefficients, each in log
+space); N > P is refused with InvalidInput. The values agree to
+within 1e-13 absolute with the same series summed one order and one
+term at a time (the tests' float64 reference).
 
 Noise calibration bisects z, and prunes orders as it goes. At every
 order the composed epsilon does not increase with z (the searched
@@ -72,80 +82,94 @@ def noise_stddev(z: float, sensitivity: float, q: float, participants: int) -> f
     return z * sensitivity / denom
 
 
-def _log_erfc(x: float) -> float:
+def _log_erfc(x: np.ndarray) -> np.ndarray:
     # erfc(x) = erfcx(x) * exp(-x^2); erfcx stays representable for large x
-    if x < 0.0:
-        return math.log(special.erfc(x))
-    return float(np.log(special.erfcx(x)) - x * x)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(x < 0.0, np.log(special.erfc(x)), np.log(special.erfcx(x)) - x * x)
 
 
-def _log_sub(a: float, b: float) -> float:
-    # log(exp(a) - exp(b)); requires a >= b
-    if b == -math.inf:
-        return a
-    if b > a:
-        raise InvalidInput("series produced a negative partial sum")
-    if a == b:
-        return -math.inf
-    return a + math.log1p(-math.exp(b - a))
+def _rdp_integer_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
+    # The finite binomial sum: one row of terms per order, padded with
+    # -inf past k = alpha (an exact no-op under logaddexp).
+    k = np.arange(alphas.max(initial=0.0) + 1.0)
+    a = alphas[:, None]
+    terms = (special.gammaln(a + 1) - special.gammaln(k + 1) - special.gammaln(a - k + 1)
+             + (a - k) * math.log1p(-q) + k * math.log(q) + k * (k - 1) / (2.0 * z * z))
+    terms = np.where(k <= a, terms, -np.inf)
+    return np.logaddexp.reduce(terms, axis=1) / (alphas - 1.0)
 
 
-def _rdp_integer_order(q: float, z: float, alpha: int) -> float:
-    k = np.arange(alpha + 1, dtype=float)
-    terms = (special.gammaln(alpha + 1) - special.gammaln(k + 1)
-             - special.gammaln(alpha - k + 1)
-             + (alpha - k) * math.log1p(-q) + k * math.log(q)
-             + k * (k - 1) / (2.0 * z * z))
-    return float(special.logsumexp(terms)) / (alpha - 1)
-
-
-# Truncation bound for the alternating tail: first omitted term, e^-30.
+# Truncation of the alternating tail: an order stops after the first
+# term index i > alpha - 1 at which both terms are below e^-30.
 _FRAC_TERM_CUTOFF = -30.0
 _FRAC_MAX_TERMS = 100_000
+# Terms per block of the fractional series. Every order's blocks start
+# at i = 0 and have this width, and each order's sum runs through them
+# in sequence, so no order's value depends on the other orders.
+_FRAC_BLOCK = 64
 
 
-def _rdp_fractional_order(q: float, z: float, alpha: float) -> float:
-    # Signed series split at z0, each half accumulated in log space.
+def _rdp_fractional_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
+    # The signed two-piece erfc series. Terms with a non-negative binomial
+    # coefficient add to P, the others to N, each in log space; A = P - N.
     z2 = z * z
     z0 = z2 * math.log(1.0 / q - 1.0) + 0.5
     sqrt2z = math.sqrt(2.0) * z
     log_q, log_1mq = math.log(q), math.log1p(-q)
     log_half = math.log(0.5)
-    log_a0 = log_a1 = -math.inf
-    i = 0
-    while True:
-        coef = float(special.binom(alpha, i))
-        log_coef = math.log(abs(coef)) if coef != 0.0 else -math.inf
-        j = alpha - i
-        log_t0 = log_coef + i * log_q + j * log_1mq
-        log_t1 = log_coef + j * log_q + i * log_1mq
-        log_e0 = log_half + _log_erfc((i - z0) / sqrt2z)
-        log_e1 = log_half + _log_erfc((z0 - j) / sqrt2z)
-        log_s0 = log_t0 + (i * i - i) / (2.0 * z2) + log_e0
-        log_s1 = log_t1 + (j * j - j) / (2.0 * z2) + log_e1
-        if coef >= 0.0:
-            log_a0 = np.logaddexp(log_a0, log_s0)
-            log_a1 = np.logaddexp(log_a1, log_s1)
-        else:
-            log_a0 = _log_sub(log_a0, log_s0)
-            log_a1 = _log_sub(log_a1, log_s1)
-        i += 1
-        if max(log_s0, log_s1) < _FRAC_TERM_CUTOFF and i > alpha:
-            break
-        if i > _FRAC_MAX_TERMS:
-            raise InvalidInput(f"moment series did not converge for q={q}, z={z}, alpha={alpha}")
-    return float(np.logaddexp(log_a0, log_a1)) / (alpha - 1.0)
+    log_p = np.full(alphas.shape, -np.inf)
+    log_n = np.full(alphas.shape, -np.inf)
+    active = np.arange(alphas.size)
+    start = 0
+    while active.size:
+        if start >= _FRAC_MAX_TERMS:
+            raise InvalidInput(f"moment series did not converge for q={q}, z={z}, "
+                               f"alpha={alphas[active[0]]}")
+        i = np.arange(start, start + _FRAC_BLOCK, dtype=float)
+        a = alphas[active, None]
+        j = a - i
+        coef = special.binom(a, i)
+        with np.errstate(divide="ignore"):
+            log_coef = np.log(np.abs(coef))
+        log_s0 = (log_coef + i * log_q + j * log_1mq + (i * i - i) / (2.0 * z2)
+                  + (log_half + _log_erfc((i - z0) / sqrt2z)))
+        log_s1 = (log_coef + j * log_q + i * log_1mq + (j * j - j) / (2.0 * z2)
+                  + (log_half + _log_erfc((z0 - j) / sqrt2z)))
+        stop = (np.maximum(log_s0, log_s1) < _FRAC_TERM_CUTOFF) & (i + 1.0 > a)
+        done = stop.any(axis=1)
+        # keep every term up to and including the first stopping index
+        last = np.where(done, stop.argmax(axis=1), _FRAC_BLOCK)
+        live = np.tile(np.arange(_FRAC_BLOCK) <= last[:, None], 2)
+        sign = np.tile(coef >= 0.0, 2)
+        terms = np.concatenate([log_s0, log_s1], axis=1)
+        for acc, keep in ((log_p, live & sign), (log_n, live & ~sign)):
+            acc[active] = np.logaddexp.reduce(
+                np.column_stack([acc[active], np.where(keep, terms, -np.inf)]), axis=1)
+        active = active[~done]
+        start += _FRAC_BLOCK
+    if (log_n > log_p).any():
+        raise InvalidInput("moment series produced a negative sum")
+    with np.errstate(divide="ignore"):
+        log_a = log_p + np.log1p(-np.exp(log_n - log_p))
+    return log_a / (alphas - 1.0)
 
 
-def _rdp_order(q: float, z: float, alpha: float) -> float:
-    if alpha.is_integer():
-        return _rdp_integer_order(q, z, int(alpha))
-    return _rdp_fractional_order(q, z, alpha)
+def _rdp_orders(q: float, z: float, orders: np.ndarray) -> np.ndarray:
+    """RDP of one Poisson-subsampled Gaussian (0 < q < 1) at every order.
+
+    Each order's value depends on that order alone, bit for bit, not on
+    which other orders share the call.
+    """
+    integer = orders == np.floor(orders)
+    out = np.empty(orders.shape)
+    out[integer] = _rdp_integer_orders(q, z, orders[integer])
+    out[~integer] = _rdp_fractional_orders(q, z, orders[~integer])
+    return out
 
 
 @lru_cache(maxsize=4096)
 def _rdp_grid_cached(q: float, z: float, orders: tuple) -> tuple:
-    return tuple(_rdp_order(q, z, alpha) for alpha in orders)
+    return tuple(_rdp_orders(q, z, np.asarray(orders)).tolist())
 
 
 def _orders_array(orders) -> np.ndarray:
@@ -313,8 +337,7 @@ def _bisect(target_epsilon: float, delta: float, plan: tuple, orders: tuple,
             elif entry.q == 1.0:
                 total += entry.count * (kept / (2.0 * z * z))
             else:
-                q = float(entry.q)
-                total += entry.count * np.array([_rdp_order(q, z, a) for a in kept.tolist()])
+                total += entry.count * _rdp_orders(float(entry.q), z, kept)
         return total + (offset if keep is None else offset[keep])
 
     lo, hi = z_bounds

@@ -673,6 +673,51 @@ class TestPinnedPartition:
         assert got == self.PINNED[seed]
 
 
+class TestPinnedCalibration:
+    """calibrate_budget's (z_norm, z_train), pinned to the last bit.
+
+    Keyed by (W, q, rounds, epsilon, normalize) over the default
+    ExtHighEntropy mask (149 features); q None resolves to 100/W. The
+    rows cover q in {0.01, 0.1, 0.5}, the on-device benchmark's budget
+    (W=1000, q=0.1, 3 rounds, epsilon 5) and criterion 7's trend-grid
+    cells. Any change in the RDP evaluation that moves one bisection
+    decision moves a z here.
+    """
+
+    PINNED = {
+        (1000, 0.1, 30, 1.0, True): (83.58322818453935, 3.1423417670822382),
+        (10000, 0.01, 30, 1.0, True): (8.52320682773584, 1.1982632668806383),
+        (100, 0.5, 30, 1.0, True): (417.21635842901355, 13.71535430985907),
+        (1000, 0.1, 30, 5.0, True): (16.886477376214867, 1.0655844901943579),
+        (10000, 0.01, 30, 5.0, True): (2.007018009443483, 0.5967849619976324),
+        (100, 0.5, 30, 5.0, True): (83.81849213227495, 3.1247265083109057),
+        (1000, 0.1, 30, 10.0, True): (8.613519952526575, 0.7446432244452208),
+        (10000, 0.01, 30, 10.0, True): (1.3389674499780642, 0.4483439648715307),
+        (100, 0.5, 30, 10.0, True): (42.395458449913086, 1.778529344572722),
+        (1000, 0.1, 3, 5.0, True): (16.886477376214867, 0.7899198143619963),
+        (1000, None, 25, 1.0, True): (83.58322818453935, 2.9435544262203712),
+        (1000, None, 25, 5.0, True): (16.886477376214867, 1.033142330923201),
+        (1000, None, 25, 10.0, True): (8.613519952526575, 0.7234958347134158),
+        (1000, None, 25, 1.0, False): (0.0, 2.9332304947677286),
+        (1000, None, 25, 5.0, False): (0.0, 1.0309666786668767),
+        (10000, None, 25, 1.0, True): (8.52320682773584, 1.1932218333617999),
+        (10000, None, 25, 5.0, True): (2.007018009443483, 0.5913581491485401),
+        (10000, None, 25, 10.0, True): (1.3389674499780642, 0.44333142378227325),
+        (10000, None, 25, 1.0, False): (0.0, 1.192383659012057),
+        (10000, None, 25, 5.0, False): (0.0, 0.5901128321646342),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED, key=repr), ids=repr)
+    def test_budget_is_bit_identical(self, key):
+        w, q, rounds, epsilon, normalize = key
+        cfg = ExperimentConfig(n_participants=w, q=q, rounds=rounds, epsilon=epsilon,
+                               normalize=normalize)
+        n_features = len(resolve_mask(default_catalog(), cfg.feature_set))
+        assert n_features == 149
+        budget = calibrate_budget(cfg, n_features)
+        assert (budget.z_norm, budget.z_train) == self.PINNED[key]
+
+
 class TestPartitionPaths:
     def test_staged_and_in_memory_views_match_under_knowledge_limits(self, tmp_path):
         cfg = ExperimentConfig(generator=GeneratorConfig(n_scripts=3000, fp_prevalence=0.05),

@@ -12,6 +12,7 @@ from fedtrace.privacy import (
     LedgerEntry,
     PlannedQuery,
     PrivacyLedger,
+    _rdp_orders,
     calibrate_noise,
     clip_l2,
     epsilon_and_order,
@@ -22,6 +23,7 @@ from fedtrace.privacy import (
     rdp_to_epsilon,
 )
 from oracle_rdp import GRID, oracle_rdp, oracle_rdp_integral, oracle_rdp_series
+from scalar_rdp import rdp_fractional_order, rdp_order
 
 # Computed once with the mpmath oracles (tests/oracle_rdp.py __main__);
 # integer orders via exact series summation, fractional via quadrature.
@@ -278,6 +280,48 @@ def test_rdp_does_not_increase_with_noise():
         rdp = np.array([rdp_subsampled_gaussian(q, float(z)) for z in zs])
         rises = np.diff(rdp, axis=0) > 0
         assert not rises.any(), (q, np.argwhere(rises))
+
+
+_ORDERS = np.asarray(DEFAULT_ORDERS)
+
+
+def _assert_matches_scalar_reference(q, z, orders):
+    got = _rdp_orders(q, z, orders)
+    want = np.array([rdp_order(q, z, a) for a in orders.tolist()])
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + 1e-13), \
+        (q, z, orders[np.argmax(np.abs(got - want))])
+
+
+def test_block_evaluator_matches_scalar_series_on_dense_grid():
+    for q in (0.001, 0.005, 0.02, 0.1, 0.3, 0.5, 0.9, 0.999):
+        for z in np.geomspace(*Z_SEARCH_BOUNDS, 12):
+            _assert_matches_scalar_reference(q, float(z), _ORDERS)
+
+
+def test_block_evaluator_matches_scalar_series_in_the_long_tail():
+    # small fractional orders at moderate noise sum the longest series
+    orders = np.array([1.25, 1.5, 1.75, 2.25, 3.5])
+    longest = 0
+    for q in (0.01, 0.1, 0.5, 0.9):
+        for z in np.linspace(0.3, 0.8, 11):
+            _assert_matches_scalar_reference(q, float(z), orders)
+            longest = max(longest, rdp_fractional_order(q, float(z), 1.25)[1])
+    assert longest > 1900
+
+
+def test_block_evaluator_is_batch_independent():
+    # pruned calibration relies on each kept order's value equalling its
+    # full-grid value bit for bit
+    rng = np.random.default_rng(3)
+    for q, z in [(0.01, 0.5), (0.1, 0.01), (0.1, 0.79), (0.1, 3.16), (0.5, 0.3), (0.9, 40.0)]:
+        full = _rdp_orders(q, z, _ORDERS)
+        alone = np.array([_rdp_orders(q, z, _ORDERS[i:i + 1])[0] for i in range(_ORDERS.size)])
+        assert np.array_equal(alone, full), (q, z)
+        for size in (1, 7, 40):
+            keep = np.sort(rng.choice(_ORDERS.size, size, replace=False))
+            assert np.array_equal(_rdp_orders(q, z, _ORDERS[keep]), full[keep]), (q, z, keep)
+        assert np.array_equal(_rdp_orders(q, z, _ORDERS[::-1]), full[::-1])
+        assert np.array_equal(rdp_subsampled_gaussian(q, z), full)
 
 
 def test_clip_contract():
