@@ -71,16 +71,6 @@ class RoundResult:
     update_norm: float
 
 
-def _default_local_fn(cfg: TrainingRunConfig) -> Callable:
-    local_cfg = cfg.local
-
-    def run(theta_global: np.ndarray, participant) -> np.ndarray:
-        return local_update(theta_global, participant.features, participant.labels,
-                            local_cfg)
-
-    return run
-
-
 def _by_participant_id(participants: Sequence) -> list:
     ordered = sorted(participants, key=lambda p: p.participant_id)
     ids = [p.participant_id for p in ordered]
@@ -103,14 +93,14 @@ def run_round(theta_global: np.ndarray, participants: Sequence, cfg: TrainingRun
     if cfg.n_participants != len(ordered):
         raise InvalidInput(f"config says {cfg.n_participants} participants, "
                            f"got {len(ordered)}")
-    if local_fn is None:
-        local_fn = _default_local_fn(cfg)
     coins = rng.random(len(ordered)) < cfg.q
     sampled = [ordered[i] for i in np.flatnonzero(coins)]
 
     total = np.zeros_like(theta_global)
+    local_cfg = cfg.local
     for p in sampled:  # ascending-id order, deterministic reduce
-        total += local_fn(theta_global, p)
+        total += (local_update(theta_global, p.features, p.labels, local_cfg)
+                  if local_fn is None else local_fn(theta_global, p))
     aggregate = total / (cfg.q * cfg.n_participants)
     sigma = noise_stddev(cfg.z, cfg.clip_norm, cfg.q, cfg.n_participants)
     theta_next = theta_global + aggregate + gaussian_noise(sigma, theta_global.shape, rng)
@@ -147,7 +137,7 @@ def train(participants: Sequence, n_features: int, cfg: TrainingRunConfig,
 
 
 def centralized_fit(X: np.ndarray, y: np.ndarray,
-                    optimizer: OptimizerConfig | None = None) -> LogisticModel:
+                    optimizer: OptimizerConfig = OptimizerConfig()) -> LogisticModel:
     """Pooled-data baseline trained with the same optimizer family."""
-    theta, _ = fit_logistic(X, y, config=optimizer or OptimizerConfig())
+    theta, _ = fit_logistic(X, y, config=optimizer)
     return LogisticModel.from_theta(theta)

@@ -5,6 +5,13 @@ binary cross-entropy plus (lambda/2)*||w||^2 on the weights only, in the
 numerically stable softplus form, so perfectly separated points cost
 ~exp(-|margin|) rather than overflowing.
 
+The optimizer is L-BFGS with a strong-Wolfe line search. Its fixed
+settings are module constants: HISTORY curvature pairs, the Wolfe
+constants WOLFE_C1 and WOLFE_C2, and MAX_LINE_SEARCH_EVALS trial steps.
+OptimizerConfig holds only what callers set: the iteration cap, the
+gradient tolerance and the L2 weight. lbfgs_minimize returns (x, info),
+where info is exactly {"status", "iterations", "fallback_steps"}.
+
 LOCAL_UPDATE runs E epochs; after each epoch the displacement from the
 round's global model is re-clipped to L2 norm S and training resumes
 from the clipped point, so the returned delta always has norm <= S.
@@ -13,6 +20,7 @@ from the clipped point, so the returned delta always has norm <= S.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,22 +30,21 @@ from .errors import InvalidInput, LineSearchError
 from .privacy import clip_l2
 
 DEFAULT_L2 = 1e-4
+HISTORY = 10  # curvature pairs kept by L-BFGS
+WOLFE_C1 = 1e-4  # sufficient decrease
+WOLFE_C2 = 0.9  # curvature
+MAX_LINE_SEARCH_EVALS = 25
 
 
 @dataclass(frozen=True, slots=True)
 class OptimizerConfig:
-    history: int = 10
     max_iterations: int = 100
     gradient_tolerance: float = 1e-5
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     l2_lambda: float = DEFAULT_L2
 
     def __post_init__(self):
-        if not 0 < self.wolfe_c1 < self.wolfe_c2 < 1:
-            raise InvalidInput("need 0 < c1 < c2 < 1")
-        if self.history < 1 or self.max_iterations < 1:
-            raise InvalidInput("history and max_iterations must be >= 1")
+        if self.max_iterations < 1:
+            raise InvalidInput("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -94,7 +101,7 @@ def _loss_resolution(phi0: float) -> float:
     return 1e-14 * (1.0 + abs(phi0))
 
 
-def _zoom(fun, x, d, phi0, dphi0, lo, hi, c1, c2, feps, max_iters=30):
+def _zoom(fun, x, d, phi0, dphi0, lo, hi, feps, max_iters=30):
     """Bisection zoom (Nocedal-Wright 3.6); lo/hi are (alpha, phi, dphi)."""
     for _ in range(max_iters):
         alpha = 0.5 * (lo[0] + hi[0])
@@ -102,10 +109,11 @@ def _zoom(fun, x, d, phi0, dphi0, lo, hi, c1, c2, feps, max_iters=30):
         if not math.isfinite(phi):
             raise LineSearchError(f"non-finite loss at step {alpha}")
         dphi = float(grad @ d)
-        if (phi > phi0 + c1 * alpha * dphi0 and phi > phi0 + feps) or phi >= lo[1] + feps:
+        if (phi > phi0 + WOLFE_C1 * alpha * dphi0 and phi > phi0 + feps) \
+                or phi >= lo[1] + feps:
             hi = (alpha, phi, dphi)
         else:
-            if abs(dphi) <= -c2 * dphi0:
+            if abs(dphi) <= -WOLFE_C2 * dphi0:
                 return alpha, phi, grad
             if dphi * (hi[0] - lo[0]) >= 0:
                 hi = lo
@@ -115,7 +123,7 @@ def _zoom(fun, x, d, phi0, dphi0, lo, hi, c1, c2, feps, max_iters=30):
     raise LineSearchError("zoom failed to satisfy the strong Wolfe conditions")
 
 
-def strong_wolfe_search(fun, x, phi0, grad0, d, c1, c2, max_evals=25):
+def strong_wolfe_search(fun, x, phi0, grad0, d):
     """Returns (alpha, phi, grad) satisfying the strong Wolfe conditions."""
     dphi0 = float(grad0 @ d)
     if dphi0 >= 0:
@@ -123,33 +131,33 @@ def strong_wolfe_search(fun, x, phi0, grad0, d, c1, c2, max_evals=25):
     feps = _loss_resolution(phi0)
     alpha_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
     alpha = 1.0
-    for i in range(max_evals):
+    for i in range(MAX_LINE_SEARCH_EVALS):
         phi, grad = fun(x + alpha * d)
         if not math.isfinite(phi):
             raise LineSearchError(f"non-finite loss at step {alpha}")
         dphi = float(grad @ d)
-        if (phi > phi0 + c1 * alpha * dphi0 and phi > phi0 + feps) \
+        if (phi > phi0 + WOLFE_C1 * alpha * dphi0 and phi > phi0 + feps) \
                 or (i > 0 and phi >= phi_prev + feps):
             return _zoom(fun, x, d, phi0, dphi0,
-                         (alpha_prev, phi_prev, dphi_prev), (alpha, phi, dphi), c1, c2, feps)
-        if abs(dphi) <= -c2 * dphi0:
+                         (alpha_prev, phi_prev, dphi_prev), (alpha, phi, dphi), feps)
+        if abs(dphi) <= -WOLFE_C2 * dphi0:
             return alpha, phi, grad
         if dphi >= 0:
             return _zoom(fun, x, d, phi0, dphi0,
-                         (alpha, phi, dphi), (alpha_prev, phi_prev, dphi_prev), c1, c2, feps)
+                         (alpha, phi, dphi), (alpha_prev, phi_prev, dphi_prev), feps)
         alpha_prev, phi_prev, dphi_prev = alpha, phi, dphi
         alpha *= 2.0
     raise LineSearchError("line search exhausted its evaluation budget")
 
 
-def _fallback_gradient_step(fun, x, phi0, grad, c1, max_halvings=40):
+def _fallback_gradient_step(fun, x, phi0, grad, max_halvings=40):
     d = -grad
     gg = float(grad @ grad)
     feps = _loss_resolution(phi0)
     alpha = 1.0 / max(1.0, math.sqrt(gg))
     for _ in range(max_halvings):
         phi, g_new = fun(x + alpha * d)
-        if math.isfinite(phi) and phi <= phi0 - c1 * alpha * gg + feps:
+        if math.isfinite(phi) and phi <= phi0 - WOLFE_C1 * alpha * gg + feps:
             return alpha, phi, g_new
         alpha *= 0.5
     raise LineSearchError("gradient-step fallback could not reduce the loss")
@@ -167,62 +175,43 @@ def lbfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfi
     phi, grad = fun(x)
     if not math.isfinite(phi):
         raise InvalidInput("objective is non-finite at the initial point")
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    memory = deque(maxlen=HISTORY)  # (s, y, rho), oldest first
     gamma = 1.0  # initial Hessian scale s.y / y.y of the newest pair
     fallbacks = 0
-    status = "max_iterations"
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        if float(np.abs(grad).max()) <= config.gradient_tolerance:
-            status = "converged"
-            iterations -= 1
-            break
+    while (grad_inf := float(np.abs(grad).max())) > config.gradient_tolerance \
+            and iterations < config.max_iterations:
         # two-loop recursion
         d = -grad
         alphas = []
-        for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, yv, rho in reversed(memory):
             a = rho * float(s @ d)
             alphas.append(a)
             d -= a * yv
-        if y_hist:
+        if memory:
             d *= gamma
-        for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        for (s, yv, rho), a in zip(memory, reversed(alphas)):
             b = rho * float(yv @ d)
             d += (a - b) * s
         try:
-            alpha, phi_new, grad_new = strong_wolfe_search(
-                fun, x, phi, grad, d, config.wolfe_c1, config.wolfe_c2)
+            alpha, phi_new, grad_new = strong_wolfe_search(fun, x, phi, grad, d)
             step = alpha * d
         except LineSearchError:
             fallbacks += 1
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
-            alpha, phi_new, grad_new = _fallback_gradient_step(
-                fun, x, phi, grad, config.wolfe_c1)
+            memory.clear()
+            alpha, phi_new, grad_new = _fallback_gradient_step(fun, x, phi, grad)
             step = alpha * -grad
         y_vec = grad_new - grad
         sy = float(step @ y_vec)
         yy = float(y_vec @ y_vec)
         if sy > 1e-10 * (math.sqrt(float(step @ step)) * math.sqrt(yy)):
-            s_hist.append(step)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
+            memory.append((step, y_vec, 1.0 / sy))
             gamma = sy / yy
-            if len(s_hist) > config.history:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
         x = x + step
         phi, grad = phi_new, grad_new
-    else:
-        iterations = config.max_iterations
-    if float(np.abs(grad).max()) <= config.gradient_tolerance:
-        status = "converged"
-    info = {"status": status, "iterations": iterations, "loss": phi,
-            "grad_inf_norm": float(np.abs(grad).max()), "fallback_steps": fallbacks}
+        iterations += 1
+    status = "converged" if grad_inf <= config.gradient_tolerance else "max_iterations"
+    info = {"status": status, "iterations": iterations, "fallback_steps": fallbacks}
     return x, info
 
 

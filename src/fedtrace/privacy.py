@@ -37,7 +37,7 @@ exactly as the full-grid search would give it. The accountant itself
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -221,17 +221,14 @@ class LedgerEntry:
     count: int
 
 
-@dataclass
 class PrivacyLedger:
     """Additive RDP composition over every query charged to a run."""
 
-    orders: tuple = DEFAULT_ORDERS
-    entries: list[LedgerEntry] = field(default_factory=list)
-    _rdp: np.ndarray = None
+    orders = DEFAULT_ORDERS
 
-    def __post_init__(self):
-        if self._rdp is None:
-            self._rdp = np.zeros(len(self.orders))
+    def __init__(self):
+        self.entries: list[LedgerEntry] = []
+        self._rdp = np.zeros(len(self.orders))
 
     def record(self, mechanism: str, q: float, z: float, count: int = 1) -> None:
         if count < 1:

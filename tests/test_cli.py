@@ -128,6 +128,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "run the earlier stages first" in err
 
+    def test_checkpoint_weight_count_mismatch(self, tmp_path, capsys):
+        out = str(tmp_path)
+        for command in ("generate", "partition", "train"):
+            assert main([command, *TINY, "--out", out]) == EXIT_OK
+        path = tmp_path / "checkpoint.json"
+        checkpoint = json.loads(path.read_text())
+        checkpoint["weights"].pop()
+        path.write_text(json.dumps(checkpoint))
+        assert main(["evaluate", "--out", out]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "weights but the feature set has" in err and "Traceback" not in err
+
     def test_bad_config_values(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["generate", "--set", "epsilon=-1", "--out", out]) == EXIT_CONFIG

@@ -1,11 +1,14 @@
 """Feature catalog structure, extraction semantics, and masks."""
 
+import json
+
 import numpy as np
 import pytest
 
 from fedtrace import heuristics
-from fedtrace.errors import CardinalityError, InvalidInput, InvalidMask
+from fedtrace.errors import CardinalityError, InvalidInput, InvalidMask, ParseError
 from fedtrace.features import (
+    REQUIRED_SET_NAMES,
     CustomFeatureSpec,
     FeatureCatalog,
     build_ext_high_entropy,
@@ -20,7 +23,7 @@ from fedtrace.features import (
     validate_mask,
 )
 from fedtrace.synth import GeneratorConfig
-from fedtrace.traces import ApiCallRecord, LongString, ScriptTrace, api_call
+from fedtrace.traces import ApiCallRecord, LongString, ScriptTrace, api_call, summarize_value
 from generated import generate_scripts
 
 
@@ -297,6 +300,18 @@ class TestMasks:
             build_ext_high_entropy(catalog, base[:3], k=2)
 
 
+def _small_catalog(*custom: CustomFeatureSpec) -> FeatureCatalog:
+    api = ("HTMLCanvasElement.toDataURL", "Navigator.userAgent")
+    slots = tuple(range(len(api) + len(custom)))
+    return FeatureCatalog(api, custom, {name: slots for name in REQUIRED_SET_NAMES})
+
+
+def _write(tmp_path, obj):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
 class TestCatalogFile:
     def test_round_trip_preserves_hash(self, catalog, tmp_path):
         path = tmp_path / "catalog.json"
@@ -312,3 +327,41 @@ class TestCatalogFile:
         altered = FeatureCatalog(catalog.api_count_entries[:-1],
                                  catalog.custom_entries)
         assert catalog_hash(altered) != catalog_hash(catalog)
+
+    def test_long_string_spec_round_trips(self, tmp_path):
+        long_value = "data:image/png;base64," + "A" * 6000
+        spec = CustomFeatureSpec("HTMLCanvasElement.toDataURL", "return", None,
+                                 "equals", summarize_value(long_value))
+        catalog = _small_catalog(spec)
+        path = tmp_path / "catalog.json"
+        save_catalog(catalog, path)
+        back = load_catalog(path)
+        assert back == catalog
+        assert catalog_hash(back) == catalog_hash(catalog)
+        assert isinstance(back.custom_entries[0].match_value, LongString)
+        row = _fill(_trace(api_call("HTMLCanvasElement.toDataURL", (), long_value)), back)
+        assert row[back.n_api] == 1.0
+
+    def test_bad_json_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text('{"api_counts": [')
+        with pytest.raises(ParseError):
+            load_catalog(path)
+
+    def test_bad_structure_is_a_parse_error(self, tmp_path):
+        obj = json.loads(catalog_to_json(_small_catalog()))
+        del obj["custom"]
+        with pytest.raises(ParseError, match="bad catalog structure"):
+            load_catalog(_write(tmp_path, obj))
+
+    def test_missing_required_set_is_refused(self, tmp_path):
+        obj = json.loads(catalog_to_json(_small_catalog()))
+        del obj["sets"]["JShelter"], obj["declared_sizes"]["JShelter"]
+        with pytest.raises(CardinalityError, match="JShelter"):
+            load_catalog(_write(tmp_path, obj))
+
+    def test_declared_size_mismatch_is_refused(self, tmp_path):
+        obj = json.loads(catalog_to_json(_small_catalog()))
+        obj["declared_sizes"]["HighEntropy"] += 1
+        with pytest.raises(CardinalityError, match="declared"):
+            load_catalog(_write(tmp_path, obj))

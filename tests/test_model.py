@@ -118,16 +118,39 @@ def test_lbfgs_on_rosenbrock():
     assert np.allclose(x, [1.0, 1.0], atol=1e-6)
 
 
-def test_line_search_rejects_non_finite_regions():
-    def fun(x):
-        v = float(x[0])
-        if v > 0.5:
-            return math.inf, np.array([math.inf])
-        return -v, np.array([-1.0])  # unbounded descent toward the cliff
+def cliff(x):
+    """f = -x up to 0.5 and non-finite beyond: descent runs off a cliff."""
+    v = float(x[0])
+    if v > 0.5:
+        return math.inf, np.array([math.inf])
+    return -v, np.array([-1.0])
 
-    with pytest.raises(LineSearchError):
-        strong_wolfe_search(fun, np.zeros(1), 0.0, np.array([-1.0]),
-                            np.array([1e6]), 1e-4, 0.9, max_evals=3)
+
+def test_line_search_rejects_non_finite_regions():
+    with pytest.raises(LineSearchError, match="non-finite"):
+        strong_wolfe_search(cliff, np.zeros(1), 0.0, np.array([-1.0]), np.array([1e6]))
+
+
+def test_line_search_exhausts_its_budget_on_unbounded_descent():
+    def line(x):
+        return -float(x[0]), np.array([-1.0])  # no minimum: the step doubles forever
+
+    with pytest.raises(LineSearchError, match="budget"):
+        strong_wolfe_search(line, np.zeros(1), 0.0, np.array([-1.0]), np.array([1.0]))
+
+
+def test_failed_line_search_falls_back_to_a_gradient_step():
+    # the Wolfe search's first trial (x = 1) is non-finite; the fallback
+    # halves its step from 1 to 0.5, which lands on the cliff's edge
+    x, info = lbfgs_minimize(cliff, np.zeros(1), OptimizerConfig(max_iterations=1))
+    assert info == {"status": "max_iterations", "iterations": 1, "fallback_steps": 1}
+    assert np.array_equal(x, [0.5])
+
+
+def test_fallback_that_cannot_reduce_the_loss_raises():
+    # from the cliff's edge every step forward is non-finite
+    with pytest.raises(LineSearchError, match="fallback"):
+        lbfgs_minimize(cliff, np.zeros(1), OptimizerConfig(max_iterations=2))
 
 
 def test_single_class_dataset_stays_finite():
@@ -200,7 +223,7 @@ def test_local_update_clips_after_every_epoch():
 
 def test_config_validation():
     with pytest.raises(InvalidInput):
-        OptimizerConfig(wolfe_c1=0.5, wolfe_c2=0.1)
+        OptimizerConfig(max_iterations=0)
     with pytest.raises(InvalidInput):
         LocalUpdateConfig(epochs=0)
     with pytest.raises(InvalidInput):
