@@ -252,17 +252,9 @@ def validate_mask(mask, slot_count: int) -> np.ndarray:
     return arr
 
 
-def feature_importance(weights: np.ndarray, slots=None) -> np.ndarray:
-    """Slots sorted by |weight| descending; ties broken by slot ascending."""
-    w = np.asarray(weights, dtype=float)
-    if slots is None:
-        slots = np.arange(w.size, dtype=np.intp)
-    else:
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.size != w.size:
-            raise InvalidInput("slots and weights length mismatch")
-    order = np.lexsort((slots, -np.abs(w)))
-    return slots[order]
+def feature_importance(weights: np.ndarray) -> np.ndarray:
+    """Slot indices sorted by |weight| descending; ties broken by slot ascending."""
+    return np.argsort(-np.abs(np.asarray(weights, dtype=float)), kind="stable")
 
 
 def build_ext_high_entropy(catalog: FeatureCatalog, ranking, k: int) -> np.ndarray:

@@ -7,7 +7,9 @@ numerically stable softplus form, so perfectly separated points cost
 
 The optimizer is L-BFGS with a strong-Wolfe line search. Its fixed
 settings are module constants: HISTORY curvature pairs, the Wolfe
-constants WOLFE_C1 and WOLFE_C2, and MAX_LINE_SEARCH_EVALS trial steps.
+constants WOLFE_C1 and WOLFE_C2, MAX_LINE_SEARCH_EVALS trial steps,
+MAX_ZOOM_STEPS zoom bisections and MAX_FALLBACK_HALVINGS halvings of
+the gradient-step fallback.
 OptimizerConfig holds only what callers set: the iteration cap, the
 gradient tolerance and the L2 weight. lbfgs_minimize returns (x, info),
 where info is exactly {"status", "iterations", "fallback_steps"}.
@@ -34,6 +36,8 @@ HISTORY = 10  # curvature pairs kept by L-BFGS
 WOLFE_C1 = 1e-4  # sufficient decrease
 WOLFE_C2 = 0.9  # curvature
 MAX_LINE_SEARCH_EVALS = 25
+MAX_ZOOM_STEPS = 30  # bisections of the bracketing interval
+MAX_FALLBACK_HALVINGS = 40  # of the gradient-step fallback
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,9 +105,9 @@ def _loss_resolution(phi0: float) -> float:
     return 1e-14 * (1.0 + abs(phi0))
 
 
-def _zoom(fun, x, d, phi0, dphi0, lo, hi, feps, max_iters=30):
+def _zoom(fun, x, d, phi0, dphi0, lo, hi, feps):
     """Bisection zoom (Nocedal-Wright 3.6); lo/hi are (alpha, phi, dphi)."""
-    for _ in range(max_iters):
+    for _ in range(MAX_ZOOM_STEPS):
         alpha = 0.5 * (lo[0] + hi[0])
         phi, grad = fun(x + alpha * d)
         if not math.isfinite(phi):
@@ -150,12 +154,12 @@ def strong_wolfe_search(fun, x, phi0, grad0, d):
     raise LineSearchError("line search exhausted its evaluation budget")
 
 
-def _fallback_gradient_step(fun, x, phi0, grad, max_halvings=40):
+def _fallback_gradient_step(fun, x, phi0, grad):
     d = -grad
     gg = float(grad @ grad)
     feps = _loss_resolution(phi0)
     alpha = 1.0 / max(1.0, math.sqrt(gg))
-    for _ in range(max_halvings):
+    for _ in range(MAX_FALLBACK_HALVINGS):
         phi, g_new = fun(x + alpha * d)
         if math.isfinite(phi) and phi <= phi0 - WOLFE_C1 * alpha * gg + feps:
             return alpha, phi, g_new

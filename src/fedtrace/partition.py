@@ -38,6 +38,7 @@ DEFAULT_URLS_PER_PARTICIPANT = 50
 DEFAULT_ZIPF_EXPONENT = 1.0
 N_TYPE_COMBINATIONS = (1 << len(FP_TYPES)) - 1  # non-empty subsets of the four types
 KL_SMOOTHING = 1e-3
+NON_IID_SAMPLE_SIZE = 1000  # participants the non-iidness score averages over at most
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,18 +417,17 @@ def _combination_counts(dataset: ParticipantDataset) -> np.ndarray:
     return np.bincount(fp, minlength=N_TYPE_COMBINATIONS + 1)[1:].astype(float)
 
 
-def non_iidness_score(participants: Sequence[ParticipantDataset], sample_size: int = 1000,
-                      rng: np.random.Generator | None = None,
-                      smoothing: float = KL_SMOOTHING) -> float:
+def non_iidness_score(participants: Sequence[ParticipantDataset],
+                      rng: np.random.Generator | None = None) -> float:
     """Mean pairwise symmetrized KL over fingerprinting-type-combination mixes.
 
     Participants with no fingerprinting scripts carry no distribution and
     are excluded before sampling. Each remaining participant's counts over
     the 15 non-empty type combinations get additive smoothing, and the
-    score averages (KL(P||Q) + KL(Q||P)) / 2 over unordered pairs.
+    score averages (KL(P||Q) + KL(Q||P)) / 2 over unordered pairs. With
+    more than NON_IID_SAMPLE_SIZE eligible participants, rng draws that
+    many of them.
     """
-    if sample_size < 2:
-        raise InvalidInput(f"sample_size must be at least 2: {sample_size}")
     eligible = [(p.participant_id, _combination_counts(p)) for p in participants]
     eligible = [(pid, c) for pid, c in eligible if c.sum() > 0]
     if len(eligible) < 2:
@@ -435,14 +435,14 @@ def non_iidness_score(participants: Sequence[ParticipantDataset], sample_size: i
             f"need at least 2 participants with fingerprinting scripts, "
             f"have {len(eligible)}")
     eligible.sort(key=lambda item: item[0])
-    if len(eligible) > sample_size:
+    if len(eligible) > NON_IID_SAMPLE_SIZE:
         if rng is None:
             raise InvalidInput("sampling participants requires an rng")
-        idx = rng.choice(len(eligible), size=sample_size, replace=False)
+        idx = rng.choice(len(eligible), size=NON_IID_SAMPLE_SIZE, replace=False)
         eligible = [eligible[i] for i in np.sort(idx)]
     counts = np.stack([c for _, c in eligible])
-    p = (counts + smoothing) / (counts.sum(axis=1, keepdims=True)
-                                + smoothing * N_TYPE_COMBINATIONS)
+    p = (counts + KL_SMOOTHING) / (counts.sum(axis=1, keepdims=True)
+                                   + KL_SMOOTHING * N_TYPE_COMBINATIONS)
     logp = np.log(p)
     self_score = (p * logp).sum(axis=1)
     cross = p @ logp.T  # cross[i, j] = sum_c P_i[c] log P_j[c]

@@ -23,15 +23,21 @@ space); N > P is refused with InvalidInput. The values agree to
 within 1e-13 absolute with the same series summed one order and one
 term at a time (the tests' float64 reference).
 
-Noise calibration bisects z, and prunes orders as it goes. At every
-order the composed epsilon does not increase with z (the searched
-queries' RDP falls as the noise grows, fixed-z queries stay constant),
-and every later midpoint lies below the current upper end `hi`. So an
-order whose epsilon at `hi` exceeds the target exceeds it at every
-later midpoint too, and can never be the order that accepts a step.
-Dropping it leaves every accept/reject decision, and so the returned z,
-exactly as the full-grid search would give it. The accountant itself
-(PrivacyLedger, plan_epsilon) always uses the full grid.
+One function, `_plan_epsilons`, composes a query plan, for the replay
+(plan_epsilon) and for calibration alike, and one entry, `_rdp`, gives
+its RDP: the Gaussian's closed form at q = 1, `_rdp_orders` otherwise.
+Calibration bisects z over the fixed Z_SEARCH_BOUNDS down to relative
+width Z_SEARCH_REL_TOL, on the fixed grid DEFAULT_ORDERS, and prunes
+orders as it goes. At every order the composed epsilon does not
+increase with z (the searched queries' RDP falls as the noise grows,
+fixed-z queries stay constant), and every later midpoint lies below the
+current upper end `hi`. So an order whose epsilon at `hi` exceeds the
+target exceeds it at every later midpoint too, and can never be the
+order that accepts a step. Dropping it leaves every accept/reject
+decision, and so the returned z, exactly as the full-grid search would
+give it, because every kept order's epsilon is its full-grid value bit
+for bit. The accountant itself (PrivacyLedger, plan_epsilon) always
+uses the full grid.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from scipy import special
 from .errors import CalibrationError, InvalidInput
 
 DEFAULT_ORDERS = tuple(np.arange(1.25, 64.0 + 1e-9, 0.25)) + (128.0, 256.0)
+_ORDERS = np.asarray(DEFAULT_ORDERS)
 
 Z_SEARCH_BOUNDS = (1e-2, 1e3)
 Z_SEARCH_REL_TOL = 1e-3
@@ -167,16 +174,16 @@ def _rdp_orders(q: float, z: float, orders: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rdp(q: float, z: float, orders: np.ndarray) -> np.ndarray:
+    """RDP at every order: the Gaussian's closed form at q = 1, else the series."""
+    if q == 1.0:
+        return orders / (2.0 * z * z)
+    return _rdp_orders(q, z, orders)
+
+
 @lru_cache(maxsize=4096)
-def _rdp_grid_cached(q: float, z: float, orders: tuple) -> tuple:
-    return tuple(_rdp_orders(q, z, np.asarray(orders)).tolist())
-
-
-def _orders_array(orders) -> np.ndarray:
-    orders_arr = np.asarray(orders, dtype=float)
-    if orders_arr.ndim != 1 or orders_arr.size == 0 or (orders_arr <= 1.0).any():
-        raise InvalidInput("orders must be a non-empty array of values > 1")
-    return orders_arr
+def _rdp_cached(q: float, z: float, orders: tuple) -> tuple:
+    return tuple(_rdp(q, z, np.asarray(orders)).tolist())
 
 
 def rdp_subsampled_gaussian(q: float, z: float, orders=DEFAULT_ORDERS) -> np.ndarray:
@@ -185,10 +192,10 @@ def rdp_subsampled_gaussian(q: float, z: float, orders=DEFAULT_ORDERS) -> np.nda
         raise InvalidInput(f"sampling rate must be in (0, 1]: {q}")
     if z <= 0 or not math.isfinite(z):
         raise InvalidInput(f"noise multiplier must be positive and finite: {z}")
-    orders_arr = _orders_array(orders)
-    if q == 1.0:
-        return orders_arr / (2.0 * z * z)
-    return np.array(_rdp_grid_cached(float(q), float(z), tuple(float(a) for a in orders_arr)))
+    orders_arr = np.asarray(orders, dtype=float)
+    if orders_arr.ndim != 1 or orders_arr.size == 0 or (orders_arr <= 1.0).any():
+        raise InvalidInput("orders must be a non-empty array of values > 1")
+    return np.array(_rdp_cached(float(q), float(z), tuple(orders_arr.tolist())))
 
 
 def epsilon_and_order(rdp, orders, delta: float) -> tuple[float, float | None]:
@@ -207,10 +214,6 @@ def epsilon_and_order(rdp, orders, delta: float) -> tuple[float, float | None]:
     eps = rdp + math.log(1.0 / delta) / (orders - 1.0)
     best = int(np.argmin(eps))
     return float(eps[best]), float(orders[best])
-
-
-def rdp_to_epsilon(rdp, orders, delta: float) -> float:
-    return epsilon_and_order(rdp, orders, delta)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,7 +250,7 @@ class PrivacyLedger:
     def epsilon(self, delta: float) -> float:
         if not self.entries:
             raise InvalidInput("cannot convert an empty ledger")
-        return rdp_to_epsilon(self._rdp, np.asarray(self.orders), delta)
+        return epsilon_and_order(self._rdp, self.orders, delta)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,19 +274,35 @@ class PlannedQuery:
             raise InvalidInput(f"fixed z must be positive: {self.z}")
 
 
-def plan_epsilon(plan, z: float, delta: float, orders=DEFAULT_ORDERS) -> float:
-    orders_arr = np.asarray(orders, dtype=float)
-    total = np.zeros_like(orders_arr)
+def _plan_epsilons(plan, z: float, delta: float, keep=slice(None)) -> np.ndarray:
+    """The plan's epsilon at each order DEFAULT_ORDERS[keep], searched entries at z.
+
+    The one place a plan is composed. Entries are summed in plan order,
+    so an order's value is the same bit for bit whichever orders are
+    kept. Fixed-z entries are sliced from their cached full-grid RDP;
+    searched entries are evaluated at the kept orders alone.
+    """
+    orders = _ORDERS[keep]
+    total = np.zeros(orders.shape)
     for entry in plan:
-        z_eff = entry.z if entry.z is not None else z
-        total += entry.count * rdp_subsampled_gaussian(entry.q, z_eff, orders_arr)
-    return rdp_to_epsilon(total, orders_arr, delta)
+        if entry.z is None:
+            total += entry.count * _rdp(entry.q, z, orders)
+        else:
+            total += entry.count * rdp_subsampled_gaussian(entry.q, entry.z)[keep]
+    return total + math.log(1.0 / delta) / (orders - 1.0)
 
 
-def calibrate_noise(target_epsilon: float, delta: float, plan,
-                    orders=DEFAULT_ORDERS,
-                    z_bounds: tuple[float, float] = Z_SEARCH_BOUNDS,
-                    rel_tol: float = Z_SEARCH_REL_TOL) -> float:
+def plan_epsilon(plan, z: float, delta: float) -> float:
+    """The plan's epsilon on the full order grid, its searched entries at z."""
+    plan = tuple(plan)
+    if not 0.0 < delta < 1.0:
+        raise InvalidInput(f"delta must be in (0, 1): {delta}")
+    if any(entry.z is None for entry in plan) and (z <= 0 or not math.isfinite(z)):
+        raise InvalidInput(f"noise multiplier must be positive and finite: {z}")
+    return float(_plan_epsilons(plan, z, delta).min())
+
+
+def calibrate_noise(target_epsilon: float, delta: float, plan) -> float:
     """Smallest z (on the bisection grid) whose replayed epsilon meets target.
 
     target_epsilon = inf is the no-noise sentinel and returns z = 0.
@@ -291,12 +310,8 @@ def calibrate_noise(target_epsilon: float, delta: float, plan,
     Order pruning (module docstring) keeps every accept/reject decision,
     and so the returned z, bit for bit that of the full-grid search:
     after the upper endpoint and after each accepted step, the orders
-    whose epsilon exceeds the target are dropped. Fixed-z entries are
-    evaluated once on the full grid and sliced; searched entries only at
-    the kept orders, outside the RDP cache. The entries are summed in
-    plan order as plan_epsilon sums them, so each kept order's epsilon
-    is exactly its full-grid value. Results are memoized, because sweeps
-    and repeated seeds calibrate the same plan again.
+    whose epsilon exceeds the target are dropped. Results are memoized,
+    because sweeps and repeated seeds calibrate the same plan again.
     """
     plan = tuple(plan)
     if not plan:
@@ -309,47 +324,25 @@ def calibrate_noise(target_epsilon: float, delta: float, plan,
         raise InvalidInput("plan has no entry at the searched noise level")
     if not 0.0 < delta < 1.0:
         raise InvalidInput(f"delta must be in (0, 1): {delta}")
-    return _bisect(target_epsilon, delta, plan, tuple(_orders_array(orders).tolist()),
-                   tuple(z_bounds), rel_tol)
+    return _bisect(target_epsilon, delta, plan)
 
 
 @lru_cache(maxsize=256)
-def _bisect(target_epsilon: float, delta: float, plan: tuple, orders: tuple,
-            z_bounds: tuple, rel_tol: float) -> float:
-    orders_arr = np.asarray(orders)
-    fixed = [None if entry.z is None
-             else entry.count * rdp_subsampled_gaussian(entry.q, entry.z, orders_arr)
-             for entry in plan]
-    offset = math.log(1.0 / delta) / (orders_arr - 1.0)
-
-    def epsilons(z: float, keep=None) -> np.ndarray:
-        # per-order epsilon on the full grid (keep None) or at orders[keep]
-        kept = orders_arr if keep is None else orders_arr[keep]
-        total = np.zeros_like(kept)
-        for entry, rdp in zip(plan, fixed):
-            if rdp is not None:
-                total += rdp if keep is None else rdp[keep]
-            elif keep is None:
-                total += entry.count * rdp_subsampled_gaussian(entry.q, z, orders_arr)
-            elif entry.q == 1.0:
-                total += entry.count * (kept / (2.0 * z * z))
-            else:
-                total += entry.count * _rdp_orders(float(entry.q), z, kept)
-        return total + (offset if keep is None else offset[keep])
-
-    lo, hi = z_bounds
-    if epsilons(lo).min() <= target_epsilon:
+def _bisect(target_epsilon: float, delta: float, plan: tuple) -> float:
+    lo, hi = Z_SEARCH_BOUNDS
+    if _plan_epsilons(plan, lo, delta).min() <= target_epsilon:
         return lo
-    eps = epsilons(hi)
+    eps = _plan_epsilons(plan, hi, delta)
     if eps.min() > target_epsilon:
+        floor = math.log(1.0 / delta) / (_ORDERS[-1] - 1.0)
         raise CalibrationError(
             f"epsilon {target_epsilon} unreachable with z in [{lo}, {hi}]: the smallest "
             f"epsilon at z={hi} is {eps.min():.4g}, and no z goes below the order grid's "
-            f"floor log(1/delta)/(alpha_max - 1) = {offset.min():.4g}")
+            f"floor log(1/delta)/(alpha_max - 1) = {floor:.4g}")
     keep = np.flatnonzero(eps <= target_epsilon)
-    while hi / lo - 1.0 > rel_tol:
+    while hi / lo - 1.0 > Z_SEARCH_REL_TOL:
         mid = math.sqrt(lo * hi)
-        eps = epsilons(mid, keep)
+        eps = _plan_epsilons(plan, mid, delta, keep)
         if eps.min() <= target_epsilon:
             hi = mid
             keep = keep[eps <= target_epsilon]

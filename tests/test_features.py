@@ -283,8 +283,8 @@ class TestMasks:
         assert order.tolist() == [1, 2, 0, 3]
 
     def test_feature_importance_tie_broken_by_slot(self):
-        order = feature_importance(np.array([1.0, -1.0, 1.0]), slots=[7, 3, 5])
-        assert order.tolist() == [3, 5, 7]
+        order = feature_importance(np.array([1.0, -2.0, -1.0, 2.0, 1.0]))
+        assert order.tolist() == [1, 3, 0, 2, 4]
 
     def test_build_ext_high_entropy_unions_top_k(self, catalog):
         base = catalog.mask("HighEntropy")

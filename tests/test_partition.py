@@ -24,6 +24,7 @@ from fedtrace.features import default_catalog
 from fedtrace.partition import (
     DomainRanking,
     KL_SMOOTHING,
+    NON_IID_SAMPLE_SIZE,
     N_TYPE_COMBINATIONS,
     LimitedKnowledgeSpec,
     ParticipantDataset,
@@ -392,15 +393,16 @@ def test_non_iidness_symmetric_and_excludes_fp_free():
 def test_non_iidness_requires_two_eligible():
     with pytest.raises(InsufficientData):
         non_iidness_score([_participant(0, {0b0001: 1}), _participant(1, {})])
-    with pytest.raises(InvalidInput):
-        non_iidness_score([_participant(0, {1: 1}), _participant(1, {2: 1})],
-                          sample_size=1)
 
 
 def test_non_iidness_sampling_is_seeded():
-    parts = [_participant(i, {(i % 15) + 1: 3}) for i in range(12)]
-    a = non_iidness_score(parts, sample_size=6, rng=np.random.default_rng(3))
-    b = non_iidness_score(parts, sample_size=6, rng=np.random.default_rng(3))
+    kinds = [_participant(0, {combo: 3}) for combo in range(1, 16)]
+    parts = [dataclasses.replace(kinds[i % 15], participant_id=i)
+             for i in range(NON_IID_SAMPLE_SIZE + 12)]
+    a = non_iidness_score(parts, rng=np.random.default_rng(3))
+    b = non_iidness_score(parts, rng=np.random.default_rng(3))
     assert a == b
     with pytest.raises(InvalidInput):
-        non_iidness_score(parts, sample_size=6, rng=None)
+        non_iidness_score(parts, rng=None)
+    # up to NON_IID_SAMPLE_SIZE eligible participants are all scored, no rng needed
+    assert non_iidness_score(parts[:NON_IID_SAMPLE_SIZE]) > 0

@@ -20,7 +20,6 @@ from fedtrace.privacy import (
     noise_stddev,
     plan_epsilon,
     rdp_subsampled_gaussian,
-    rdp_to_epsilon,
 )
 from oracle_rdp import GRID, oracle_rdp, oracle_rdp_integral, oracle_rdp_series
 from scalar_rdp import rdp_fractional_order, rdp_order
@@ -136,7 +135,7 @@ def test_conversion_matches_scalar_minimization_oracle():
         options={"xatol": 1e-12},
     )
     orders = np.asarray(DEFAULT_ORDERS)
-    got = rdp_to_epsilon(orders / 2, orders, delta)
+    got, _ = epsilon_and_order(orders / 2, orders, delta)
     assert got >= res.fun - 1e-12  # grid minimum cannot beat continuous
     assert got == pytest.approx(res.fun, rel=1e-3)
 
@@ -145,7 +144,10 @@ def test_conversion_reports_the_order_it_minimizes_at():
     delta = 1e-5
     orders = np.asarray(DEFAULT_ORDERS)
     epsilon, order = epsilon_and_order(orders / 2, orders, delta)
-    assert epsilon == rdp_to_epsilon(orders / 2, orders, delta)
+    # the ledger converts through the same minimization
+    ledger = PrivacyLedger()
+    ledger.record("round", 1.0, 1.0)
+    assert ledger.epsilon(delta) == epsilon
     # a/2 + log(1/delta)/(a-1) is smallest near a = 1 + sqrt(2 log(1/delta)) = 5.80
     assert order == 5.75
     assert epsilon == order / 2 + math.log(1 / delta) / (order - 1)
@@ -156,7 +158,7 @@ def test_conversion_validates_delta():
     orders = np.asarray(DEFAULT_ORDERS)
     for delta in (0.0, 1.0, -0.5):
         with pytest.raises(InvalidInput):
-            rdp_to_epsilon(orders / 2, orders, delta)
+            epsilon_and_order(orders / 2, orders, delta)
 
 
 def test_calibration_replay_is_tight():
@@ -201,69 +203,63 @@ def test_calibration_monotone_in_target():
     assert zs[0] > zs[1] > zs[2] > 0
 
 
-def full_grid_calibrate(target_epsilon, delta, plan, orders=DEFAULT_ORDERS,
-                        z_bounds=Z_SEARCH_BOUNDS, rel_tol=Z_SEARCH_REL_TOL):
+def full_grid_calibrate(target_epsilon, delta, plan):
     """Oracle: the bisection with no order pruning, every step on the full grid."""
-    lo, hi = z_bounds
-    if plan_epsilon(plan, lo, delta, orders) <= target_epsilon:
+    lo, hi = Z_SEARCH_BOUNDS
+    if plan_epsilon(plan, lo, delta) <= target_epsilon:
         return lo
-    if plan_epsilon(plan, hi, delta, orders) > target_epsilon:
+    if plan_epsilon(plan, hi, delta) > target_epsilon:
         raise CalibrationError(f"epsilon {target_epsilon} unreachable")
-    while hi / lo - 1.0 > rel_tol:
+    while hi / lo - 1.0 > Z_SEARCH_REL_TOL:
         mid = math.sqrt(lo * hi)
-        if plan_epsilon(plan, mid, delta, orders) <= target_epsilon:
+        if plan_epsilon(plan, mid, delta) <= target_epsilon:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _outcome(search, *args, **kwargs):
+def _outcome(search, *args):
     try:
-        return search(*args, **kwargs)
+        return search(*args)
     except CalibrationError:
         return CalibrationError
 
 
-# Narrow bounds and a coarse tolerance keep the full-grid oracle cheap;
-# the bisection still takes 5 steps, so pruning runs after several
-# accepted steps. The custom-orders case uses the default search.
-_SHORT = {"z_bounds": (0.5, 50.0), "rel_tol": 0.2}
-_FEW_ORDERS = (1.5, 2.0, 3.25, 8.0, 32.0)
 _EXACTNESS_CASES = [
-    ("q=0.01", [PlannedQuery(q=0.01, count=20)], (0.3, 1.0), _SHORT),
-    ("q=0.1", [PlannedQuery(q=0.1, count=10)], (1.0, 5.0), _SHORT),
-    ("q=1", [PlannedQuery(q=1.0, count=50)], (1.0, 5.0, 10.0), _SHORT),
+    ("q=0.01", [PlannedQuery(q=0.01, count=20)], (0.3, 1.0)),
+    ("q=0.1", [PlannedQuery(q=0.1, count=10)], (1.0, 5.0)),
+    ("q=1", [PlannedQuery(q=1.0, count=50)], (1.0, 5.0, 10.0)),
     ("fixed first", [PlannedQuery(q=0.1, count=30, z=2.0), PlannedQuery(q=0.1, count=5)],
-     (5.0,), _SHORT),
+     (5.0,)),
     ("fixed last", [PlannedQuery(q=0.1, count=5), PlannedQuery(q=0.05, count=30, z=2.0)],
-     (5.0,), _SHORT),
+     (5.0,)),
     ("two searched", [PlannedQuery(q=0.01, count=40), PlannedQuery(q=0.1, count=5)],
-     (5.0,), _SHORT),
-    ("custom orders", [PlannedQuery(q=0.1, count=20)], (1.0, 10.0),
-     {"orders": _FEW_ORDERS}),
-    # at z = 0.5 one query at q=0.01 already spends less than 10
-    ("returns lo", [PlannedQuery(q=0.01, count=1)], (10.0,), _SHORT),
-    ("unreachable", [PlannedQuery(q=0.1, count=10)], (0.01,), _SHORT),
+     (5.0,)),
+    # at z = 0.01 one query at q=0.01 spends about 6273, less than 1e4
+    ("returns lo", [PlannedQuery(q=0.01, count=1)], (1e4,)),
+    ("unreachable", [PlannedQuery(q=0.1, count=10)], (0.01,)),
 ]
 
 
-@pytest.mark.parametrize("plan,targets,kwargs",
+@pytest.mark.parametrize("plan,targets",
                          [case[1:] for case in _EXACTNESS_CASES],
                          ids=[case[0] for case in _EXACTNESS_CASES])
-def test_pruned_calibration_equals_full_grid_oracle(plan, targets, kwargs):
+def test_pruned_calibration_equals_full_grid_oracle(plan, targets):
     delta = 1e-5
     for target in targets:
-        want = _outcome(full_grid_calibrate, target, delta, plan, **kwargs)
-        got = _outcome(calibrate_noise, target, delta, plan, **kwargs)
+        want = _outcome(full_grid_calibrate, target, delta, plan)
+        got = _outcome(calibrate_noise, target, delta, plan)
         assert got == want, (target, got, want)
 
 
 def test_exactness_cases_cover_both_endpoint_outcomes():
     delta, plan = 1e-5, [PlannedQuery(q=0.01, count=1)]
-    assert calibrate_noise(10.0, delta, plan, **_SHORT) == _SHORT["z_bounds"][0]
-    with pytest.raises(CalibrationError):
-        calibrate_noise(0.01, delta, [PlannedQuery(q=0.1, count=10)], **_SHORT)
+    assert calibrate_noise(1e4, delta, plan) == Z_SEARCH_BOUNDS[0]
+    # the error names the order grid's floor, log(1e5) / 255
+    with pytest.raises(CalibrationError,
+                       match=r"floor log\(1/delta\)/\(alpha_max - 1\) = 0\.04515$"):
+        calibrate_noise(0.01, delta, [PlannedQuery(q=0.1, count=10)])
 
 
 def test_calibration_validates_delta():
@@ -271,6 +267,20 @@ def test_calibration_validates_delta():
     for delta in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(InvalidInput):
             calibrate_noise(1.0, delta, plan)
+
+
+def test_plan_epsilon_validates_delta_and_searched_noise():
+    for plan in ([PlannedQuery(q=0.1, count=5)], [PlannedQuery(q=1.0, count=5)]):
+        for delta in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(InvalidInput, match="delta"):
+                plan_epsilon(plan, 1.0, delta)
+        # refused up front, before any series runs
+        for z in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInput, match="noise multiplier"):
+                plan_epsilon(plan, z, 1e-5)
+    # z only matters to searched entries: an all-fixed plan ignores it
+    fixed = [PlannedQuery(q=0.1, count=5, z=1.0)]
+    assert plan_epsilon(fixed, 0.0, 1e-5) == plan_epsilon(fixed, 7.0, 1e-5)
 
 
 def test_rdp_does_not_increase_with_noise():
