@@ -27,7 +27,7 @@ Artifacts, all inside one run directory:
     split.json              train/test domain lists
     generate_manifest.json  corpus counts, the config snapshot, the
                             catalog's hash and the sha256 of features.npz,
-                            placements.json and split.json
+                            placements.json, ranking.txt and split.json
     partition.json          per-participant domain draws, each with its
                             script count before the knowledge limit, and
                             the knowledge limits
@@ -46,8 +46,8 @@ stored config, so metrics always describe the model they score.
 Every artifact is replaced atomically (artifacts.atomic_write), and the
 hashes recorded in generate_manifest.json and checkpoint.json make a
 later stage refuse a catalog.json, features.npz, placements.json,
-split.json, partition.json, normstats.json or ledger.json that another
-run wrote.
+ranking.txt, split.json, partition.json, normstats.json or ledger.json
+that another run wrote.
 """
 
 from __future__ import annotations
@@ -327,13 +327,15 @@ def _recorded_bytes(run_dir: Path, name: str, recorded, rerun: str) -> bytes:
 
 
 def _generated_domains(run_dir: Path, manifest: dict
-                       ) -> tuple[dict[str, list[str]], SplitSpec]:
-    """placements.json and split.json, checked against the generate manifest."""
+                       ) -> tuple[DomainRanking, dict[str, list[str]], SplitSpec]:
+    """ranking.txt, placements.json and split.json, checked against the generate manifest."""
+    _recorded_bytes(run_dir, RANKING_FILE, manifest.get("ranking_sha256"), "generate")
+    ranking = load_ranking(run_dir / RANKING_FILE)
     placements = json.loads(_recorded_bytes(
         run_dir, PLACEMENTS_FILE, manifest.get("placements_sha256"), "generate"))
     split = json.loads(_recorded_bytes(
         run_dir, SPLIT_FILE, manifest.get("split_sha256"), "generate"))
-    return placements, SplitSpec.from_dict(split)
+    return ranking, placements, SplitSpec.from_dict(split)
 
 
 # ----------------------------------------------------- in-memory pieces
@@ -560,8 +562,8 @@ def stage_generate(config: ExperimentConfig, run_dir) -> dict:
     Each script's trace goes to traces.jsonl and its feature row's
     nonzeros into features.npz as it passes, so neither the traces nor
     a dense matrix is ever held. The manifest records the sha256 of
-    features.npz, placements.json and split.json, which the later
-    stages check.
+    features.npz, placements.json, ranking.txt and split.json, which
+    the later stages check.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -578,6 +580,7 @@ def stage_generate(config: ExperimentConfig, run_dir) -> dict:
     manifest = {**manifest, "experiment_config": config.to_dict(),
                 "features_sha256": file_sha256(run_dir / FEATURES_FILE),
                 "placements_sha256": file_sha256(run_dir / PLACEMENTS_FILE),
+                "ranking_sha256": file_sha256(run_dir / RANKING_FILE),
                 "split_sha256": file_sha256(run_dir / SPLIT_FILE)}
     _write_json(manifest, run_dir / GENERATE_MANIFEST_FILE)
     return manifest
@@ -606,8 +609,7 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
              (RANKING_FILE, SPLIT_FILE, PLACEMENTS_FILE, GENERATE_MANIFEST_FILE))
     generated = _read_json(run_dir / GENERATE_MANIFEST_FILE)
     _check_corpus_config(config, generated, run_dir)
-    ranking = load_ranking(run_dir / RANKING_FILE)
-    placements, split = _generated_domains(run_dir, generated)
+    ranking, placements, split = _generated_domains(run_dir, generated)
     draws, spec = _partition_plan(training_ranking(ranking, split), config)
     participants = [{"participant_id": pid, "urls": domains,
                      "n_scripts": len(set().union(*(placements[d] for d in domains)))}
@@ -629,23 +631,24 @@ def load_corpus(run_dir) -> PreparedData:
     """Read the generate stage's artifacts back as the PreparedData prepare_data gives.
 
     Refuses (StageDependencyError) a run directory missing any of
-    CORPUS_FILES, a features.npz, placements.json or split.json whose
-    sha256 differs from the one generate_manifest.json records, and a
-    catalog.json whose catalog_hash differs from the recorded one.
+    CORPUS_FILES, a features.npz, placements.json, ranking.txt or
+    split.json whose sha256 differs from the one generate_manifest.json
+    records (or that it records none for), and a catalog.json whose
+    catalog_hash differs from the recorded one.
     The manifest is the stored one, with the run's config snapshot.
     """
     run_dir = Path(run_dir)
     _require(run_dir, "load_corpus", CORPUS_FILES)
     manifest = _read_json(run_dir / GENERATE_MANIFEST_FILE)
     data = _recorded_bytes(run_dir, FEATURES_FILE, manifest.get("features_sha256"), "generate")
-    placements, split = _generated_domains(run_dir, manifest)
+    ranking, placements, split = _generated_domains(run_dir, manifest)
     catalog = load_catalog(run_dir / CATALOG_FILE)
     if catalog_hash(catalog) != manifest.get("catalog_hash"):
         raise StageDependencyError(
             f"{CATALOG_FILE} in {run_dir} is not the one this run recorded; "
             f"re-run the generate stage")
     corpus = ScriptCorpus.from_arrays(read_npz(data), catalog, placements)
-    return PreparedData(corpus, load_ranking(run_dir / RANKING_FILE), split, manifest)
+    return PreparedData(corpus, ranking, split, manifest)
 
 
 def corpus_from_traces(run_dir) -> ScriptCorpus:

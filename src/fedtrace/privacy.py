@@ -26,9 +26,11 @@ term at a time (the tests' float64 reference).
 One function, `_plan_epsilons`, composes a query plan, for the replay
 (plan_epsilon) and for calibration alike, and one entry, `_rdp`, gives
 its RDP: the Gaussian's closed form at q = 1, `_rdp_orders` otherwise.
-Calibration bisects z over the fixed Z_SEARCH_BOUNDS down to relative
-width Z_SEARCH_REL_TOL, on the fixed grid DEFAULT_ORDERS, and prunes
-orders as it goes. At every order the composed epsilon does not
+Full-grid RDP, the search bounds' included, is cached per (q, z), so
+calibrations at the same q evaluate the bounds once. Calibration
+bisects z over the fixed Z_SEARCH_BOUNDS down to relative width
+Z_SEARCH_REL_TOL, on the fixed grid DEFAULT_ORDERS, and prunes orders
+as it goes. At every order the composed epsilon does not
 increase with z (the searched queries' RDP falls as the noise grows,
 fixed-z queries stay constant), and every later midpoint lies below the
 current upper end `hi`. So an order whose epsilon at `hi` exceeds the
@@ -274,21 +276,23 @@ class PlannedQuery:
             raise InvalidInput(f"fixed z must be positive: {self.z}")
 
 
-def _plan_epsilons(plan, z: float, delta: float, keep=slice(None)) -> np.ndarray:
+def _plan_epsilons(plan, z: float, delta: float, keep=None) -> np.ndarray:
     """The plan's epsilon at each order DEFAULT_ORDERS[keep], searched entries at z.
 
     The one place a plan is composed. Entries are summed in plan order,
     so an order's value is the same bit for bit whichever orders are
-    kept. Fixed-z entries are sliced from their cached full-grid RDP;
-    searched entries are evaluated at the kept orders alone.
+    kept. On the full grid (keep None) every entry's RDP comes from the
+    cached full-grid evaluation; with kept orders, fixed-z entries are
+    sliced from it and searched entries are evaluated at those orders alone.
     """
-    orders = _ORDERS[keep]
+    orders = _ORDERS if keep is None else _ORDERS[keep]
     total = np.zeros(orders.shape)
     for entry in plan:
-        if entry.z is None:
+        if entry.z is None and keep is not None:
             total += entry.count * _rdp(entry.q, z, orders)
         else:
-            total += entry.count * rdp_subsampled_gaussian(entry.q, entry.z)[keep]
+            rdp = rdp_subsampled_gaussian(entry.q, z if entry.z is None else entry.z)
+            total += entry.count * (rdp if keep is None else rdp[keep])
     return total + math.log(1.0 / delta) / (orders - 1.0)
 
 

@@ -3,8 +3,14 @@
 A recipe is a list of config variants sharing one generator setting, so
 every seed's corpus is built once and reused across the grid, as are
 partitions and the per-participant column moments (which depend on the
-partition and feature set but not on the noise level). Each recipe run
-writes three files into the output directory:
+partition and feature set but not on the noise level). One memo over a
+plain dict holds all three: a corpus under its resolved generator
+config, a partition under the config fields that decide it
+(experiment.PARTITION_FIELDS), and moments under those plus the feature
+set. ext_high_entropy stores each seed's corpus again under the same
+key, with a catalog that registers the rebuilt set, so only that seed's
+later runs read it. Each recipe run writes three files into the output
+directory:
 
     <recipe>_runs.csv     one row per (variant, seed) with the test AUPRC
     <recipe>_summary.csv  mean/std per (feature set, participants, epsilon)
@@ -43,9 +49,8 @@ from .experiment import (PARTITION_FIELDS, ExperimentConfig, PreparedData,
 from .features import build_ext_high_entropy, feature_importance
 from .fednorm import participant_moments
 from .metrics import summarize_runs
-from .partition import ParticipantDataset, non_iidness_score
+from .partition import non_iidness_score
 from .seeding import SCORE_SAMPLING, derive_rng
-from .synth import GeneratorConfig
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 EXT_REBUILD_K = 40  # extra slots grafted onto HighEntropy by the rebuild recipe
@@ -89,60 +94,31 @@ def _partition_key(config: ExperimentConfig) -> tuple:
     return tuple(getattr(config, name) for name in PARTITION_FIELDS)
 
 
-class _GridCache:
-    """Prepared corpora, partitions and moments shared across a recipe.
-
-    A corpus is keyed by its resolved generator config, a partition by
-    the config fields that decide it (experiment.PARTITION_FIELDS), and
-    moments by those plus the feature set.
-    """
-
-    def __init__(self):
-        self.prepared: dict[GeneratorConfig, PreparedData] = {}
-        self.participants: dict[tuple, list[ParticipantDataset]] = {}
-        self.moments: dict[tuple, object] = {}
-
-    def data_for(self, config: ExperimentConfig) -> PreparedData:
-        key = config.resolved_generator
-        prepared = self.prepared.get(key)
-        if prepared is None:
-            prepared = prepare_data(config)
-            self.prepared[key] = prepared
-        return prepared
-
-    def participants_for(self, prepared: PreparedData,
-                         config: ExperimentConfig) -> list[ParticipantDataset]:
-        key = _partition_key(config)
-        parts = self.participants.get(key)
-        if parts is None:
-            parts = build_participants(prepared, config)
-            self.participants[key] = parts
-        return parts
-
-    def moments_for(self, prepared: PreparedData, participants, config: ExperimentConfig):
-        key = (*_partition_key(config), config.feature_set)
-        moments = self.moments.get(key)
-        if moments is None:
-            mask = resolve_mask(prepared.corpus.catalog, config.feature_set)
-            moments = participant_moments(participants, mask)
-            self.moments[key] = moments
-        return moments
+def _memo(cache: dict, key, build: Callable):
+    """cache[key], built by build() the first time the key is asked for."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def _run_config(base: ExperimentConfig, spec: RunSpec, seed: int) -> ExperimentConfig:
     return dataclasses.replace(base, seed=seed, **dict(spec.overrides))
 
 
-def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: _GridCache,
-             extra_fn: Callable | None = None,
-             prepared: PreparedData | None = None) -> SweepRun:
+def _corpus(cache: dict, config: ExperimentConfig) -> PreparedData:
+    return _memo(cache, config.resolved_generator, lambda: prepare_data(config))
+
+
+def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: dict,
+             extra_fn: Callable | None = None) -> SweepRun:
     config = _run_config(base, spec, seed)
-    if prepared is None:
-        prepared = cache.data_for(config)
-    participants = cache.participants_for(prepared, config)
+    prepared = _corpus(cache, config)
+    key = _partition_key(config)
+    participants = _memo(cache, key, lambda: build_participants(prepared, config))
     moments = None
     if config.normalize:
-        moments = cache.moments_for(prepared, participants, config)
+        moments = _memo(cache, (*key, config.feature_set), lambda: participant_moments(
+            participants, resolve_mask(prepared.corpus.catalog, config.feature_set)))
     outcome = train_in_memory(prepared, participants, config, moments=moments)
     metrics = {row["split"]: row
                for row in score_splits(prepared, config, outcome.model, outcome.matrix)}
@@ -153,7 +129,7 @@ def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: _GridCache
 
 def _execute(base: ExperimentConfig, specs: Sequence[RunSpec], seeds: Sequence[int],
              extra_fn: Callable | None = None) -> list[SweepRun]:
-    cache = _GridCache()
+    cache = {}
     return [_run_one(base, spec, seed, cache, extra_fn)
             for spec in specs for seed in seeds]
 
@@ -215,14 +191,14 @@ def _recipe_ext_high_entropy(base, seeds):
         return {"_weights": outcome.model.weights}
 
     runs = []
-    cache = _GridCache()
+    cache = {}
     probe_spec = RunSpec((("feature_set", "All"), ("epsilon", math.inf)),
                          series="feature_set", x="All")
     for seed in seeds:
         probe = _run_one(base, probe_spec, seed, cache, extra_fn=keep_weights)
         weights = probe.extra.pop("_weights")
         runs.append(probe)
-        prepared = cache.data_for(probe.config)
+        prepared = _corpus(cache, probe.config)
         catalog = prepared.corpus.catalog
         ranking = feature_importance(weights)
         outside = ranking[~np.isin(ranking, catalog.mask("HighEntropy"))]
@@ -230,11 +206,13 @@ def _recipe_ext_high_entropy(base, seeds):
         catalog2 = dataclasses.replace(
             catalog, named_sets={**catalog.named_sets,
                                  "ExtHighEntropyRebuilt": tuple(int(s) for s in rebuilt)})
-        prepared2 = PreparedData(dataclasses.replace(prepared.corpus, catalog=catalog2),
-                                 prepared.ranking, prepared.split, prepared.manifest)
+        # this seed's later runs read the corpus with the rebuilt set registered
+        cache[probe.config.resolved_generator] = PreparedData(
+            dataclasses.replace(prepared.corpus, catalog=catalog2),
+            prepared.ranking, prepared.split, prepared.manifest)
         for name in ("HighEntropy", "ExtHighEntropyRebuilt", "ExtHighEntropy"):
             spec = RunSpec((("feature_set", name),), series="feature_set", x=name)
-            runs.append(_run_one(base, spec, seed, cache, prepared=prepared2))
+            runs.append(_run_one(base, spec, seed, cache))
     return runs
 
 

@@ -602,6 +602,18 @@ class TestStageGuards:
         with pytest.raises(StageDependencyError, match=SPLIT_FILE):
             stage_train(cfg, tmp_path / "a")
 
+    def test_ranking_from_another_seed_is_refused(self, tmp_path):
+        cfg = tiny_config()
+        stage_generate(cfg, tmp_path / "a")
+        stage_partition(cfg, tmp_path / "a")
+        stage_generate(tiny_config(seed=8), tmp_path / "b")
+        shutil.copyfile(tmp_path / "b" / RANKING_FILE, tmp_path / "a" / RANKING_FILE)
+        for stage in (lambda: stage_partition(cfg, tmp_path / "a"),
+                      lambda: stage_train(cfg, tmp_path / "a"),
+                      lambda: load_corpus(tmp_path / "a")):
+            with pytest.raises(StageDependencyError, match=RANKING_FILE):
+                stage()
+
     def test_partition_from_another_run_is_refused(self, tmp_path):
         for name, participants in (("a", 20), ("b", 21)):
             cfg = tiny_config(n_participants=participants)

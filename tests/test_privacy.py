@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from fedtrace import privacy
 from fedtrace.errors import CalibrationError, InvalidInput
 from fedtrace.privacy import (
     DEFAULT_ORDERS,
@@ -260,6 +261,24 @@ def test_exactness_cases_cover_both_endpoint_outcomes():
     with pytest.raises(CalibrationError,
                        match=r"floor log\(1/delta\)/\(alpha_max - 1\) = 0\.04515$"):
         calibrate_noise(0.01, delta, [PlannedQuery(q=0.1, count=10)])
+
+
+def test_search_bounds_are_evaluated_once_per_sampling_rate(monkeypatch):
+    privacy._rdp_cached.cache_clear()
+    privacy._bisect.cache_clear()
+    plan = [PlannedQuery(q=0.1, count=20)]
+    calibrate_noise(1.0, 1e-5, plan)
+    sizes = []
+    original = privacy._rdp_orders
+
+    def counting(q, z, orders):
+        sizes.append(orders.size)
+        return original(q, z, orders)
+
+    monkeypatch.setattr(privacy, "_rdp_orders", counting)
+    calibrate_noise(5.0, 1e-5, plan)
+    assert sizes  # the pruned steps still evaluate their kept orders
+    assert max(sizes) < len(DEFAULT_ORDERS)
 
 
 def test_calibration_validates_delta():

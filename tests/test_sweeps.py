@@ -120,6 +120,29 @@ class TestFeatureSetsRecipe:
         assert sorted(calls) == [3, 4]  # deduped seeds, one corpus each
 
 
+def _count_calls(monkeypatch, *names) -> dict:
+    """Count calls of sweeps' module-level names, each still doing its work."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(sweeps, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sweeps, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("recipe,corpora,moments",
+                         [("feat_norm_ablation", 2, 2), ("ext_high_entropy", 2, 8)])
+def test_memo_builds_each_corpus_and_moments_once(recipe, corpora, moments, base,
+                                                  tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch, "prepare_data", "participant_moments")
+    small = dataclasses.replace(base, generator=GeneratorConfig(n_scripts=1500,
+                                                                fp_prevalence=0.02))
+    run_sweep(recipe, tmp_path, base=small, seeds=(0, 1))
+    assert counts == {"prepare_data": corpora, "participant_moments": moments}
+
+
 class TestParticipantsRecipe:
     def test_grid(self, base, tmp_path):
         result = run_sweep("participants", tmp_path, base=base, seeds=(0,))
@@ -182,3 +205,24 @@ class TestExtHighEntropyRecipe:
         assert "_weights" not in probe.extra  # internal stash never leaks
         for r in result.runs[1:]:
             assert r.config.epsilon == base.epsilon
+
+    def test_rebuilt_set_is_scored_on_the_probe_corpus(self, base, tmp_path, monkeypatch):
+        scored = []
+        original = sweeps.score_splits
+
+        def recording(prepared, config, model, matrix):
+            scored.append((config.seed, config.feature_set, prepared.corpus))
+            return original(prepared, config, model, matrix)
+
+        monkeypatch.setattr(sweeps, "score_splits", recording)
+        run_sweep("ext_high_entropy", tmp_path, base=base, seeds=(0, 1))
+        for seed in (0, 1):
+            corpora = [(name, corpus) for s, name, corpus in scored if s == seed]
+            assert [name for name, _ in corpora] == ["All", "HighEntropy",
+                                                     "ExtHighEntropyRebuilt",
+                                                     "ExtHighEntropy"]
+            probe = corpora[0][1]
+            assert "ExtHighEntropyRebuilt" not in probe.catalog.named_sets
+            for _, corpus in corpora[1:]:
+                assert corpus.X is probe.X
+                assert "ExtHighEntropyRebuilt" in corpus.catalog.named_sets
