@@ -200,6 +200,8 @@ class ExperimentConfig(JsonConfig):
             raise ConfigError("local_iterations", f"must be >= 1: {self.local_iterations}")
         if self.eval_every < 0:
             raise ConfigError("eval_every", f"must be >= 0: {self.eval_every}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0: {self.seed}")
 
     @property
     def resolved_q(self) -> float:

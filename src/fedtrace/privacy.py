@@ -13,15 +13,15 @@ moment series (Mironov, Talwar & Zhang 2019): a finite binomial sum in
 log space for integer orders and the two-piece erfc series for
 fractional orders. One evaluator, `_rdp_orders`, computes every order
 of a call at once as numpy blocks: the integer orders as one padded
-(orders x terms) block, the fractional ones in blocks of 64 terms, each
-order stopping after its first index i > alpha - 1 where both terms are
-below e^-30. Every row is reduced by a sequential logaddexp, so an
-order's value is the same, bit for bit, whichever orders share the
-call. The signed fractional series is summed as P - N (the terms with
-non-negative and with negative binomial coefficients, each in log
-space); N > P is refused with InvalidInput. The values agree to
-within 1e-13 absolute with the same series summed one order and one
-term at a time (the tests' float64 reference).
+(orders x terms) block per power-of-two range of orders, the fractional
+ones in blocks of 64 terms, each order stopping after its first index
+i > alpha - 1 where both terms are below e^-30. Every row is reduced by
+a sequential logaddexp, so an order's value is the same, bit for bit,
+whichever orders share the call. The signed fractional series is
+summed as P - N (the terms with non-negative and with negative binomial
+coefficients, each in log space); N > P is refused with InvalidInput.
+The values agree to within 1e-13 absolute with the same series summed
+one order and one term at a time (the tests' float64 reference).
 
 One function, `_plan_epsilons`, composes a query plan, for the replay
 (plan_epsilon) and for calibration alike, and one entry, `_rdp`, gives
@@ -53,7 +53,8 @@ from scipy import special
 
 from .errors import CalibrationError, InvalidInput
 
-DEFAULT_ORDERS = tuple(np.arange(1.25, 64.0 + 1e-9, 0.25)) + (128.0, 256.0)
+DEFAULT_ORDERS = tuple(np.arange(1.25, 64.0 + 1e-9, 0.25)) + (
+    128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
 _ORDERS = np.asarray(DEFAULT_ORDERS)
 
 Z_SEARCH_BOUNDS = (1e-2, 1e3)
@@ -98,9 +99,20 @@ def _log_erfc(x: np.ndarray) -> np.ndarray:
 
 
 def _rdp_integer_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
+    # One block per power-of-two range [2^(e-1), 2^e) of orders, so a
+    # large order does not pad the rows of every small one.
+    out = np.empty(alphas.shape)
+    exponent = np.frexp(alphas)[1]
+    for e in np.unique(exponent):
+        at = exponent == e
+        out[at] = _rdp_integer_block(q, z, alphas[at])
+    return out
+
+
+def _rdp_integer_block(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
     # The finite binomial sum: one row of terms per order, padded with
     # -inf past k = alpha (an exact no-op under logaddexp).
-    k = np.arange(alphas.max(initial=0.0) + 1.0)
+    k = np.arange(alphas.max() + 1.0)
     a = alphas[:, None]
     terms = (special.gammaln(a + 1) - special.gammaln(k + 1) - special.gammaln(a - k + 1)
              + (a - k) * math.log1p(-q) + k * math.log(q) + k * (k - 1) / (2.0 * z * z))

@@ -20,13 +20,14 @@ so a config fully determines the corpus.
 
 Every call record whose content depends on no draw is built once by
 _CallBuilder, shared by all scripts, and carries its own compiled work
-(see fedtrace.traces): its JSON fragment, the feature slots it sets under
-the builder's catalog and what the detectors read from it, each made by
-running the per-call code on that record alone. Labelling, the feature
-fill and the trace writer read that work from the record object, never
-from a record of equal content, since equal records can serialize apart
-(True == 1.0). Records drawn per script (fillText's text, fillStyle's
-colour) carry none and take the per-call code.
+(see fedtrace.traces): its JSON fragment and the feature slots it sets
+under the builder's catalog, each made by running the per-call code on
+that record alone. The feature fill and the trace writer read that work
+from the record object, never from a record of equal content, since
+equal records can serialize apart (True == 1.0). Records drawn per script
+(fillText's text, fillStyle's colour) carry none and take the per-call
+code. Labelling reads no compiled work: heuristics.label labels a
+generated trace by the same table lookups as a parsed one.
 """
 
 from __future__ import annotations
@@ -139,6 +140,8 @@ class GeneratorConfig(JsonConfig):
         if not 0.0 <= self.shared_script_rate < 1.0:
             raise ConfigError("shared_script_rate",
                               f"must be in [0, 1): {self.shared_script_rate}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0: {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,8 +359,7 @@ class _CallBuilder:
             self.rtc_close, *self.audio_probes, self.analyser]
         for record in records:
             object.__setattr__(record, "compiled", CompiledCall(
-                call_fragment(record), self.catalog, *call_slots(record, self.catalog),
-                heuristics.call_facts(record)))
+                call_fragment(record), self.catalog, *call_slots(record, self.catalog)))
 
     def pool_calls(self, rng, lo=3, hi=14) -> list:
         k = int(rng.integers(lo, hi))

@@ -20,11 +20,12 @@ ignored. Writes are byte-deterministic (sorted keys, fixed separators).
 A trace line is its calls' JSON fragments joined in order. A generator
 that shares call records can do the per-call work once per record and
 keep it on the record: ApiCallRecord.compiled holds a CompiledCall with
-its fragment (call_fragment), the catalog it was compiled under, the
-feature slots it sets there and what the detectors read from it.
-trace_to_json_line, features.fill_feature_row and heuristics.label use it
-in place of redoing that record's work; the slots only under the same
-catalog object. A record with compiled None takes the per-call code.
+its fragment (call_fragment), the catalog it was compiled under and the
+feature slots it sets there. trace_to_json_line and
+features.fill_feature_row use it in place of redoing that record's work;
+the slots only under the same catalog object. A record with compiled
+None takes the per-call code. Labels need no compiled work:
+heuristics.label reads only the record's name and args.
 The work travels with the object, never with its content: records that
 compare equal can serialize differently (api_call("X.y", (True,)) ==
 api_call("X.y", (1.0,)), as True == 1.0 and both hash alike, yet they
@@ -87,7 +88,6 @@ class CompiledCall(NamedTuple):
     catalog: object               # the features.FeatureCatalog the slots index
     count_slot: int | None        # the count slot fill_feature_row adds 1 to
     custom_slots: tuple[int, ...]  # the custom slots it sets to 1
-    facts: object                 # heuristics.call_facts(record)
 
 
 @dataclass(frozen=True, slots=True)

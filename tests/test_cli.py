@@ -163,6 +163,20 @@ class TestExitCodes:
         assert main(["sweep", "feature_sets", *TINY,
                      "--out", str(tmp_path), "--seeds", "x"]) == EXIT_CONFIG
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["generate", "--set", "generator.n_scripts=200", "--seed", "-1",
+                     "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed: ") and "Traceback" not in err
+        assert not (tmp_path / "traces.jsonl").exists()
+
+    def test_negative_sweep_seed_is_a_config_error(self, tmp_path, capsys):
+        assert main(["sweep", "participants", *TINY,
+                     "--out", str(tmp_path), "--seeds", "-2"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed: ") and "Traceback" not in err
+
     def test_unknown_recipe_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "warp", "--out", str(tmp_path)])

@@ -155,6 +155,19 @@ class TestConfig:
                 build()
             assert err.value.field == field
 
+    @pytest.mark.parametrize("cls,base", [
+        (ExperimentConfig, {}),
+        (GeneratorConfig, {"n_scripts": 10}),
+    ], ids=["experiment", "generator"])
+    def test_negative_seed_rejected(self, cls, base):
+        # SeedSequence refuses a negative entropy; the config refuses it first
+        for build in (lambda: cls.from_dict({**base, "seed": -1}),
+                      lambda: cls(**base, seed=-1),
+                      lambda: dataclasses.replace(cls(**base), seed=-1)):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.field == "seed"
+
     def test_construction_stores_what_from_dict_reads(self):
         cfg = ExperimentConfig(rounds=4.0, epsilon=5, q=1,
                                generator=GeneratorConfig(n_scripts=5e3))
@@ -327,12 +340,13 @@ class TestCalibrateBudget:
         assert rich.z_train > lean.z_train
 
     def test_small_epsilon_error_says_why(self):
-        # 0.1 * 0.3 lies below the order grid's floor log(1/delta)/255
+        # 0.1 * 0.3 lies above the order grid's floor log(1/delta)/4095,
+        # but 20 participants cannot reach it at z=1000
         with pytest.raises(CalibrationError) as exc_info:
             calibrate_budget(tiny_config(epsilon=0.3, norm_fraction=0.1), 149)
         message = str(exc_info.value)
         assert "smallest epsilon at z=1000.0 is" in message
-        assert "log(1/delta)/(alpha_max - 1) = 0.04515" in message
+        assert "log(1/delta)/(alpha_max - 1) = 0.002811" in message
         assert "norm_fraction*epsilon = 0.1*0.3" in message
 
 

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from fedtrace import heuristics
 from fedtrace.heuristics import (
+    AUDIO_INTERFACES,
+    CANVAS_INTERFACES,
     FONT_THRESHOLD,
+    RTC_INTERFACE,
     LabelSet,
     label,
 )
@@ -220,3 +223,114 @@ def test_adding_save_flips_canvas_off(case):
     widened = ScriptTrace(trace.script_id, trace.source_domain,
                           trace.calls + (api_call("CanvasRenderingContext2D.save"),))
     assert not label(widened).canvas
+
+
+# The detectors as a per-call if-chain over (interface, member): the
+# reference the name table is checked against.
+_TEXT = {"fillText", "strokeText"}
+_STYLE = {"fillStyle", "strokeStyle"}
+_EVASION = {"save", "restore", "addEventListener"}
+_RTC_SETUP = {"createDataChannel", "createOffer"}
+_RTC_GATHER = {"onicecandidate", "localDescription"}
+_AUDIO = {"createOscillator", "createDynamicsCompressor", "destination",
+          "startRendering", "oncomplete"}
+
+
+def reference_label(trace: ScriptTrace) -> LabelSet:
+    text = style = extract = evasion = rtc_setup = rtc_gather = audio = False
+    fonts, measure = set(), 0
+    for call in trace.calls:
+        iface, member = call.interface, call.member
+        if iface in CANVAS_INTERFACES:
+            if member in _TEXT:
+                text = True
+            elif member in _STYLE and call.args:
+                style = True
+            elif member == "toDataURL" and iface == "HTMLCanvasElement":
+                extract = True
+            elif member in _EVASION:
+                evasion = True
+            elif member == "font" and call.args:
+                fonts.add(call.args[0])
+            elif member == "measureText":
+                measure += 1
+        elif iface == RTC_INTERFACE:
+            if member in _RTC_SETUP:
+                rtc_setup = True
+            elif member in _RTC_GATHER:
+                rtc_gather = True
+        elif iface in AUDIO_INTERFACES:
+            if member in _AUDIO:
+                audio = True
+    return LabelSet(
+        canvas=text and style and extract and not evasion,
+        canvas_font=len(fonts) > FONT_THRESHOLD and measure > FONT_THRESHOLD,
+        webrtc=rtc_setup and rtc_gather,
+        audio=audio,
+    )
+
+
+_INTERFACES = sorted(CANVAS_INTERFACES | AUDIO_INTERFACES | {RTC_INTERFACE, "Navigator"})
+_MEMBERS = sorted(_TEXT | _STYLE | _EVASION | _RTC_SETUP | _RTC_GATHER | _AUDIO
+                  | {"toDataURL", "font", "measureText"})
+_NAMES = [f"{i}.{m}" for i in _INTERFACES for m in _MEMBERS] + ["measureText"]
+_CALLS = st.builds(api_call, st.sampled_from(_NAMES),
+                   st.sampled_from([(), ("#ff6600",), ("10px f",)]))
+
+
+_BASES = [
+    _canvas_calls(),
+    _font_calls(T + 1, T + 1),
+    [api_call("RTCPeerConnection.createOffer"),
+     api_call("RTCPeerConnection.onicecandidate", ("handler",))],
+    [api_call("OfflineAudioContext.startRendering")],
+]
+
+
+@st.composite
+def _traces(draw):
+    # whole detector bases, a few of whose calls are swapped for random
+    # ones (any name, args or none), plus random calls, in any order
+    calls = [call for base in _BASES if draw(st.booleans()) for call in base]
+    for _ in range(draw(st.integers(0, 4)) if calls else 0):
+        calls[draw(st.integers(0, len(calls) - 1))] = draw(_CALLS)
+    calls += draw(st.lists(_CALLS, max_size=20))
+    return _trace(*draw(st.permutations(calls)))
+
+
+def test_every_role_key_is_one_interface_member_name():
+    assert heuristics._ROLES
+    assert all(name.count(".") == 1 for name in heuristics._ROLES)
+    assert set(heuristics._ROLES) <= set(_NAMES)
+
+
+def test_pairs_the_case_table_does_not_name():
+    fonts = _font_calls(T + 1, 0)
+    traces_and_labels = [
+        # extraction counts only on HTMLCanvasElement
+        (_trace(*_canvas_calls(extract=False),
+                api_call("CanvasRenderingContext2D.toDataURL", (), "data:")), LabelSet()),
+        # measureText counts on either canvas interface, a bare name on none
+        (_trace(*fonts, *[api_call("HTMLCanvasElement.measureText", ("gM",))] * (T + 1)),
+         LabelSet(canvas_font=True)),
+        (_trace(*fonts, *[api_call("measureText", ("gM",))] * (T + 1)), LabelSet()),
+        # a font read carries no value
+        (_trace(*_font_calls(T, T + 1), api_call("CanvasRenderingContext2D.font")),
+         LabelSet()),
+        # audio members count only on audio-context interfaces
+        (_trace(api_call("RTCPeerConnection.createOscillator")), LabelSet()),
+    ]
+    for trace, expected in traces_and_labels:
+        assert label(trace) == reference_label(trace) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_traces())
+def test_table_equals_the_if_chain(trace):
+    assert label(trace) == reference_label(trace)
+
+
+@pytest.mark.parametrize("name,trace,expected",
+                         HEURISTIC_CASES, ids=[c[0] for c in HEURISTIC_CASES])
+def test_reference_agrees_with_the_case_table(name, trace, expected):
+    assert reference_label(trace) == expected

@@ -239,7 +239,9 @@ _EXACTNESS_CASES = [
      (5.0,)),
     # at z = 0.01 one query at q=0.01 spends about 6273, less than 1e4
     ("returns lo", [PlannedQuery(q=0.01, count=1)], (1e4,)),
-    ("unreachable", [PlannedQuery(q=0.1, count=10)], (0.01,)),
+    # calibrates only at the orders above 256
+    ("large orders", [PlannedQuery(q=0.1, count=10)], (0.01,)),
+    ("unreachable", [PlannedQuery(q=0.1, count=10)], (0.002,)),
 ]
 
 
@@ -257,10 +259,10 @@ def test_pruned_calibration_equals_full_grid_oracle(plan, targets):
 def test_exactness_cases_cover_both_endpoint_outcomes():
     delta, plan = 1e-5, [PlannedQuery(q=0.01, count=1)]
     assert calibrate_noise(1e4, delta, plan) == Z_SEARCH_BOUNDS[0]
-    # the error names the order grid's floor, log(1e5) / 255
+    # the error names the order grid's floor, log(1e5) / 4095
     with pytest.raises(CalibrationError,
-                       match=r"floor log\(1/delta\)/\(alpha_max - 1\) = 0\.04515$"):
-        calibrate_noise(0.01, delta, [PlannedQuery(q=0.1, count=10)])
+                       match=r"floor log\(1/delta\)/\(alpha_max - 1\) = 0\.002811$"):
+        calibrate_noise(0.002, delta, [PlannedQuery(q=0.1, count=10)])
 
 
 def test_search_bounds_are_evaluated_once_per_sampling_rate(monkeypatch):

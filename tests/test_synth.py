@@ -264,10 +264,6 @@ def _plain_trace(trace: ScriptTrace) -> ScriptTrace:
                        tuple(_plain(c) for c in trace.calls))
 
 
-def _facts(scan):
-    return None if scan is None else tuple(getattr(scan, k) for k in scan.__slots__)
-
-
 class TestCallTable:
     """Each shared record's compiled work against the per-call code on an uncompiled copy."""
 
@@ -308,7 +304,6 @@ class TestCallTable:
             assert c is not None and c.catalog is CATALOG
             assert c.fragment == call_fragment(plain)
             assert (c.count_slot, c.custom_slots) == call_slots(plain, CATALOG)
-            assert _facts(c.facts) == _facts(heuristics.call_facts(plain))
             one = ScriptTrace("s#00", "d.example", (record,))
             assert trace_to_json_line(one).startswith(f'{{"calls":[{c.fragment}],')
             cols = np.flatnonzero(self._filled(one)).tolist()
