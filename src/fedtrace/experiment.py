@@ -515,9 +515,9 @@ def score_splits(prepared: PreparedData, config: ExperimentConfig, model: Logist
     when the run normalizes, normalized).
     """
     labels = prepared.corpus.labels
+    scores = model.decision_scores(matrix)
     out = []
     for split_name, rows in (("train", prepared.train_rows), ("test", prepared.test_rows)):
-        scores = model.decision_scores(matrix[rows])
         out.append({
             "feature_set": config.feature_set,
             "participants": config.n_participants,
@@ -526,7 +526,7 @@ def score_splits(prepared: PreparedData, config: ExperimentConfig, model: Logist
             "split": split_name,
             "n_scripts": int(rows.size),
             "n_positive": int(labels[rows].sum()),
-            "auprc": average_precision(scores, labels[rows]),
+            "auprc": average_precision(scores[rows], labels[rows]),
         })
     return out
 

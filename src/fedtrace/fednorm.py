@@ -23,6 +23,12 @@ The resulting statistics scale feature columns before training, either
 dividing the centered value by sqrt(s) ("std" mode, default, yields
 unit variance when the statistics are exact) or by s itself ("var"
 mode, the literal quotient form).
+
+normalize_matrix does that arithmetic in float64 but never holds a
+float64 copy of a whole float32 matrix: it fills its float32 output one
+row block at a time (model.BLOCK_ROWS rows) through one float64 scratch
+block, so its transient memory beyond the input and the output is one
+block, a few MB, whatever the row count.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from scipy.sparse import issparse
 
 from .artifacts import atomic_write
 from .errors import InvalidInput
+from .model import float64_row_blocks
 from .privacy import PrivacyLedger, gaussian_noise, noise_stddev
 
 VARIANCE_FLOOR = 1e-6
@@ -222,14 +229,28 @@ def _denominator(stats: NormStats, mode: str, variance_floor: float) -> np.ndarr
 
 def normalize_matrix(x: np.ndarray, stats: NormStats, mode: str = "std",
                      variance_floor: float = VARIANCE_FLOOR) -> np.ndarray:
-    """Center by mu and scale every column; total thanks to the floor."""
+    """Center by mu and scale every column; total thanks to the floor.
+
+    The arithmetic is float64. A float32 x gives a new C-order float32
+    matrix, filled one row block (model.BLOCK_ROWS rows) at a time
+    through one reused float64 scratch block, so beyond x the call holds
+    the output and at most BLOCK_ROWS x F float64 values. Any other x
+    gives a float64 matrix.
+    """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != stats.n_features:
         raise InvalidInput(f"matrix has {x.shape[-1] if x.ndim else 0} columns, "
                            f"stats describe {stats.n_features}")
     denom = _denominator(stats, mode, variance_floor)
-    out = x.astype(np.float64, copy=True)
-    out -= stats.mu
-    out /= denom
-    return out.astype(x.dtype, copy=False) if x.dtype == np.float32 else out
+    if x.dtype != np.float32:
+        out = x.astype(np.float64, copy=True)
+        out -= stats.mu
+        out /= denom
+        return out
+    out = np.empty(x.shape, dtype=np.float32)
+    for rows, block in float64_row_blocks(x):
+        block -= stats.mu
+        block /= denom
+        out[rows] = block
+    return out
 

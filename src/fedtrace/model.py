@@ -38,6 +38,11 @@ WOLFE_C2 = 0.9  # curvature
 MAX_LINE_SEARCH_EVALS = 25
 MAX_ZOOM_STEPS = 30  # bisections of the bracketing interval
 MAX_FALLBACK_HALVINGS = 40  # of the gradient-step fallback
+# Rows per block when a float32 matrix is upcast for float64 work: small
+# enough that one block's float64 copy is a few MB, and a multiple of the
+# row unroll of the BLAS double gemv kernel (4 in OpenBLAS's Haswell
+# kernel), so a row's score does not depend on which block holds it.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +74,42 @@ class LogisticModel:
         return cls(np.asarray(theta[:-1], dtype=float).copy(), float(theta[-1]))
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights + self.bias
+        """X @ weights + bias in float64, one score per row of X.
+
+        A float32 X taller than BLOCK_ROWS is upcast one row block at a
+        time into one reused float64 scratch array, so scoring holds at
+        most BLOCK_ROWS x F float64 values beyond X and the scores, not a
+        float64 copy of all of X. With one BLAS thread each score equals
+        the whole-matrix product's bit for bit. Other inputs take the
+        plain product.
+        """
+        if X.shape[0] <= BLOCK_ROWS or X.dtype != np.float32:
+            return X @ self.weights + self.bias
+        scores = np.empty(X.shape[0])
+        for rows, block in float64_row_blocks(X):
+            np.matmul(block, self.weights, out=scores[rows])
+        scores += self.bias
+        return scores
+
+
+def float64_row_blocks(x: np.ndarray):
+    """Yield (rows, block): each BLOCK_ROWS-row slice of x as float64.
+
+    Every block is a view of one scratch array that the next block
+    overwrites, so a caller consumes a block before asking for the next.
+    The last block takes a one-row remainder: numpy scores a one-row
+    matrix with dot, not with the gemv that scores the same row inside
+    a taller matrix, and the two round differently.
+    """
+    n = x.shape[0]
+    scratch = np.empty((min(n, BLOCK_ROWS + 1), x.shape[1]))
+    start = 0
+    while start < n:
+        stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
+        block = scratch[:stop - start]
+        np.copyto(block, x[start:stop])
+        yield slice(start, stop), block
+        start = stop
 
 
 def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -81,15 +121,15 @@ def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
     # matmuls run in X's own dtype: float32 matrices stay float32 (no
     # silent upcast copy of a multi-hundred-MB corpus per evaluation)
     compute = np.float32 if X.dtype == np.float32 else np.float64
-    margins = X @ w.astype(compute, copy=False) + compute(theta[-1])
+    margins = X.dot(w.astype(compute, copy=False)) + compute(theta[-1])
     yf = y.astype(compute, copy=False)
     # mean(softplus(m) - y*m) == mean BCE
     loss = float(np.add.reduce(np.logaddexp(0.0, margins) - yf * margins,
                                dtype=np.float64)) / n
-    loss += 0.5 * l2_lambda * float(w @ w)
+    loss += 0.5 * l2_lambda * float(w.dot(w))
     residual = expit(margins) - yf
     grad = np.empty_like(theta, dtype=np.float64)
-    grad[:-1] = (X.T @ residual).astype(np.float64) / n + l2_lambda * w
+    grad[:-1] = X.T.dot(residual).astype(np.float64) / n + l2_lambda * w
     grad[-1] = float(np.add.reduce(residual, dtype=np.float64)) / n
     return loss, grad
 
@@ -112,7 +152,7 @@ def _zoom(fun, x, d, phi0, dphi0, lo, hi, feps):
         phi, grad = fun(x + alpha * d)
         if not math.isfinite(phi):
             raise LineSearchError(f"non-finite loss at step {alpha}")
-        dphi = float(grad @ d)
+        dphi = float(grad.dot(d))
         if (phi > phi0 + WOLFE_C1 * alpha * dphi0 and phi > phi0 + feps) \
                 or phi >= lo[1] + feps:
             hi = (alpha, phi, dphi)
@@ -129,7 +169,7 @@ def _zoom(fun, x, d, phi0, dphi0, lo, hi, feps):
 
 def strong_wolfe_search(fun, x, phi0, grad0, d):
     """Returns (alpha, phi, grad) satisfying the strong Wolfe conditions."""
-    dphi0 = float(grad0 @ d)
+    dphi0 = float(grad0.dot(d))
     if dphi0 >= 0:
         raise LineSearchError("not a descent direction")
     feps = _loss_resolution(phi0)
@@ -139,7 +179,7 @@ def strong_wolfe_search(fun, x, phi0, grad0, d):
         phi, grad = fun(x + alpha * d)
         if not math.isfinite(phi):
             raise LineSearchError(f"non-finite loss at step {alpha}")
-        dphi = float(grad @ d)
+        dphi = float(grad.dot(d))
         if (phi > phi0 + WOLFE_C1 * alpha * dphi0 and phi > phi0 + feps) \
                 or (i > 0 and phi >= phi_prev + feps):
             return _zoom(fun, x, d, phi0, dphi0,
@@ -156,7 +196,7 @@ def strong_wolfe_search(fun, x, phi0, grad0, d):
 
 def _fallback_gradient_step(fun, x, phi0, grad):
     d = -grad
-    gg = float(grad @ grad)
+    gg = float(grad.dot(grad))
     feps = _loss_resolution(phi0)
     alpha = 1.0 / max(1.0, math.sqrt(gg))
     for _ in range(MAX_FALLBACK_HALVINGS):
@@ -189,13 +229,13 @@ def lbfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfi
         d = -grad
         alphas = []
         for s, yv, rho in reversed(memory):
-            a = rho * float(s @ d)
+            a = rho * float(s.dot(d))
             alphas.append(a)
             d -= a * yv
         if memory:
             d *= gamma
         for (s, yv, rho), a in zip(memory, reversed(alphas)):
-            b = rho * float(yv @ d)
+            b = rho * float(yv.dot(d))
             d += (a - b) * s
         try:
             alpha, phi_new, grad_new = strong_wolfe_search(fun, x, phi, grad, d)
@@ -206,9 +246,9 @@ def lbfgs_minimize(fun, x0: np.ndarray, config: OptimizerConfig = OptimizerConfi
             alpha, phi_new, grad_new = _fallback_gradient_step(fun, x, phi, grad)
             step = alpha * -grad
         y_vec = grad_new - grad
-        sy = float(step @ y_vec)
-        yy = float(y_vec @ y_vec)
-        if sy > 1e-10 * (math.sqrt(float(step @ step)) * math.sqrt(yy)):
+        sy = float(step.dot(y_vec))
+        yy = float(y_vec.dot(y_vec))
+        if sy > 1e-10 * (math.sqrt(float(step.dot(step))) * math.sqrt(yy)):
             memory.append((step, y_vec, 1.0 / sy))
             gamma = sy / yy
         x = x + step

@@ -699,6 +699,42 @@ class TestPinnedPartition:
         assert got == self.PINNED[seed]
 
 
+class TestPinnedTrain:
+    """train's and evaluate's artifacts at fixed configs, pinned by sha256.
+
+    Normalization is on and every round scores the test rows, so these
+    hashes move with any change in the moments, the normalized matrix,
+    the local solver, the aggregation, the scores or the encoding.
+    """
+
+    FILES = (NORM_STATS_FILE, ROUND_RECORDS_FILE, CHECKPOINT_FILE, LEDGER_FILE, METRICS_FILE)
+    PINNED = {
+        1: ("54e846722ce65631a61d452863f9f5f4b5317699ada5a9e117ae8d4687193415",
+            "1175f54194a5f444743039fc3870f139a46ab8d1805a1cc46e9a26b4b68c84bd",
+            "e1a418e225b29fa4c26d78f62fd73f23f4206ab348384baa023a784cfd9b1214",
+            "133e9fe72e8035c683ef5f6d5569670bc948a719baf7dc31495dcc56cb8bd030",
+            "4fc154922054d32ce65fec770a0bbcbc1b4f73039d298024cfe9b18f1d729600"),
+        2: ("3a99c4bd05979576899fe7932dde402e5327d040b589e3bdde543792b9c34db6",
+            "724a7dbf7fc71fc82a359fc1d7c53880724d85e3ccbcc50df0b0600c1330cc42",
+            "04a89fc845dec00c3c2129645a72548d7fbdb8a3d7dae7741d5692be3baa3b35",
+            "133e9fe72e8035c683ef5f6d5569670bc948a719baf7dc31495dcc56cb8bd030",
+            "c7bb53797b0cf627c7295645a27f3f48cc7761ef627b5ffe9484e4ca49c60238"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_artifact_hashes(self, tmp_path, seed):
+        cfg = ExperimentConfig(generator=GeneratorConfig(n_scripts=400, fp_prevalence=0.02),
+                               n_participants=12, urls_per_participant=5, rounds=3,
+                               local_iterations=8, epsilon=5.0, eval_every=1, seed=seed)
+        stage_generate(cfg, tmp_path)
+        stage_partition(cfg, tmp_path)
+        stage_train(cfg, tmp_path)
+        stage_evaluate(tmp_path)
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in self.FILES)
+        assert got == self.PINNED[seed]
+
+
 class TestPinnedCalibration:
     """calibrate_budget's (z_norm, z_train), pinned to the last bit.
 

@@ -9,6 +9,8 @@ one column at a time, the definition participant_moments vectorizes.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from fedtrace.fednorm import (
     participant_moments,
     save_norm_stats,
 )
+from fedtrace.model import BLOCK_ROWS
 from fedtrace.privacy import PrivacyLedger, noise_stddev
 
 
@@ -298,6 +301,45 @@ def test_normalize_matrix_preserves_float32():
     stats = exact_stats(x)
     out = normalize_matrix(x, stats)
     assert out.dtype == np.float32
+
+
+def whole_matrix_normalize(x, stats, mode):
+    """normalize_matrix's arithmetic over one float64 copy of all of x."""
+    denom = np.sqrt(stats.s) if mode == "std" else stats.s
+    out = x.astype(np.float64, copy=True)
+    out -= stats.mu
+    out /= denom
+    return out.astype(x.dtype, copy=False) if x.dtype == np.float32 else out
+
+
+@pytest.mark.parametrize("mode", ["std", "var"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                    2 * BLOCK_ROWS + 3])
+def test_row_blocks_give_the_whole_matrix_bytes(n_rows, dtype, mode):
+    rng = np.random.default_rng(n_rows)
+    x = (rng.normal(size=(n_rows, 7)) * rng.lognormal(size=7) ** 3).astype(dtype)
+    stats = NormStats(rng.normal(size=7), rng.lognormal(size=7) * 10.0, 1.0, 1.0)
+    got = normalize_matrix(x, stats, mode=mode)
+    want = whole_matrix_normalize(x, stats, mode)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_float32_normalize_allocates_one_output_and_one_block():
+    # 20k corpus rows of the 149-feature ExtHighEntropy set. A float64
+    # copy of the whole matrix alone would be 2x its bytes.
+    x = np.random.default_rng(3).random((20_000, 149), dtype=np.float32)
+    stats = exact_stats(x[:100])
+    tracemalloc.start()
+    try:
+        out = normalize_matrix(x, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.float32
+    assert peak < 1.5 * x.nbytes
 
 
 def test_constant_column_hits_floor_and_stays_total():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from scipy.special import expit
 
 from fedtrace.errors import InvalidInput, LineSearchError
 from fedtrace.model import (
+    BLOCK_ROWS,
     LocalUpdateConfig,
     LogisticModel,
     OptimizerConfig,
@@ -228,3 +233,32 @@ def test_config_validation():
         LocalUpdateConfig(epochs=0)
     with pytest.raises(InvalidInput):
         LocalUpdateConfig(clip_norm=0.0)
+
+
+# Run in a fresh interpreter with one BLAS thread: with more, OpenBLAS
+# splits a gemv's rows between threads at points that depend on the row
+# count, and the whole-matrix product's own last bits move with them.
+_SCORE_CHECK = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from fedtrace.model import BLOCK_ROWS, LogisticModel
+    model = LogisticModel(np.random.default_rng(0).normal(size=149), 0.3)
+    for dtype in (np.float32, np.float64):
+        for n in map(int, sys.argv[1:]):
+            x = np.random.default_rng(n).normal(size=(n, 149)).astype(dtype)
+            got = model.decision_scores(x)
+            want = x.astype(np.float64) @ model.weights + model.bias
+            if got.dtype != np.float64 or got.tobytes() != want.tobytes():
+                print(np.dtype(dtype).name, n)
+""")
+
+
+def test_row_blocks_score_the_whole_matrix_bytes():
+    rows = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
+            2 * BLOCK_ROWS + 3]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _SCORE_CHECK, *map(str, rows)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""
