@@ -7,15 +7,14 @@ strings compare via their (length, hash) summary, and a dedicated
 "strlen" matcher targets exact string lengths.
 
 Filling a feature row never tests the specs one by one. On first use,
-each catalog compiles them into one lookup table: an equals spec sits
-under (api_name, argument position or return, is-bool, value), and a
-strlen spec in a small side table keyed by (api_name, position) that
-maps each length to its slots. A call then costs one lookup for its API
-and one per (position, kind) its specs read. CustomFeatureSpec.matches
-states the same semantics one spec at a time. A shared call record
-that carries compiled work (see fedtrace.traces) sets the slots
-call_slots found for it once, but only when it was compiled under the
-same catalog object; under any other catalog it takes the per-call code.
+each catalog compiles them into one lookup table keyed by API name: the
+call's count slot, and one probe per argument position (or the return
+value) that its specs read, holding the equals specs there keyed by
+(is-bool, value) and the strlen specs keyed by string length. A call then
+costs one lookup for its API and, per probe, one read of its value and
+at most two lookups. CustomFeatureSpec.matches states the same semantics
+one spec at a time. Every call record, shared by generated traces or
+parsed from a file, takes this one path.
 
 The default catalog (default_catalog()) is synthetic but honors the reference
 cardinalities: 684 counted APIs + 830 custom features (1514 slots), and
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,7 +35,7 @@ import numpy as np
 from . import heuristics
 from .artifacts import atomic_write
 from .errors import CardinalityError, InvalidInput, InvalidMask, ParseError
-from .traces import MAX_ARGS, ApiCallRecord, LongString, ScriptTrace, Scalar
+from .traces import MAX_ARGS, LongString, ScriptTrace, Scalar
 
 REQUIRED_SET_NAMES = ("All", "FPInspector", "JShelter", "HighEntropy", "ExtHighEntropy")
 
@@ -134,35 +132,31 @@ class FeatureCatalog:
         return {name: i for i, name in enumerate(self.api_count_entries)}
 
     @cached_property
-    def _fill_table(self) -> tuple[dict, dict]:
-        """fill_feature_row's lookup tables, compiled on first use.
+    def _fill_table(self) -> dict[str, tuple[int | None, tuple]]:
+        """fill_feature_row's lookup table, compiled on first use.
 
-        probes maps an api_name to (count slot or None, probes). A probe
-        is (position, lengths): position is an argument index, or None for
-        the return value. An equals probe has lengths None and looks up
-        (api_name, position, is-bool, value) in equals, which maps to the
-        slots of every equals spec on that key; the bool flag keeps True
-        apart from 1.0. A strlen probe's lengths maps a string length to
-        its slots.
+        Maps an api_name to (count slot or None, probes). A probe is
+        (position, equals, lengths): position is an argument index, or
+        None for the return value; equals maps (is-bool, value) to the
+        slots of every equals spec at that position, the bool flag keeping
+        True apart from 1.0; lengths maps a string length to the slots of
+        every strlen spec there. Either dict may be empty.
         """
-        equals: dict[tuple, tuple[int, ...]] = {}
-        strlen: dict[tuple, dict[int, tuple[int, ...]]] = {}
+        at: dict[str, dict] = {name: {} for name in self.api_count_entries}
         for i, spec in enumerate(self.custom_entries):
             slot, value = self.n_api + i, spec.match_value
+            if spec.match_kind == "equals" and value != value:
+                continue  # a NaN spec equals nothing
+            equals, lengths = at.setdefault(spec.api_name, {}).setdefault(
+                spec.arg_index, ({}, {}))
             if spec.match_kind == "strlen":
-                lengths = strlen.setdefault((spec.api_name, spec.arg_index), {})
                 lengths[value] = lengths.get(value, ()) + (slot,)
-            elif value == value:  # a NaN spec equals nothing
-                key = (spec.api_name, spec.arg_index, isinstance(value, bool), value)
+            else:
+                key = (isinstance(value, bool), value)
                 equals[key] = equals.get(key, ()) + (slot,)
-        at_api: dict[str, list] = {name: [] for name in self.api_count_entries}
-        for name, position in dict.fromkeys(key[:2] for key in equals):
-            at_api.setdefault(name, []).append((position, None))
-        for (name, position), lengths in strlen.items():
-            at_api.setdefault(name, []).append((position, lengths))
-        probes = {name: (self._api_index.get(name), tuple(at))
-                  for name, at in at_api.items()}
-        return probes, equals
+        return {name: (self._api_index.get(name),
+                       tuple((position, *probe) for position, probe in probes.items()))
+                for name, probes in at.items()}
 
     def mask(self, name: str) -> np.ndarray:
         try:
@@ -175,61 +169,43 @@ def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarra
     """Accumulate api-call counts and custom indicators for one trace into row.
 
     Works from the catalog's compiled table: one dict lookup per call
-    finds its count slot and the few (position, kind) probes its custom
-    features need, and each probe is one more lookup of the call's value,
+    finds its count slot and the probes its custom features need, and
+    each probe reads the call's value once and looks it up among the
+    equals specs and, for a string, the strlen specs at that position,
     so the cost is O(calls) however many specs an API carries. The
     result equals testing every spec of the call's API with
-    CustomFeatureSpec.matches. A record compiled under this catalog sets
-    its compiled slots instead.
+    CustomFeatureSpec.matches.
     """
-    _fill_calls(trace.calls, catalog, row)
-
-
-def _fill_calls(calls, catalog: FeatureCatalog, row) -> None:
-    """fill_feature_row's per-call code; row is the array, or a dict of the slots set."""
-    probes, equals = catalog._fill_table
-    for call in calls:
-        name = call.api_name
-        entry = probes.get(name)
+    table = catalog._fill_table
+    for call in trace.calls:
+        entry = table.get(call.api_name)
         if entry is None:
             continue
-        c = call.compiled
-        if c is not None and c.catalog is catalog:
-            if c.count_slot is not None:
-                row[c.count_slot] += 1.0
-            for cslot in c.custom_slots:
-                row[cslot] = 1.0
-            continue
-        slot, at = entry
+        slot, probes = entry
         if slot is not None:
             row[slot] += 1.0
-        for position, lengths in at:
+        for position, equals, lengths in probes:
             if position is None:
                 value = call.return_value
             elif position < len(call.args):
                 value = call.args[position]
             else:
                 continue
-            if lengths is None:
-                slots = equals.get((name, position, isinstance(value, bool), value))
-            elif isinstance(value, str):
-                slots = lengths.get(len(value))
-            elif isinstance(value, LongString):
-                slots = lengths.get(value.length)
-            else:
-                continue
-            if slots:
-                for cslot in slots:
-                    row[cslot] = 1.0
-
-
-def call_slots(call: ApiCallRecord, catalog: FeatureCatalog) -> tuple[int | None, tuple[int, ...]]:
-    """The count slot (None if uncounted) and the custom slots one call sets."""
-    row: dict[int, float] = defaultdict(float)
-    _fill_calls((call,), catalog, row)
-    slots = sorted(row)
-    counted = [s for s in slots if s < catalog.n_api]
-    return (counted[0] if counted else None), tuple(s for s in slots if s >= catalog.n_api)
+            if equals:
+                slots = equals.get((isinstance(value, bool), value))
+                if slots:
+                    for cslot in slots:
+                        row[cslot] = 1.0
+            if lengths:
+                if isinstance(value, str):
+                    slots = lengths.get(len(value))
+                elif isinstance(value, LongString):
+                    slots = lengths.get(value.length)
+                else:
+                    continue
+                if slots:
+                    for cslot in slots:
+                        row[cslot] = 1.0
 
 
 def take_nonzeros(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,11 +38,13 @@ WOLFE_C2 = 0.9  # curvature
 MAX_LINE_SEARCH_EVALS = 25
 MAX_ZOOM_STEPS = 30  # bisections of the bracketing interval
 MAX_FALLBACK_HALVINGS = 40  # of the gradient-step fallback
-# Rows per block when a float32 matrix is upcast for float64 work: small
-# enough that one block's float64 copy is a few MB, and a multiple of the
-# row unroll of the BLAS double gemv kernel (4 in OpenBLAS's Haswell
-# kernel), so a row's score does not depend on which block holds it.
-BLOCK_ROWS = 4096
+# Rows per block, wherever a matrix is worked on a row block at a time:
+# a multiple of the row unroll of the BLAS double gemv kernel (4 in
+# OpenBLAS's Haswell kernel), so a row's score does not depend on which
+# block holds it; and few enough rows that OpenBLAS does not split one
+# block's products between threads (4,095 rows did split), so a block's
+# bits do not depend on the BLAS thread count.
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,36 +94,55 @@ class LogisticModel:
         return scores
 
 
-def float64_row_blocks(x: np.ndarray):
-    """Yield (rows, block): each BLOCK_ROWS-row slice of x as float64.
+def row_blocks(n: int):
+    """Yield the slices of BLOCK_ROWS rows that cover n rows, in order.
 
-    Every block is a view of one scratch array that the next block
-    overwrites, so a caller consumes a block before asking for the next.
-    The last block takes a one-row remainder: numpy scores a one-row
+    The last slice takes a one-row remainder: numpy scores a one-row
     matrix with dot, not with the gemv that scores the same row inside
-    a taller matrix, and the two round differently.
+    a taller matrix, and the two round differently. So n rows form one
+    block when n <= BLOCK_ROWS + 1.
     """
-    n = x.shape[0]
-    scratch = np.empty((min(n, BLOCK_ROWS + 1), x.shape[1]))
     start = 0
     while start < n:
         stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
-        block = scratch[:stop - start]
-        np.copyto(block, x[start:stop])
-        yield slice(start, stop), block
+        yield slice(start, stop)
         start = stop
+
+
+def float64_row_blocks(x: np.ndarray):
+    """Yield (rows, block): each row_blocks slice of x as float64.
+
+    Every block is a view of one scratch array that the next block
+    overwrites, so a caller consumes a block before asking for the next.
+    """
+    scratch = np.empty((min(x.shape[0], BLOCK_ROWS + 1), x.shape[1]))
+    for rows in row_blocks(x.shape[0]):
+        block = scratch[:rows.stop - rows.start]
+        np.copyto(block, x[rows])
+        yield rows, block
 
 
 def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
                            l2_lambda: float = DEFAULT_L2) -> tuple[float, np.ndarray]:
+    """Mean loss and its gradient at theta.
+
+    Over more than one row block (row_blocks), the margins are computed
+    block by block and X.T @ residual is summed over the blocks in
+    ascending order, in float64, so no product spans more rows than one
+    block and the bits do not depend on the BLAS thread count. One block
+    takes the whole-matrix products.
+    """
     n = X.shape[0]
     if n == 0:
         raise InvalidInput("empty dataset has no loss")
+    one_block = n <= BLOCK_ROWS + 1
     w = theta[:-1]
     # matmuls run in X's own dtype: float32 matrices stay float32 (no
     # silent upcast copy of a multi-hundred-MB corpus per evaluation)
     compute = np.float32 if X.dtype == np.float32 else np.float64
-    margins = X.dot(w.astype(compute, copy=False)) + compute(theta[-1])
+    wc = w.astype(compute, copy=False)
+    margins = (X.dot(wc) if one_block else np.concatenate(
+        [X[rows].dot(wc) for rows in row_blocks(n)])) + compute(theta[-1])
     yf = y.astype(compute, copy=False)
     # mean(softplus(m) - y*m) == mean BCE
     loss = float(np.add.reduce(np.logaddexp(0.0, margins) - yf * margins,
@@ -129,7 +150,10 @@ def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
     loss += 0.5 * l2_lambda * float(w.dot(w))
     residual = expit(margins) - yf
     grad = np.empty_like(theta, dtype=np.float64)
-    grad[:-1] = X.T.dot(residual).astype(np.float64) / n + l2_lambda * w
+    xr = X.T.dot(residual) if one_block else sum(
+        (X[rows].T.dot(residual[rows]).astype(np.float64) for rows in row_blocks(n)),
+        np.zeros(X.shape[1]))
+    grad[:-1] = xr.astype(np.float64) / n + l2_lambda * w
     grad[-1] = float(np.add.reduce(residual, dtype=np.float64)) / n
     return loss, grad
 

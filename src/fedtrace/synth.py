@@ -19,14 +19,11 @@ All randomness flows through one stream derived from the config seed,
 so a config fully determines the corpus.
 
 Every call record whose content depends on no draw is built once by
-_CallBuilder, shared by all scripts, and carries its own compiled work
-(see fedtrace.traces): its JSON fragment and the feature slots it sets
-under the builder's catalog, each made by running the per-call code on
-that record alone. The feature fill and the trace writer read that work
-from the record object, never from a record of equal content, since
-equal records can serialize apart (True == 1.0). Records drawn per script
-(fillText's text, fillStyle's colour) carry none and take the per-call
-code. Labelling reads no compiled work: heuristics.label labels a
+_CallBuilder and shared by all scripts. Records drawn per script
+(fillText's text, fillStyle's colour) are built for that script. Both
+kinds take the same paths: features.fill_feature_row fills a row from
+the record's content, traces.call_fragment encodes it once per record
+object when its trace is written, and heuristics.label labels a
 generated trace by the same table lookups as a parsed one.
 """
 
@@ -44,7 +41,6 @@ from .errors import ConfigError, InvalidInput
 from .features import (
     CustomFeatureSpec,
     FeatureCatalog,
-    call_slots,
     catalog_hash,
     classify_custom,
     fill_feature_row,
@@ -55,11 +51,9 @@ from .partition import DomainRanking, ScriptCorpus
 from .seeding import GENERATOR, derive_rng
 from .traces import (
     FP_TYPES,
-    CompiledCall,
     LabeledScript,
     ScriptTrace,
     api_call,
-    call_fragment,
     canonical_script_id,
 )
 
@@ -299,7 +293,6 @@ class _CallBuilder:
     def __init__(self, catalog: FeatureCatalog, pool_size: int | None = None):
         # Every call record whose content is fixed is built here once and
         # shared by all scripts (ApiCallRecord is frozen).
-        self.catalog = catalog
         api_slots, custom_slots = signal_slots(catalog)
         signal_apis = [catalog.api_count_entries[s] for s in api_slots]
         self.signal_api_records = [api_call(name) for name in signal_apis]
@@ -346,20 +339,6 @@ class _CallBuilder:
         self.rtc_close = api_call("RTCPeerConnection.close")
         self.audio_probes = [api_call(name, args) for name, args in _AUDIO_PROBES]
         self.analyser = api_call("AudioContext.createAnalyser")
-        self._compile()
-
-    def _compile(self) -> None:
-        """Give every record above its work, done once by the per-call code."""
-        records = [
-            *self.signal_api_records, *(call for _, call in self.signal_flat),
-            *self.flavor_records, *self.entropy_records,
-            *(call for calls in self.pool for call in calls),
-            self.get_context, self.to_data_url, self.canvas_save, *self.font_calls,
-            self.data_channel, self.create_offer, self.on_ice, self.local_description,
-            self.rtc_close, *self.audio_probes, self.analyser]
-        for record in records:
-            object.__setattr__(record, "compiled", CompiledCall(
-                call_fragment(record), self.catalog, *call_slots(record, self.catalog)))
 
     def pool_calls(self, rng, lo=3, hi=14) -> list:
         k = int(rng.integers(lo, hi))

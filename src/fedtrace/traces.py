@@ -17,20 +17,15 @@ where <arg>/<ret> are null, a bool, a float, a string (<= 256 chars), or
 is the count of arguments elided beyond MAX_ARGS. Blank lines are
 ignored. Writes are byte-deterministic (sorted keys, fixed separators).
 
-A trace line is its calls' JSON fragments joined in order. A generator
-that shares call records can do the per-call work once per record and
-keep it on the record: ApiCallRecord.compiled holds a CompiledCall with
-its fragment (call_fragment), the catalog it was compiled under and the
-feature slots it sets there. trace_to_json_line and
-features.fill_feature_row use it in place of redoing that record's work;
-the slots only under the same catalog object. A record with compiled
-None takes the per-call code. Labels need no compiled work:
-heuristics.label reads only the record's name and args.
-The work travels with the object, never with its content: records that
-compare equal can serialize differently (api_call("X.y", (True,)) ==
-api_call("X.y", (1.0,)), as True == 1.0 and both hash alike, yet they
-write [true] and [1.0]), so compiled takes no part in equality, and
-dataclasses.replace gives a record with compiled None.
+A trace line is its calls' JSON fragments joined in order.
+call_fragment keeps each record's fragment on the record object (its
+fragment field), so a record shared by many traces is encoded once, and
+only if a trace holding it is written. The fragment travels with the
+object, never with its content: records that compare equal can
+serialize differently (api_call("X.y", (True,)) == api_call("X.y",
+(1.0,)), as True == 1.0 and both hash alike, yet they write [true] and
+[1.0]), so the field takes no part in equality, and
+dataclasses.replace gives a record with no fragment yet.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import InvalidInput, ParseError
 
@@ -81,15 +75,6 @@ def summarize_value(value) -> Scalar:
     raise InvalidInput(f"unsupported trace value type: {type(value).__name__}")
 
 
-class CompiledCall(NamedTuple):
-    """The per-call work on one shared record, done once (module docstring)."""
-
-    fragment: str                 # call_fragment(record)
-    catalog: object               # the features.FeatureCatalog the slots index
-    count_slot: int | None        # the count slot fill_feature_row adds 1 to
-    custom_slots: tuple[int, ...]  # the custom slots it sets to 1
-
-
 @dataclass(frozen=True, slots=True)
 class ApiCallRecord:
     """One instrumented call. args must already be canonical summaries."""
@@ -98,9 +83,8 @@ class ApiCallRecord:
     args: tuple = ()
     return_value: Scalar = None
     dropped_args: int = 0
-    # set once by whoever shares the record (module docstring)
-    compiled: CompiledCall | None = field(default=None, init=False, compare=False,
-                                          repr=False)
+    # call_fragment's result, set on first use (module docstring)
+    fragment: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.api_name:
@@ -202,21 +186,24 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def call_fragment(call: ApiCallRecord) -> str:
-    """One call's JSON array, as it appears in its trace's line."""
-    return _ENCODE([call.api_name, [_scalar_to_json(a) for a in call.args],
-                    _scalar_to_json(call.return_value), call.dropped_args])
+    """One call's JSON array, as it appears in its trace's line.
+
+    Encoded on the first call for this record object and kept on it.
+    """
+    fragment = call.fragment
+    if fragment is None:
+        fragment = _ENCODE([call.api_name, [_scalar_to_json(a) for a in call.args],
+                            _scalar_to_json(call.return_value), call.dropped_args])
+        object.__setattr__(call, "fragment", fragment)
+    return fragment
 
 
 def trace_to_json_line(trace: ScriptTrace) -> str:
-    """The trace's line, byte for byte as json.dumps(sort_keys=True) writes it.
-
-    A record that carries compiled work contributes its fragment.
-    """
-    fragments = []
-    for call in trace.calls:
-        c = call.compiled
-        fragments.append(call_fragment(call) if c is None else c.fragment)
-    return (f'{{"calls":[{",".join(fragments)}],"script_id":{_ENCODE(trace.script_id)},'
+    """The trace's line, byte for byte as json.dumps(sort_keys=True) writes it."""
+    # a set fragment is read inline, saving a function call per call; it is
+    # never empty, so `or` falls through only for a record without one
+    fragments = ",".join([c.fragment or call_fragment(c) for c in trace.calls])
+    return (f'{{"calls":[{fragments}],"script_id":{_ENCODE(trace.script_id)},'
             f'"source_domain":{_ENCODE(trace.source_domain)}}}')
 
 

@@ -315,7 +315,8 @@ def whole_matrix_normalize(x, stats, mode):
 @pytest.mark.parametrize("mode", ["std", "var"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                                    2 * BLOCK_ROWS + 3])
+                                    2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
+                                    2 * BLOCK_ROWS + 3, 4 * BLOCK_ROWS + 3])
 def test_row_blocks_give_the_whole_matrix_bytes(n_rows, dtype, mode):
     rng = np.random.default_rng(n_rows)
     x = (rng.normal(size=(n_rows, 7)) * rng.lognormal(size=7) ** 3).astype(dtype)

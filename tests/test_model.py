@@ -262,3 +262,49 @@ def test_row_blocks_score_the_whole_matrix_bytes():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == ""
+
+
+# A fit over more than one row block, and its scores, in a fresh
+# interpreter per thread count: OpenBLAS reads OPENBLAS_NUM_THREADS once,
+# at import. A whole-matrix product over 20,000 rows splits between two
+# threads and rounds differently from one thread.
+_THREADS_CHECK = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from fedtrace.model import LogisticModel, OptimizerConfig, fit_logistic
+    rng = np.random.default_rng(7)
+    x = (rng.random((20_000, 149)) < 0.05).astype(np.float32)
+    x[:, :20] *= rng.normal(size=(20_000, 20)).astype(np.float32)
+    y = (x[:, :40].sum(axis=1) + rng.normal(size=20_000) > 0.5).astype(np.float64)
+    theta, info = fit_logistic(x, y, config=OptimizerConfig(max_iterations=15))
+    scores = LogisticModel.from_theta(theta).decision_scores(x)
+    print(info["iterations"], hashlib.sha256(theta.tobytes() + scores.tobytes()).hexdigest())
+""")
+
+
+def test_fit_and_scores_do_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", _THREADS_CHECK], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("n", [BLOCK_ROWS + 1, BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 3])
+def test_row_blocked_loss_and_grad_match_the_float64_formula(n, dtype, rtol):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 7))
+    y = (rng.random(n) < 0.3).astype(np.float64)
+    theta = rng.normal(size=8) * 0.3
+    loss, grad = logistic_loss_and_grad(theta, X.astype(dtype), y, 1e-3)
+    m = X @ theta[:-1] + theta[-1]
+    r = expit(m) - y
+    want_loss = np.mean(np.logaddexp(0.0, m) - y * m) + 0.5e-3 * theta[:-1] @ theta[:-1]
+    want_grad = np.append(X.T @ r / n + 1e-3 * theta[:-1], r.mean())
+    np.testing.assert_allclose(loss, want_loss, rtol=rtol)
+    np.testing.assert_allclose(grad, want_grad, rtol=rtol, atol=rtol * np.abs(want_grad).max())

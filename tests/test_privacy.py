@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.special import ndtr
 
 from fedtrace import privacy
 from fedtrace.errors import CalibrationError, InvalidInput
+from fedtrace.experiment import ExperimentConfig, calibrate_budget
 from fedtrace.privacy import (
     DEFAULT_ORDERS,
     Z_SEARCH_BOUNDS,
@@ -22,6 +24,7 @@ from fedtrace.privacy import (
     plan_epsilon,
     rdp_subsampled_gaussian,
 )
+from fedtrace.synth import GeneratorConfig
 from oracle_rdp import GRID, oracle_rdp, oracle_rdp_integral, oracle_rdp_series
 from scalar_rdp import rdp_fractional_order, rdp_order
 
@@ -388,3 +391,34 @@ def test_noise_stddev_formula():
     assert noise_stddev(2.0, 1.0, 0.01, 10_000) == pytest.approx(2.0 / 100.0)
     with pytest.raises(InvalidInput):
         noise_stddev(1.0, 1.0, 0.0, 100)
+
+
+def _gaussian_delta(epsilon: float, mu: float) -> float:
+    """delta(epsilon) of one Gaussian mechanism with mu = sensitivity / sigma."""
+    return ndtr(-epsilon / mu + mu / 2) - math.exp(epsilon) * ndtr(-epsilon / mu - mu / 2)
+
+
+# the benchmark's staged-cli run (q=1 set explicitly) and the CI
+# walkthrough's (q resolves to 1 at 15 participants)
+_Q1_RUNS = {"staged-cli": dict(n_participants=100, q=1.0, rounds=3),
+            "walkthrough": dict(n_participants=15, urls_per_participant=8, rounds=2)}
+
+
+@pytest.mark.parametrize("target", [1.0, 5.0, 10.0])
+@pytest.mark.parametrize("run", sorted(_Q1_RUNS))
+def test_rdp_epsilon_is_at_least_the_exact_epsilon_at_q1(run, target):
+    # At q=1 every query is a plain Gaussian, and k of them at z compose
+    # to one Gaussian with mu = sqrt(k) / z, whose delta(epsilon) is exact.
+    # The RDP conversion is an upper bound on that epsilon.
+    config = ExperimentConfig(generator=GeneratorConfig(n_scripts=2000), epsilon=target,
+                              **_Q1_RUNS[run])
+    assert config.resolved_q == 1.0
+    queries = 2 * 149  # ExtHighEntropy's F normalization queries, two per feature
+    budget = calibrate_budget(config, 149)
+    plan = [PlannedQuery(1.0, queries, z=budget.z_norm),
+            PlannedQuery(1.0, config.rounds, z=budget.z_train)]
+    rdp_epsilon = plan_epsilon(plan, budget.z_train, config.delta)
+    mu = math.sqrt(queries / budget.z_norm ** 2 + config.rounds / budget.z_train ** 2)
+    exact = optimize.brentq(lambda e: _gaussian_delta(e, mu) - config.delta, 0.0, 100.0,
+                            xtol=1e-12)
+    assert 0.0 < exact <= rdp_epsilon <= target

@@ -10,7 +10,6 @@ from fedtrace import heuristics
 from fedtrace.errors import InvalidInput
 from fedtrace.features import (
     FeatureCatalog,
-    call_slots,
     default_catalog,
     fill_feature_row,
     signal_slots,
@@ -39,6 +38,8 @@ from fedtrace.traces import (
 from generated import generate_scripts
 
 CATALOG = default_catalog()
+SHUFFLED = FeatureCatalog(tuple(reversed(CATALOG.api_count_entries)),
+                          tuple(reversed(CATALOG.custom_entries)))
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +255,7 @@ def test_planted_signal_separates_classes():
 
 
 def _plain(record: ApiCallRecord) -> ApiCallRecord:
-    """An equal record that carries no compiled work."""
+    """An equal record with no cached fragment."""
     return ApiCallRecord(record.api_name, record.args, record.return_value,
                          record.dropped_args)
 
@@ -265,7 +266,7 @@ def _plain_trace(trace: ScriptTrace) -> ScriptTrace:
 
 
 class TestCallTable:
-    """Each shared record's compiled work against the per-call code on an uncompiled copy."""
+    """Each shared record against a plain copy that has no cached fragment."""
 
     @pytest.fixture(scope="class")
     def records(self):
@@ -291,7 +292,7 @@ class TestCallTable:
 
     def _assert_same_as_plain(self, trace, catalog=CATALOG):
         plain = _plain_trace(trace)
-        assert all(c.compiled is None for c in plain.calls)
+        assert all(c.fragment is None for c in plain.calls)
         assert trace_to_json_line(trace) == trace_to_json_line(plain)
         assert heuristics.label(trace) == heuristics.label(plain)
         np.testing.assert_array_equal(self._filled(trace, catalog),
@@ -300,15 +301,11 @@ class TestCallTable:
     def test_every_entry_equals_the_per_call_code(self, records):
         assert len(records) > 2900
         for record in records:
-            c, plain = record.compiled, _plain(record)
-            assert c is not None and c.catalog is CATALOG
-            assert c.fragment == call_fragment(plain)
-            assert (c.count_slot, c.custom_slots) == call_slots(plain, CATALOG)
+            fragment = call_fragment(record)
+            assert record.fragment is fragment and call_fragment(record) is fragment
+            assert fragment == call_fragment(_plain(record))
             one = ScriptTrace("s#00", "d.example", (record,))
-            assert trace_to_json_line(one).startswith(f'{{"calls":[{c.fragment}],')
-            cols = np.flatnonzero(self._filled(one)).tolist()
-            assert cols == ([] if c.count_slot is None else [c.count_slot]) + list(
-                c.custom_slots)
+            assert trace_to_json_line(one).startswith(f'{{"calls":[{fragment}],')
             self._assert_same_as_plain(one)
 
     def test_traces_of_table_records_only(self, records):
@@ -321,41 +318,43 @@ class TestCallTable:
         for trace in traces:
             self._assert_same_as_plain(trace)
 
-    def test_generated_scripts_miss_only_drawn_records(self):
+    def test_generated_scripts_miss_only_drawn_records(self, records):
         cfg = GeneratorConfig(n_scripts=1500, fp_prevalence=0.1, near_miss_rate=0.3, seed=8)
         stream, *_ = generate_stream(cfg, CATALOG)
+        table = set(records)
         missed = set()
         for script, _, _ in stream:
             trace = script.trace
-            missed |= {c.api_name for c in trace.calls if c.compiled is None}
+            missed |= {c.api_name for c in trace.calls if c not in table}
             self._assert_same_as_plain(trace)
+            self._assert_same_as_plain(trace, SHUFFLED)
         assert missed == {"CanvasRenderingContext2D.fillText",
                           "CanvasRenderingContext2D.fillStyle"}
 
     def test_keyed_by_object_not_by_equal_content(self, records):
         # the signal custom RTCPeerConnection.createOffer(true) is planted as (True,)
         owned = next(r for r in records if any(a is True for a in r.args))
+        owned_trace = ScriptTrace("s#00", "d.example", (owned,))
+        assert "[true]" in trace_to_json_line(owned_trace) and "[true]" in owned.fragment
         equal = api_call(owned.api_name, (1.0,))
         assert equal == owned and hash(equal) == hash(owned) and equal is not owned
-        assert equal.compiled is None
-        owned_trace = ScriptTrace("s#00", "d.example", (owned,))
+        assert equal.fragment is None
         equal_trace = ScriptTrace("s#00", "d.example", (equal,))
-        assert "[true]" in trace_to_json_line(owned_trace)
         assert "[1.0]" in trace_to_json_line(equal_trace)
+        assert "[true]" in trace_to_json_line(owned_trace)
         self._assert_same_as_plain(owned_trace)
         self._assert_same_as_plain(equal_trace)
 
     def test_another_catalog_takes_the_per_call_code(self, records):
         trace = ScriptTrace("s#00", "d.example", tuple(records))
-        shuffled = FeatureCatalog(tuple(reversed(CATALOG.api_count_entries)),
-                                  tuple(reversed(CATALOG.custom_entries)))
-        # the compiled slots index CATALOG, so taking them here would be wrong
-        assert not np.array_equal(self._filled(trace, shuffled), self._filled(trace))
-        self._assert_same_as_plain(trace, shuffled)
+        assert not np.array_equal(self._filled(trace, SHUFFLED), self._filled(trace))
+        self._assert_same_as_plain(trace, SHUFFLED)
         self._assert_same_as_plain(trace, default_catalog())  # equal, but another object
 
     def test_replace_gives_a_record_without_compiled_work(self, records):
-        owned = next(r for r in records if r.args and r.compiled.custom_slots)
+        owned = next(r for r in records if r.args and self._filled(
+            ScriptTrace("s#00", "d.example", (r,)))[CATALOG.n_api:].any())
+        call_fragment(owned)
         changed = dataclasses.replace(owned, args=("other",) + owned.args[1:])
-        assert owned.compiled is not None and changed.compiled is None
+        assert owned.fragment is not None and changed.fragment is None
         self._assert_same_as_plain(ScriptTrace("s#00", "d.example", (changed,)))
