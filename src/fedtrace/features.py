@@ -165,8 +165,16 @@ class FeatureCatalog:
             raise InvalidMask(f"unknown named set: {name!r}") from None
 
 
+_FILL_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarray) -> None:
     """Accumulate api-call counts and custom indicators for one trace into row.
+
+    row is a 1-d float32 or float64 array in native byte order, strided
+    or not; any other row raises InvalidInput. The writes go through
+    memoryview(row), which costs a fraction of a numpy scalar operation
+    per write, and store the same values.
 
     Works from the catalog's compiled table: one dict lookup per call
     finds its count slot and the probes its custom features need, and
@@ -176,6 +184,9 @@ def fill_feature_row(trace: ScriptTrace, catalog: FeatureCatalog, row: np.ndarra
     result equals testing every spec of the call's API with
     CustomFeatureSpec.matches.
     """
+    if not isinstance(row, np.ndarray) or row.ndim != 1 or row.dtype not in _FILL_DTYPES:
+        raise InvalidInput("a feature row must be a 1-d float32 or float64 array")
+    row = memoryview(row)
     table = catalog._fill_table
     for call in trace.calls:
         entry = table.get(call.api_name)

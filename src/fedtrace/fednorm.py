@@ -22,7 +22,10 @@ rule does nothing.
 The resulting statistics scale feature columns before training, either
 dividing the centered value by sqrt(s) ("std" mode, default, yields
 unit variance when the statistics are exact) or by s itself ("var"
-mode, the literal quotient form).
+mode, the literal quotient form). A NormStats is frozen and holds
+read-only copies of mu and s, so it computes that denominator once per
+(mode, variance_floor) and keeps it; scoring one script at a time does
+not recompute it per call.
 
 normalize_matrix does that arithmetic in float64 but never holds a
 float64 copy of a whole float32 matrix: it fills its float32 output one
@@ -34,8 +37,7 @@ block, a few MB, whatever the row count.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,24 +59,51 @@ NORMALIZE_MODES = ("std", "var")
 NOISE_SIGMAS = 3.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NormStats:
-    """Per-feature location and spread estimates with their clip bounds."""
+    """Per-feature location and spread estimates with their clip bounds.
+
+    Frozen, and mu and s are read-only float64 copies of the inputs, so
+    the denominator that normalize_matrix divides by is computed once per
+    (mode, variance_floor) and kept in a memo that cannot go stale.
+    """
 
     mu: np.ndarray
     s: np.ndarray
     clip_mu: float
     clip_var: float
+    # denominator()'s results by (mode, variance_floor)
+    _denominators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
+        for name in ("mu", "s"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if self.mu.shape != self.s.shape or self.mu.ndim != 1:
             raise InvalidInput("mu and s must be 1-d vectors of equal length")
         if not (np.isfinite(self.mu).all() and np.isfinite(self.s).all()):
             raise InvalidInput("statistics must be finite")
         if (self.s <= 0).any():
             raise InvalidInput("variance entries must be strictly positive")
+
+    def denominator(self, mode: str, variance_floor: float) -> np.ndarray:
+        """What normalize_matrix divides by: sqrt(s) ("std") or s ("var"), floored.
+
+        Read-only, and computed on the first call for each (mode,
+        variance_floor); a mode outside NORMALIZE_MODES raises every time.
+        """
+        if mode not in NORMALIZE_MODES:
+            raise InvalidInput(f"mode must be one of {NORMALIZE_MODES}: {mode!r}")
+        key = (mode, variance_floor)
+        denom = self._denominators.get(key)
+        if denom is None:
+            denom = np.maximum(self.s, variance_floor)
+            if mode == "std":
+                denom = np.sqrt(denom)
+            denom.flags.writeable = False
+            self._denominators[key] = denom
+        return denom
 
     @property
     def n_features(self) -> int:
@@ -210,23 +239,6 @@ def dp_fed_norm(participants: Sequence, q: float, z: float,
     return NormStats(mu, s, clip_mu, clip_var)
 
 
-def exact_stats(x: np.ndarray, variance_floor: float = VARIANCE_FLOOR) -> NormStats:
-    """Non-private pooled column statistics (no clipping, no noise)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise InvalidInput("need a 2-d matrix with at least two rows")
-    mu = x.mean(axis=0)
-    s = ((x - mu) ** 2).sum(axis=0) / (x.shape[0] - 1)
-    return NormStats(mu, np.maximum(s, variance_floor), math.inf, math.inf)
-
-
-def _denominator(stats: NormStats, mode: str, variance_floor: float) -> np.ndarray:
-    if mode not in NORMALIZE_MODES:
-        raise InvalidInput(f"mode must be one of {NORMALIZE_MODES}: {mode!r}")
-    s = np.maximum(stats.s, variance_floor)
-    return np.sqrt(s) if mode == "std" else s
-
-
 def normalize_matrix(x: np.ndarray, stats: NormStats, mode: str = "std",
                      variance_floor: float = VARIANCE_FLOOR) -> np.ndarray:
     """Center by mu and scale every column; total thanks to the floor.
@@ -241,10 +253,9 @@ def normalize_matrix(x: np.ndarray, stats: NormStats, mode: str = "std",
     if x.ndim != 2 or x.shape[1] != stats.n_features:
         raise InvalidInput(f"matrix has {x.shape[-1] if x.ndim else 0} columns, "
                            f"stats describe {stats.n_features}")
-    denom = _denominator(stats, mode, variance_floor)
+    denom = stats.denominator(mode, variance_floor)
     if x.dtype != np.float32:
-        out = x.astype(np.float64, copy=True)
-        out -= stats.mu
+        out = np.subtract(x, stats.mu, dtype=np.float64)
         out /= denom
         return out
     out = np.empty(x.shape, dtype=np.float32)

@@ -83,10 +83,11 @@ class LogisticModel:
         most BLOCK_ROWS x F float64 values beyond X and the scores, not a
         float64 copy of all of X. With one BLAS thread each score equals
         the whole-matrix product's bit for bit. Other inputs take the
-        plain product.
+        plain product as X.dot, which gives @'s bits without the
+        per-call cost of its ufunc dispatch.
         """
         if X.shape[0] <= BLOCK_ROWS or X.dtype != np.float32:
-            return X @ self.weights + self.bias
+            return X.dot(self.weights) + self.bias
         scores = np.empty(X.shape[0])
         for rows, block in float64_row_blocks(X):
             np.matmul(block, self.weights, out=scores[rows])

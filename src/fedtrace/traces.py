@@ -14,8 +14,10 @@ Trace file format (one JSON object per line, UTF-8, '\n' terminated):
 
 where <arg>/<ret> are null, a bool, a float, a string (<= 256 chars), or
 {"len": L, "hash": "<16 hex>"} for a summarized long string. <dropped>
-is the count of arguments elided beyond MAX_ARGS. Blank lines are
-ignored. Writes are byte-deterministic (sorted keys, fixed separators).
+is the count of arguments elided beyond MAX_ARGS, never negative; the
+parser refuses a longer string and a negative count, as api_call never
+writes either. Blank lines are ignored. Writes are byte-deterministic
+(sorted keys, fixed separators).
 
 A trace line is its calls' JSON fragments joined in order.
 call_fragment keeps each record's fragment on the record object (its
@@ -175,7 +177,12 @@ def _scalar_from_json(v) -> Scalar:
             return LongString(int(v["len"]), str(v["hash"]))
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"bad long-string summary: {v!r}") from None
-    if isinstance(v, bool) or v is None or isinstance(v, str):
+    if isinstance(v, str):
+        if len(v) > LONG_STRING_THRESHOLD:
+            raise ValueError(f"a string of {len(v)} chars, over LONG_STRING_THRESHOLD="
+                             f"{LONG_STRING_THRESHOLD}, must be written as its summary")
+        return v
+    if isinstance(v, bool) or v is None:
         return v
     if isinstance(v, (int, float)):
         return float(v)
@@ -211,11 +218,14 @@ def _trace_from_obj(obj) -> ScriptTrace:
     calls = []
     for raw in obj["calls"]:
         api, args, ret, dropped = raw
+        dropped = int(dropped)
+        if dropped < 0:
+            raise ValueError(f"negative dropped-argument count: {dropped}")
         calls.append(ApiCallRecord(
             str(api),
             tuple(_scalar_from_json(a) for a in args),
             _scalar_from_json(ret),
-            int(dropped),
+            dropped,
         ))
     return ScriptTrace(str(obj["script_id"]), str(obj["source_domain"]), tuple(calls))
 

@@ -231,6 +231,20 @@ class TestCompiledFill:
         fill_feature_row(trace, catalog, row)
         assert row[catalog.api_count_entries.index("Navigator.userAgent")] == 2.0
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_other_row_dtypes_are_refused(self, catalog, dtype):
+        row = np.zeros(catalog.slot_count, dtype=dtype)
+        with pytest.raises(InvalidInput):
+            fill_feature_row(_trace(api_call("Navigator.userAgent")), catalog, row)
+        assert not row.any()
+
+    def test_strided_row_matches_a_contiguous_row(self):
+        trace = _trace(*(call for call, _ in CRAFTED_CASES.values()))
+        wide = np.zeros((CRAFTED.slot_count, 3))
+        fill_feature_row(trace, CRAFTED, wide[:, 1])
+        assert np.array_equal(wide[:, 1], _fill(trace, CRAFTED))
+        assert not wide[:, [0, 2]].any()
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_generated_row_matches_the_oracle(self, catalog, seed):
         scripts = generate_scripts(

@@ -23,7 +23,6 @@ from fedtrace.fednorm import (
     NormStats,
     VARIANCE_FLOOR,
     dp_fed_norm,
-    exact_stats,
     load_norm_stats,
     normalize_matrix,
     participant_moments,
@@ -31,6 +30,7 @@ from fedtrace.fednorm import (
 )
 from fedtrace.model import BLOCK_ROWS
 from fedtrace.privacy import PrivacyLedger, noise_stddev
+from oracle_stats import exact_stats
 
 
 class FakeParticipant:
@@ -326,6 +326,54 @@ def test_row_blocks_give_the_whole_matrix_bytes(n_rows, dtype, mode):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+
+
+def test_float64_row_is_the_formula_bytes():
+    # two of the variances lie below the floor, which the denominator applies
+    rng = np.random.default_rng(4)
+    s = rng.lognormal(size=7)
+    s[:2] = VARIANCE_FLOOR / 4
+    stats = NormStats(rng.normal(size=7), s, 1.0, 1.0)
+    x = rng.normal(size=(1, 7))
+    for mode, denom in (("std", np.sqrt(np.maximum(stats.s, VARIANCE_FLOOR))),
+                        ("var", np.maximum(stats.s, VARIANCE_FLOOR))):
+        got = normalize_matrix(x, stats, mode=mode)
+        assert got.tobytes() == ((x.astype(np.float64) - stats.mu) / denom).tobytes()
+
+
+def test_norm_stats_are_frozen_and_read_only():
+    mu, s = np.zeros(3), np.ones(3)
+    stats = NormStats(mu, s, 1.0, 1.0)
+    with pytest.raises(AttributeError):
+        stats.mu = np.ones(3)
+    for name in ("mu", "s"):
+        with pytest.raises(ValueError):
+            getattr(stats, name)[0] = 5.0
+    assert mu.flags.writeable and s.flags.writeable
+    mu[0] = 5.0
+    assert stats.mu[0] == 0.0
+
+
+def test_memoized_denominators_match_a_fresh_objects():
+    rng = np.random.default_rng(5)
+    mu, s = rng.normal(size=7), rng.lognormal(size=7) * 1e-3
+    x = rng.normal(size=(3, 7))
+    stats = NormStats(mu, s, 1.0, 1.0)
+    calls = [("std", VARIANCE_FLOOR), ("std", VARIANCE_FLOOR), ("var", VARIANCE_FLOOR),
+             ("std", 1e-2), ("var", 1e-2), ("std", VARIANCE_FLOOR), ("var", 1e-2)]
+    for mode, floor in calls:
+        got = normalize_matrix(x, stats, mode, variance_floor=floor)
+        want = normalize_matrix(x, NormStats(mu, s, 1.0, 1.0), mode, variance_floor=floor)
+        assert got.tobytes() == want.tobytes()
+    assert "_denominators" not in repr(stats)
+
+
+def test_bad_mode_raises_after_a_memoized_call():
+    stats = NormStats(np.zeros(3), np.ones(3), 1.0, 1.0)
+    normalize_matrix(np.ones((1, 3)), stats, "std")
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            normalize_matrix(np.ones((1, 3)), stats, "mean")
 
 
 def test_float32_normalize_allocates_one_output_and_one_block():

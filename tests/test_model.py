@@ -254,7 +254,7 @@ _SCORE_CHECK = textwrap.dedent("""
 
 
 def test_row_blocks_score_the_whole_matrix_bytes():
-    rows = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
+    rows = [0, 1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
             2 * BLOCK_ROWS + 3]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))

@@ -15,7 +15,7 @@ from fedtrace.features import (
     signal_slots,
 )
 from fedtrace.fedavg import centralized_fit
-from fedtrace.fednorm import exact_stats, normalize_matrix
+from fedtrace.fednorm import normalize_matrix
 from fedtrace.metrics import average_precision
 from fedtrace.synth import (
     DEFAULT_POOL_SIZE,
@@ -36,6 +36,7 @@ from fedtrace.traces import (
     types_to_bitmask,
 )
 from generated import generate_scripts
+from oracle_stats import exact_stats
 
 CATALOG = default_catalog()
 SHUFFLED = FeatureCatalog(tuple(reversed(CATALOG.api_count_entries)),

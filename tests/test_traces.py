@@ -181,6 +181,25 @@ class TestTraceFile:
         with pytest.raises(ParseError):
             parse_trace_file(path)
 
+    def test_parse_rejects_an_unsummarized_long_string(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        good = trace_to_json_line(_example_trace())
+        obj = json.loads(good)
+        obj["calls"][0][1] = ["x" * (LONG_STRING_THRESHOLD + 1)]
+        path.write_text(good + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc_info:
+            parse_trace_file(path)
+        assert exc_info.value.line == 2
+
+    def test_parse_rejects_a_negative_dropped_count(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        obj = json.loads(trace_to_json_line(_example_trace()))
+        obj["calls"][0][3] = -3
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc_info:
+            parse_trace_file(path)
+        assert exc_info.value.line == 1
+
 
 _scalars = st.one_of(
     st.none(),
