@@ -69,7 +69,7 @@ from .errors import CalibrationError, ConfigError, InvalidMask, StageDependencyE
 from .features import catalog_hash, default_catalog, load_catalog, save_catalog
 from .fedavg import TrainingRunConfig, RoundRecord, train
 from .fednorm import (DEFAULT_CLIP_MU, DEFAULT_CLIP_VAR, NORMALIZE_MODES, VARIANCE_FLOOR,
-                      ColumnMoments, NormStats, dp_fed_norm, load_norm_stats,
+                      ColumnMoments, NormStats, dp_fed_norm, fold_model, load_norm_stats,
                       normalize_matrix, participant_moments, save_norm_stats)
 from .heuristics import label
 from .metrics import average_precision
@@ -457,7 +457,10 @@ class TrainOutcome:
     budget: NoiseBudget
     norm_stats: NormStats | None
     mask: np.ndarray
-    matrix: np.ndarray  # normalized masked features for every corpus row
+    # the masked features of every corpus row as the model was trained on
+    # them: normalized when the run normalizes (normalize_matrix's bytes
+    # over corpus.columns(mask)), raw otherwise
+    matrix: np.ndarray
 
 
 def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDataset],
@@ -468,26 +471,30 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
     moments may carry precomputed per-participant column moments (they
     depend only on the partition and the feature set, not on the noise
     level), which sweeps reuse across epsilon settings.
+
+    The run holds one dense block, corpus.columns(mask): once the moments
+    and the statistic queries have read it, it is normalized in place.
+    The round evaluator scores the sparse test rows with each round's
+    model folded over the statistics (fold_model).
     """
     corpus = prepared.corpus
     mask = resolve_mask(corpus.catalog, config.feature_set)
     budget = calibrate_budget(config, len(mask))
     ledger = PrivacyLedger()
     x_masked = corpus.columns(mask)
-    raw_parts = [p.over(x_masked) for p in participants]
+    # views over the one block: raw until it is normalized in place below
+    parts = [p.over(x_masked) for p in participants]
     norm_stats = None
-    matrix = x_masked
     if config.normalize:
         if moments is None:
-            moments = participant_moments(raw_parts)
-        norm_stats = dp_fed_norm(raw_parts, config.resolved_norm_q, budget.z_norm,
+            moments = participant_moments(parts)
+        norm_stats = dp_fed_norm(parts, config.resolved_norm_q, budget.z_norm,
                                  config.clip_mu, config.clip_var,
                                  rng=derive_rng(config.seed, NORM_QUERY),
                                  ledger=ledger, moments=moments,
                                  variance_floor=config.variance_floor)
-        matrix = normalize_matrix(x_masked, norm_stats, config.norm_mode,
-                                  variance_floor=config.variance_floor)
-    train_parts = [p.over(matrix) for p in participants]
+        normalize_matrix(x_masked, norm_stats, config.norm_mode,
+                         variance_floor=config.variance_floor, out=x_masked)
     run_cfg = TrainingRunConfig(rounds=config.rounds, n_participants=config.n_participants,
                                 q=config.resolved_q, z=budget.z_train,
                                 clip_norm=config.clip_norm, local_epochs=config.local_epochs,
@@ -495,27 +502,33 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
                                 eval_every=config.eval_every)
     evaluator = None
     if config.eval_every:
-        x_test = matrix[prepared.test_rows]
+        x_test = corpus.X[prepared.test_rows][:, mask]
         y_test = corpus.labels[prepared.test_rows]
 
         def evaluator(theta: np.ndarray) -> float:
-            scores = LogisticModel.from_theta(theta).decision_scores(x_test)
-            return average_precision(scores, y_test)
+            folded = fold_model(LogisticModel.from_theta(theta), norm_stats,
+                                config.norm_mode, config.variance_floor)
+            return average_precision(folded.decision_scores(x_test), y_test)
 
-    model, records = train(train_parts, len(mask), run_cfg, ledger=ledger,
+    model, records = train(parts, len(mask), run_cfg, ledger=ledger,
                            evaluator=evaluator)
-    return TrainOutcome(model, records, ledger, budget, norm_stats, mask, matrix)
+    return TrainOutcome(model, records, ledger, budget, norm_stats, mask, x_masked)
 
 
 def score_splits(prepared: PreparedData, config: ExperimentConfig, model: LogisticModel,
-                 matrix: np.ndarray) -> list[dict]:
+                 stats: NormStats | None) -> list[dict]:
     """One metrics row per split: the model's AUPRC over that split's corpus rows.
 
-    matrix holds the model's input for every corpus row (masked and,
-    when the run normalizes, normalized).
+    stats are the run's normalization statistics, None when it does not
+    normalize. The model is folded over them (fold_model) and scores the
+    feature set's columns of the sparse corpus matrix once; nothing is
+    densified or normalized.
     """
-    labels = prepared.corpus.labels
-    scores = model.decision_scores(matrix)
+    corpus = prepared.corpus
+    labels = corpus.labels
+    mask = resolve_mask(corpus.catalog, config.feature_set)
+    folded = fold_model(model, stats, config.norm_mode, config.variance_floor)
+    scores = folded.decision_scores(corpus.X[:, mask])
     out = []
     for split_name, rows in (("train", prepared.train_rows), ("test", prepared.test_rows)):
         out.append({
@@ -544,7 +557,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     prepared = prepare_data(config)
     participants = build_participants(prepared, config)
     outcome = train_in_memory(prepared, participants, config)
-    metrics = score_splits(prepared, config, outcome.model, outcome.matrix)
+    metrics = score_splits(prepared, config, outcome.model, outcome.norm_stats)
     return PipelineResult(prepared, participants, outcome, metrics)
 
 
@@ -720,7 +733,12 @@ def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
 
 
 def stage_evaluate(run_dir) -> list[dict]:
-    """Score both splits with the stored checkpoint and write metrics.csv."""
+    """Score both splits with the stored checkpoint and write metrics.csv.
+
+    The checkpoint's model is folded over normstats.json's statistics
+    and scores the sparse corpus matrix (score_splits), so evaluate holds
+    no dense copy of the feature set's columns.
+    """
     run_dir = Path(run_dir)
     _require(run_dir, "evaluate", CORPUS_FILES + (PARTITION_FILE, CHECKPOINT_FILE))
     checkpoint = _read_json(run_dir / CHECKPOINT_FILE)
@@ -729,24 +747,23 @@ def stage_evaluate(run_dir) -> list[dict]:
     prepared = load_corpus(run_dir)
     _check_corpus_config(config, prepared.manifest, run_dir)
     corpus = prepared.corpus
-    if checkpoint["catalog_hash"] != catalog_hash(corpus.catalog):
+    # load_corpus refused a catalog whose hash is not the manifest's
+    if checkpoint["catalog_hash"] != prepared.manifest["catalog_hash"]:
         raise StageDependencyError(
             "checkpoint was trained against a different catalog; re-run training")
-    mask = resolve_mask(corpus.catalog, str(checkpoint["feature_set"]))
+    mask = resolve_mask(corpus.catalog, config.feature_set)
     weights = np.asarray(checkpoint["weights"], dtype=float)
     if weights.shape != (mask.size,):
         raise StageDependencyError(
             f"checkpoint holds {weights.size} weights but the feature set has "
             f"{mask.size} slots; re-run training")
     model = LogisticModel(weights, float(checkpoint["bias"]))
-    x = corpus.columns(mask)
-    if checkpoint["normalize"]:
+    stats = None
+    if config.normalize:
         _require(run_dir, "evaluate", (NORM_STATS_FILE,))
         _recorded_bytes(run_dir, NORM_STATS_FILE, checkpoint.get("normstats_sha256"), "train")
         stats = load_norm_stats(run_dir / NORM_STATS_FILE)
-        x = normalize_matrix(x, stats, str(checkpoint["norm_mode"]),
-                             variance_floor=config.variance_floor)
-    rows_out = score_splits(prepared, config, model, x)
+    rows_out = score_splits(prepared, config, model, stats)
     write_csv(run_dir / METRICS_FILE, METRICS_HEADER,
                [tuple(r[k] for k in METRICS_HEADER) for r in rows_out],
                snapshot=config_snapshot_line(config))

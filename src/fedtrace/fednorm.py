@@ -31,7 +31,12 @@ normalize_matrix does that arithmetic in float64 but never holds a
 float64 copy of a whole float32 matrix: it fills its float32 output one
 row block at a time (model.BLOCK_ROWS rows) through one float64 scratch
 block, so its transient memory beyond the input and the output is one
-block, a few MB, whatever the row count.
+block, a few MB, whatever the row count. Given out=x it overwrites x
+instead, as training does with its one dense block.
+
+Scoring needs no normalized matrix at all: fold_model folds the
+statistics into a model's weights (w' = w/d, b' = b - w'.mu), and the
+folded model scores raw rows, sparse ones included.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from scipy.sparse import issparse
 
 from .artifacts import atomic_write
 from .errors import InvalidInput
-from .model import float64_row_blocks
+from .model import LogisticModel, float64_row_blocks
 from .privacy import PrivacyLedger, gaussian_noise, noise_stddev
 
 VARIANCE_FLOOR = 1e-6
@@ -240,28 +245,48 @@ def dp_fed_norm(participants: Sequence, q: float, z: float,
 
 
 def normalize_matrix(x: np.ndarray, stats: NormStats, mode: str = "std",
-                     variance_floor: float = VARIANCE_FLOOR) -> np.ndarray:
+                     variance_floor: float = VARIANCE_FLOOR,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Center by mu and scale every column; total thanks to the floor.
 
-    The arithmetic is float64. A float32 x gives a new C-order float32
+    The arithmetic is float64. A float32 x gives a C-order float32
     matrix, filled one row block (model.BLOCK_ROWS rows) at a time
     through one reused float64 scratch block, so beyond x the call holds
     the output and at most BLOCK_ROWS x F float64 values. Any other x
-    gives a float64 matrix.
+    gives a float64 matrix. The result is a new array, or out when given:
+    an array of x's shape (x itself normalizes x in place) that receives
+    the same values a new array would.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != stats.n_features:
         raise InvalidInput(f"matrix has {x.shape[-1] if x.ndim else 0} columns, "
                            f"stats describe {stats.n_features}")
+    if out is not None and out.shape != x.shape:
+        raise InvalidInput(f"out is {out.shape}, x is {x.shape}")
     denom = stats.denominator(mode, variance_floor)
     if x.dtype != np.float32:
-        out = np.subtract(x, stats.mu, dtype=np.float64)
+        out = np.subtract(x, stats.mu, out=out, dtype=np.float64)
         out /= denom
         return out
-    out = np.empty(x.shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.float32)
     for rows, block in float64_row_blocks(x):
         block -= stats.mu
         block /= denom
         out[rows] = block
     return out
 
+
+def fold_model(model: LogisticModel, stats: NormStats | None, mode: str = "std",
+               variance_floor: float = VARIANCE_FLOOR) -> LogisticModel:
+    """The model over raw columns that scores as model does over normalized ones.
+
+    With d = stats.denominator(mode, variance_floor) the folded weights
+    are w/d and the bias is b - (w/d).mu, so x.(w/d) + b' equals
+    ((x - mu)/d).w + b up to rounding, and no normalized copy of x is
+    made. stats None (normalization off) gives model itself.
+    """
+    if stats is None:
+        return model
+    weights = model.weights / stats.denominator(mode, variance_floor)
+    return LogisticModel(weights, model.bias - float(weights.dot(stats.mu)))

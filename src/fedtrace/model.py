@@ -75,24 +75,28 @@ class LogisticModel:
     def from_theta(cls, theta: np.ndarray) -> "LogisticModel":
         return cls(np.asarray(theta[:-1], dtype=float).copy(), float(theta[-1]))
 
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
+    def decision_scores(self, X) -> np.ndarray:
         """X @ weights + bias in float64, one score per row of X.
 
-        A float32 X taller than BLOCK_ROWS is upcast one row block at a
-        time into one reused float64 scratch array, so scoring holds at
-        most BLOCK_ROWS x F float64 values beyond X and the scores, not a
-        float64 copy of all of X. With one BLAS thread each score equals
+        A dense float32 X taller than BLOCK_ROWS is upcast one row block
+        at a time into one reused float64 scratch array, so scoring holds
+        at most BLOCK_ROWS x F float64 values beyond X and the scores, not
+        a float64 copy of all of X. With one BLAS thread each score equals
         the whole-matrix product's bit for bit. Other inputs take the
         plain product as X.dot, which gives @'s bits without the
-        per-call cost of its ufunc dispatch.
+        per-call cost of its ufunc dispatch. So does a scipy sparse X,
+        whose product sums each row's stored values in float64, one row
+        at a time, and never densifies X.
         """
         if X.shape[0] <= BLOCK_ROWS or X.dtype != np.float32:
             return X.dot(self.weights) + self.bias
-        scores = np.empty(X.shape[0])
-        for rows, block in float64_row_blocks(X):
-            np.matmul(block, self.weights, out=scores[rows])
-        scores += self.bias
-        return scores
+        if isinstance(X, np.ndarray):
+            scores = np.empty(X.shape[0])
+            for rows, block in float64_row_blocks(X):
+                np.matmul(block, self.weights, out=scores[rows])
+            scores += self.bias
+            return scores
+        return X.dot(self.weights) + self.bias
 
 
 def row_blocks(n: int):

@@ -121,7 +121,7 @@ def _run_one(base: ExperimentConfig, spec: RunSpec, seed: int, cache: dict,
             participants, resolve_mask(prepared.corpus.catalog, config.feature_set)))
     outcome = train_in_memory(prepared, participants, config, moments=moments)
     metrics = {row["split"]: row
-               for row in score_splits(prepared, config, outcome.model, outcome.matrix)}
+               for row in score_splits(prepared, config, outcome.model, outcome.norm_stats)}
     extra = extra_fn(config, prepared, participants, outcome) if extra_fn else {}
     return SweepRun(config, spec.series, spec.x,
                     metrics["train"]["auprc"], metrics["test"]["auprc"], extra)

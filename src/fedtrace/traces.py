@@ -13,11 +13,12 @@ Trace file format (one JSON object per line, UTF-8, '\n' terminated):
      "calls": [["Interface.member", [<arg>, ...], <ret>, <dropped>], ...]}
 
 where <arg>/<ret> are null, a bool, a float, a string (<= 256 chars), or
-{"len": L, "hash": "<16 hex>"} for a summarized long string. <dropped>
-is the count of arguments elided beyond MAX_ARGS, never negative; the
-parser refuses a longer string and a negative count, as api_call never
-writes either. Blank lines are ignored. Writes are byte-deterministic
-(sorted keys, fixed separators).
+{"len": L, "hash": "<16 hex>"} for a summarized long string, with L an
+integer over 256 and the hash 16 lowercase hex digits. <dropped> is the
+count of arguments elided beyond MAX_ARGS, never negative; the parser
+refuses a longer string, any other summary and a negative count, as
+api_call never writes them. Blank lines are ignored. Writes are
+byte-deterministic (sorted keys, fixed separators).
 
 A trace line is its calls' JSON fragments joined in order.
 call_fragment keeps each record's fragment on the record object (its
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput, ParseError
@@ -45,6 +47,8 @@ LONG_STRING_THRESHOLD = 256
 FP_TYPES = ("canvas", "canvas_font", "webrtc", "audio")
 _TYPE_BIT = {name: 1 << i for i, name in enumerate(FP_TYPES)}
 _FP_TYPE_SET = frozenset(FP_TYPES)
+# what summarize_value writes as a long string's hash: blake2b's 8-byte hexdigest
+_DIGEST = re.compile("[0-9a-f]{16}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,10 +177,15 @@ def _scalar_to_json(v: Scalar):
 
 def _scalar_from_json(v) -> Scalar:
     if isinstance(v, dict):
-        try:
-            return LongString(int(v["len"]), str(v["hash"]))
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"bad long-string summary: {v!r}") from None
+        length, digest = v.get("len"), v.get("hash")
+        if not isinstance(length, int) or isinstance(length, bool) \
+                or length <= LONG_STRING_THRESHOLD:
+            raise ValueError(f"bad long-string summary: {v!r}: len must be an integer "
+                             f"over LONG_STRING_THRESHOLD={LONG_STRING_THRESHOLD}")
+        if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+            raise ValueError(f"bad long-string summary: {v!r}: hash must be 16 "
+                             f"lowercase hex digits")
+        return LongString(length, digest)
     if isinstance(v, str):
         if len(v) > LONG_STRING_THRESHOLD:
             raise ValueError(f"a string of {len(v)} chars, over LONG_STRING_THRESHOLD="

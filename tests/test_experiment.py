@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import shutil
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -24,9 +25,10 @@ from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, L
                                  read_config_file,
                                  resolve_mask, run_pipeline, smoke_preset,
                                  stage_account, stage_evaluate, stage_generate,
-                                 stage_partition, stage_train, training_ranking, write_csv)
+                                 stage_partition, stage_train, train_in_memory,
+                                 training_ranking, write_csv)
 from fedtrace.features import default_catalog
-from fedtrace.fednorm import participant_moments
+from fedtrace.fednorm import normalize_matrix, participant_moments
 from fedtrace.partition import DomainRanking, LimitedKnowledgeSpec, build_partition
 from fedtrace.privacy import PlannedQuery, PrivacyLedger, plan_epsilon
 from fedtrace.synth import DEFAULT_TYPE_MIX, GeneratorConfig, SplitSpec, generate_corpus
@@ -914,6 +916,56 @@ class TestNormalizationToggle:
         report = stage_account(tmp_path)
         assert report["epsilon"] == "inf"
         assert report["total_rdp"] is None
+
+
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFoldedScoring:
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_trained_matrix_is_the_normalized_block(self, run_cfg, memory_result, normalize):
+        cfg = dataclasses.replace(run_cfg, normalize=normalize)
+        prepared = memory_result.prepared
+        corpus = prepared.corpus
+        mask = resolve_mask(corpus.catalog, cfg.feature_set)
+        parts = build_participants(prepared, cfg)
+        moments = participant_moments(parts, mask)
+        held = [a.copy() for a in (moments.counts, moments.means, moments.variances)]
+        x_held = [a.copy() for a in (corpus.X.data, corpus.X.indices, corpus.X.indptr)]
+        outcome = train_in_memory(prepared, parts, cfg, moments=moments)
+        want = corpus.columns(mask)
+        if normalize:
+            want = normalize_matrix(want, outcome.norm_stats, cfg.norm_mode,
+                                    variance_floor=cfg.variance_floor)
+        assert outcome.matrix.dtype == want.dtype == np.float32
+        assert outcome.matrix.flags.c_contiguous
+        assert outcome.matrix.tobytes() == want.tobytes()
+        for before, after in zip(held, (moments.counts, moments.means, moments.variances)):
+            assert before.tobytes() == after.tobytes()
+        for before, after in zip(x_held, (corpus.X.data, corpus.X.indices, corpus.X.indptr)):
+            assert before.tobytes() == after.tobytes()
+
+    def test_evaluate_holds_no_dense_block(self, tmp_path):
+        # about 5k scripts: the dense masked block is 3 MB; evaluate used to
+        # hold it and a normalized copy beyond what loading the corpus peaks at
+        cfg = tiny_config(generator=GeneratorConfig(n_scripts=5000, fp_prevalence=0.02),
+                          rounds=2, local_iterations=6)
+        stage_generate(cfg, tmp_path)
+        stage_partition(cfg, tmp_path)
+        stage_train(cfg, tmp_path)
+        corpus = load_corpus(tmp_path).corpus
+        block = corpus.columns(resolve_mask(corpus.catalog, cfg.feature_set)).nbytes
+        del corpus
+        load_peak = traced_peak(lambda: load_corpus(tmp_path))
+        evaluate_peak = traced_peak(lambda: stage_evaluate(tmp_path))
+        assert evaluate_peak - load_peak < block
 
 
 class TestTrainingRanking:

@@ -13,22 +13,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from fedtrace.errors import InsufficientData, InvalidInput
 from fedtrace.fednorm import (
     DEFAULT_CLIP_MU,
     DEFAULT_CLIP_VAR,
+    NORMALIZE_MODES,
     ColumnMoments,
     NOISE_SIGMAS,
     NormStats,
     VARIANCE_FLOOR,
     dp_fed_norm,
+    fold_model,
     load_norm_stats,
     normalize_matrix,
     participant_moments,
     save_norm_stats,
 )
-from fedtrace.model import BLOCK_ROWS
+from fedtrace.model import BLOCK_ROWS, LogisticModel
 from fedtrace.privacy import PrivacyLedger, noise_stddev
 from oracle_stats import exact_stats
 
@@ -389,6 +392,100 @@ def test_float32_normalize_allocates_one_output_and_one_block():
         tracemalloc.stop()
     assert out.dtype == np.float32
     assert peak < 1.5 * x.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_rows", [1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+def test_out_receives_the_new_arrays_bytes_in_place(n_rows, dtype):
+    rng = np.random.default_rng(n_rows)
+    x = (rng.normal(size=(n_rows, 7)) * rng.lognormal(size=7) ** 3).astype(dtype)
+    stats = NormStats(rng.normal(size=7), rng.lognormal(size=7) * 10.0, 1.0, 1.0)
+    for mode in NORMALIZE_MODES:
+        want = normalize_matrix(x, stats, mode)
+        block = x.copy()
+        assert normalize_matrix(block, stats, mode, out=block) is block
+        assert block.tobytes() == want.tobytes()
+    with pytest.raises(InvalidInput):
+        normalize_matrix(x, stats, out=np.empty((n_rows + 1, 7), dtype=dtype))
+
+
+def test_float32_in_place_normalize_allocates_one_block():
+    x = np.random.default_rng(3).random((20_000, 149), dtype=np.float32)
+    stats = exact_stats(x[:100])
+    tracemalloc.start()
+    try:
+        normalize_matrix(x, stats, out=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 scratch block is (BLOCK_ROWS + 1) x 149 x 8 bytes, 2.4 MB
+    assert peak < 0.25 * x.nbytes
+
+
+def raw_corpus_rows(rng, n_rows, n_features):
+    """float32 rows shaped like the corpus: mostly zero, small counts, a few wide columns."""
+    x = rng.poisson(0.3, size=(n_rows, n_features)) * (rng.random((n_rows, n_features)) < 0.2)
+    x = x * rng.lognormal(sigma=2.0, size=n_features)
+    return x.astype(np.float32)
+
+
+def fold_bound(x, stats, model, mode, variance_floor):
+    """How far a folded score may lie from normalize-then-score, per row of x.
+
+    Fixed from the formats before measuring. normalize_matrix rounds each
+    normalized entry z of a float32 matrix to float32, a relative error of
+    at most 2^-24, so the reference score can move by 2^-24 * sum|w z|.
+    Everything else is float64: sums of at most F products on either
+    side, and the fold's w/d, (w/d).mu and bias, each within F * 2^-53 of
+    the magnitudes summed; 4 F 2^-53 of all of them covers both sides.
+    """
+    x = x.astype(np.float64)
+    d = stats.denominator(mode, variance_floor)
+    w, wf = np.abs(model.weights), np.abs(model.weights / d)
+    z = np.abs((x - stats.mu) / d)
+    f64 = np.abs(x) @ wf + np.abs(stats.mu) @ wf + z @ w + 2 * abs(model.bias)
+    return 2.0 ** -24 * (z @ w) + 4 * x.shape[1] * 2.0 ** -53 * f64
+
+
+def _fold_case(seed, n_rows, n_features=149):
+    rng = np.random.default_rng(seed)
+    x = raw_corpus_rows(rng, n_rows, n_features)
+    mu = np.where(rng.random(n_features) < 0.5, 0.0, rng.normal(size=n_features) * 0.3)
+    s = rng.lognormal(sigma=2.0, size=n_features)
+    s[:10] = VARIANCE_FLOOR / 4  # variances below the floor
+    stats = NormStats(mu, s, 1.0, 1.0)
+    model = LogisticModel(rng.normal(size=n_features) * 3.0, float(rng.normal()))
+    return x, stats, model
+
+
+@pytest.mark.parametrize("mode", NORMALIZE_MODES)
+@pytest.mark.parametrize("variance_floor", [VARIANCE_FLOOR, 1e-2])
+@pytest.mark.parametrize("n_rows", [1, 300, 2 * BLOCK_ROWS + 3])
+def test_folded_scores_equal_normalize_then_score(n_rows, variance_floor, mode):
+    x, stats, model = _fold_case(n_rows, n_rows)
+    want = model.decision_scores(normalize_matrix(x, stats, mode, variance_floor))
+    folded = fold_model(model, stats, mode, variance_floor)
+    got = folded.decision_scores(x)
+    bound = fold_bound(x, stats, model, mode, variance_floor)
+    assert np.all(np.abs(got - want) <= bound)
+    # the sparse corpus matrix scores as its dense rows do
+    sparse = folded.decision_scores(csr_matrix(x))
+    assert sparse.dtype == np.float64 and sparse.shape == (n_rows,)
+    assert np.all(np.abs(sparse - got) <= bound)
+
+
+def test_fold_without_stats_is_the_model_itself():
+    model = LogisticModel(np.ones(3), 0.5)
+    assert fold_model(model, None, "std", VARIANCE_FLOOR) is model
+
+
+def test_fold_is_the_formula():
+    _, stats, model = _fold_case(1, 1)
+    for mode in NORMALIZE_MODES:
+        folded = fold_model(model, stats, mode, 1e-2)
+        weights = model.weights / stats.denominator(mode, 1e-2)
+        assert folded.weights.tobytes() == weights.tobytes()
+        assert folded.bias == model.bias - float(weights.dot(stats.mu))
 
 
 def test_constant_column_hits_floor_and_stays_total():

@@ -210,9 +210,9 @@ class TestExtHighEntropyRecipe:
         scored = []
         original = sweeps.score_splits
 
-        def recording(prepared, config, model, matrix):
+        def recording(prepared, config, model, stats):
             scored.append((config.seed, config.feature_set, prepared.corpus))
-            return original(prepared, config, model, matrix)
+            return original(prepared, config, model, stats)
 
         monkeypatch.setattr(sweeps, "score_splits", recording)
         run_sweep("ext_high_entropy", tmp_path, base=base, seeds=(0, 1))

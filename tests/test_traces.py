@@ -191,6 +191,43 @@ class TestTraceFile:
             parse_trace_file(path)
         assert exc_info.value.line == 2
 
+    def _parse_with_summary(self, tmp_path, summary):
+        """Parse a good line, then one whose first argument is the given summary."""
+        path = tmp_path / "traces.jsonl"
+        good = trace_to_json_line(_example_trace())
+        obj = json.loads(good)
+        obj["calls"][0][1] = [summary]
+        path.write_text(good + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc_info:
+            parse_trace_file(path)
+        assert exc_info.value.line == 2
+        return exc_info.value
+
+    @pytest.mark.parametrize("length", [300.0, "300", None, True])
+    def test_parse_rejects_a_summary_length_that_is_not_an_int(self, tmp_path, length):
+        error = self._parse_with_summary(tmp_path, {"len": length, "hash": "0123456789abcdef"})
+        assert "len must be an integer" in str(error)
+
+    @pytest.mark.parametrize("length", [-4, 0, 5, LONG_STRING_THRESHOLD])
+    def test_parse_rejects_a_summary_length_a_string_would_keep(self, tmp_path, length):
+        error = self._parse_with_summary(tmp_path, {"len": length, "hash": "0123456789abcdef"})
+        assert "len must be an integer" in str(error)
+
+    @pytest.mark.parametrize("digest", ["zz", "ab", "0123456789ABCDEF", "0123456789abcdeg",
+                                        "0123456789abcdef0", "0123456789abcdef\n", 12, None])
+    def test_parse_rejects_a_summary_hash_that_is_not_16_hex_digits(self, tmp_path, digest):
+        error = self._parse_with_summary(tmp_path, {"len": LONG_STRING_THRESHOLD + 1,
+                                                    "hash": digest})
+        assert "hash must be 16" in str(error)
+
+    def test_parse_reads_a_summary_summarize_value_writes(self, tmp_path):
+        long = summarize_value("x" * (LONG_STRING_THRESHOLD + 1))
+        path = tmp_path / "traces.jsonl"
+        trace = ScriptTrace("https://a.example/s.js#00", "a.example",
+                            (api_call("A.b", (long,), long),))
+        _write_traces([trace], path)
+        assert parse_trace_file(path) == [trace]
+
     def test_parse_rejects_a_negative_dropped_count(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         obj = json.loads(trace_to_json_line(_example_trace()))
