@@ -47,7 +47,8 @@ Every artifact is replaced atomically (artifacts.atomic_write), and the
 hashes recorded in generate_manifest.json and checkpoint.json make a
 later stage refuse a catalog.json, features.npz, placements.json,
 ranking.txt, split.json, partition.json, normstats.json or ledger.json
-that another run wrote.
+that another run wrote. A stage parses a checked file from the bytes it
+hashed, in one read, so a file swapped after the check is never used.
 """
 
 from __future__ import annotations
@@ -69,15 +70,15 @@ from .errors import CalibrationError, ConfigError, InvalidMask, StageDependencyE
 from .features import catalog_hash, default_catalog, load_catalog, save_catalog
 from .fedavg import TrainingRunConfig, RoundRecord, train
 from .fednorm import (DEFAULT_CLIP_MU, DEFAULT_CLIP_VAR, NORMALIZE_MODES, VARIANCE_FLOOR,
-                      ColumnMoments, NormStats, dp_fed_norm, fold_model, load_norm_stats,
+                      ColumnMoments, NormStats, dp_fed_norm, fold_model,
                       normalize_matrix, participant_moments, save_norm_stats)
 from .heuristics import label
 from .metrics import average_precision
 from .model import LogisticModel, OptimizerConfig
 from .partition import (DEFAULT_URLS_PER_PARTICIPANT, DEFAULT_ZIPF_EXPONENT, DomainRanking,
                         LimitedKnowledgeSpec, ParticipantDataset, ScriptCorpus,
-                        build_partition, draw_domains, load_ranking, make_limited_knowledge,
-                        save_ranking)
+                        build_partition, draw_domains, make_limited_knowledge,
+                        parse_ranking, save_ranking)
 from .privacy import PlannedQuery, PrivacyLedger, calibrate_noise, epsilon_and_order
 from .seeding import NORM_QUERY, derive_rng
 from .synth import GeneratorConfig, SplitSpec, generate_corpus, generate_stream
@@ -331,8 +332,8 @@ def _recorded_bytes(run_dir: Path, name: str, recorded, rerun: str) -> bytes:
 def _generated_domains(run_dir: Path, manifest: dict
                        ) -> tuple[DomainRanking, dict[str, list[str]], SplitSpec]:
     """ranking.txt, placements.json and split.json, checked against the generate manifest."""
-    _recorded_bytes(run_dir, RANKING_FILE, manifest.get("ranking_sha256"), "generate")
-    ranking = load_ranking(run_dir / RANKING_FILE)
+    ranking = parse_ranking(_recorded_bytes(
+        run_dir, RANKING_FILE, manifest.get("ranking_sha256"), "generate"), run_dir / RANKING_FILE)
     placements = json.loads(_recorded_bytes(
         run_dir, PLACEMENTS_FILE, manifest.get("placements_sha256"), "generate"))
     split = json.loads(_recorded_bytes(
@@ -714,7 +715,8 @@ def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
         "weights": [float(w) for w in outcome.model.weights],
         "bias": float(outcome.model.bias),
         "feature_set": config.feature_set,
-        "catalog_hash": catalog_hash(prepared.corpus.catalog),
+        # load_corpus refused a catalog whose hash is not the manifest's
+        "catalog_hash": prepared.manifest["catalog_hash"],
         "normalize": config.normalize,
         "norm_mode": config.norm_mode,
         "z_norm": outcome.budget.z_norm,
@@ -761,8 +763,8 @@ def stage_evaluate(run_dir) -> list[dict]:
     stats = None
     if config.normalize:
         _require(run_dir, "evaluate", (NORM_STATS_FILE,))
-        _recorded_bytes(run_dir, NORM_STATS_FILE, checkpoint.get("normstats_sha256"), "train")
-        stats = load_norm_stats(run_dir / NORM_STATS_FILE)
+        stats = NormStats.from_dict(json.loads(_recorded_bytes(
+            run_dir, NORM_STATS_FILE, checkpoint.get("normstats_sha256"), "train")))
     rows_out = score_splits(prepared, config, model, stats)
     write_csv(run_dir / METRICS_FILE, METRICS_HEADER,
                [tuple(r[k] for k in METRICS_HEADER) for r in rows_out],

@@ -50,7 +50,7 @@ from scipy.sparse import issparse
 
 from .artifacts import atomic_write
 from .errors import InvalidInput
-from .model import LogisticModel, float64_row_blocks
+from .model import BLOCK_ROWS, LogisticModel, row_blocks
 from .privacy import PrivacyLedger, gaussian_noise, noise_stddev
 
 VARIANCE_FLOOR = 1e-6
@@ -270,7 +270,10 @@ def normalize_matrix(x: np.ndarray, stats: NormStats, mode: str = "std",
         return out
     if out is None:
         out = np.empty(x.shape, dtype=np.float32)
-    for rows, block in float64_row_blocks(x):
+    scratch = np.empty((min(x.shape[0], BLOCK_ROWS + 1), x.shape[1]))
+    for rows in row_blocks(x.shape[0]):
+        block = scratch[:rows.stop - rows.start]
+        np.copyto(block, x[rows])
         block -= stats.mu
         block /= denom
         out[rows] = block

@@ -72,13 +72,19 @@ def summarize_runs(records) -> list[dict]:
         groups.setdefault(key, []).append(value)
     rows = []
     for (feature_set, participants, epsilon), values in sorted(groups.items()):
-        arr = np.asarray(values)
+        mean, std, count = group_stats(values)
         rows.append({
             "feature_set": feature_set,
             "participants": participants,
             "epsilon": epsilon,
-            "seeds": len(values),
-            "auprc_mean": float(arr.mean()),
-            "auprc_std": float(arr.std(ddof=1)) if len(values) > 1 else 0.0,
+            "seeds": count,
+            "auprc_mean": mean,
+            "auprc_std": std,
         })
     return rows
+
+
+def group_stats(values) -> tuple[float, float, int]:
+    """Mean, sample std (ddof=1; 0.0 for a single value) and count of one group."""
+    arr = np.asarray(values)
+    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0, int(arr.size)

@@ -38,11 +38,11 @@ WOLFE_C2 = 0.9  # curvature
 MAX_LINE_SEARCH_EVALS = 25
 MAX_ZOOM_STEPS = 30  # bisections of the bracketing interval
 MAX_FALLBACK_HALVINGS = 40  # of the gradient-step fallback
-# Rows per block, wherever a matrix is worked on a row block at a time:
-# a multiple of the row unroll of the BLAS double gemv kernel (4 in
-# OpenBLAS's Haswell kernel), so a row's score does not depend on which
-# block holds it; and few enough rows that OpenBLAS does not split one
-# block's products between threads (4,095 rows did split), so a block's
+# Rows per block of logistic_loss_and_grad's products over a tall X, and
+# of normalize_matrix's float64 scratch: a multiple of 4, the row unroll
+# of OpenBLAS's Haswell gemv kernel, so a row's margin does not depend on
+# which block holds it, and few enough rows that OpenBLAS does not split
+# a block's products between threads (4,095 rows did split), so a fit's
 # bits do not depend on the BLAS thread count.
 BLOCK_ROWS = 2048
 
@@ -76,26 +76,18 @@ class LogisticModel:
         return cls(np.asarray(theta[:-1], dtype=float).copy(), float(theta[-1]))
 
     def decision_scores(self, X) -> np.ndarray:
-        """X @ weights + bias in float64, one score per row of X.
+        """X.dot(weights) + bias in float64, one score per row of X.
 
-        A dense float32 X taller than BLOCK_ROWS is upcast one row block
-        at a time into one reused float64 scratch array, so scoring holds
-        at most BLOCK_ROWS x F float64 values beyond X and the scores, not
-        a float64 copy of all of X. With one BLAS thread each score equals
-        the whole-matrix product's bit for bit. Other inputs take the
-        plain product as X.dot, which gives @'s bits without the
-        per-call cost of its ufunc dispatch. So does a scipy sparse X,
-        whose product sums each row's stored values in float64, one row
-        at a time, and never densifies X.
+        One expression for every input: one dense row, a dense matrix of
+        any dtype or height (float32 is upcast whole, with the bits of
+        X.astype(float64) @ weights at one BLAS thread), or a scipy sparse
+        matrix, whose rows are summed in float64, serially, and never
+        densified. X.dot gives @'s bits without its ufunc dispatch. A tall
+        dense product is one BLAS gemv whose last bits can depend on the
+        BLAS thread count (dense data at 8,195 rows differed under two
+        threads); the program scores only sparse matrices and single rows,
+        so no artifact depends on it.
         """
-        if X.shape[0] <= BLOCK_ROWS or X.dtype != np.float32:
-            return X.dot(self.weights) + self.bias
-        if isinstance(X, np.ndarray):
-            scores = np.empty(X.shape[0])
-            for rows, block in float64_row_blocks(X):
-                np.matmul(block, self.weights, out=scores[rows])
-            scores += self.bias
-            return scores
         return X.dot(self.weights) + self.bias
 
 
@@ -112,19 +104,6 @@ def row_blocks(n: int):
         stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
         yield slice(start, stop)
         start = stop
-
-
-def float64_row_blocks(x: np.ndarray):
-    """Yield (rows, block): each row_blocks slice of x as float64.
-
-    Every block is a view of one scratch array that the next block
-    overwrites, so a caller consumes a block before asking for the next.
-    """
-    scratch = np.empty((min(x.shape[0], BLOCK_ROWS + 1), x.shape[1]))
-    for rows in row_blocks(x.shape[0]):
-        block = scratch[:rows.stop - rows.start]
-        np.copyto(block, x[rows])
-        yield rows, block
 
 
 def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,

@@ -21,6 +21,7 @@ just its own rows.
 from __future__ import annotations
 
 import dataclasses
+import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -80,21 +81,26 @@ class DomainRanking:
 
 def load_ranking(path) -> DomainRanking:
     """Read a two-column rank<TAB>domain file."""
+    with open(path, "rb") as fh:
+        return parse_ranking(fh.read(), path)
+
+
+def parse_ranking(data: bytes, path=None) -> DomainRanking:
+    """The ranking that a rank<TAB>domain file's bytes hold; path names the file in errors."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected 'rank<TAB>domain'", line=lineno, path=path)
-            rank_text, domain = parts
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise ParseError(f"bad rank {rank_text!r}", line=lineno, path=path) from None
-            pairs.append((domain, rank))
+    for lineno, line in enumerate(io.StringIO(data.decode("utf-8"), newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError("expected 'rank<TAB>domain'", line=lineno, path=path)
+        rank_text, domain = parts
+        try:
+            rank = int(rank_text)
+        except ValueError:
+            raise ParseError(f"bad rank {rank_text!r}", line=lineno, path=path) from None
+        pairs.append((domain, rank))
     try:
         return DomainRanking.from_pairs(pairs)
     except InvalidInput as exc:

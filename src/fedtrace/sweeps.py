@@ -48,7 +48,7 @@ from .experiment import (PARTITION_FIELDS, ExperimentConfig, PreparedData,
                          write_csv)
 from .features import build_ext_high_entropy, feature_importance
 from .fednorm import participant_moments
-from .metrics import summarize_runs
+from .metrics import group_stats, summarize_runs
 from .partition import non_iidness_score
 from .seeding import SCORE_SAMPLING, derive_rng
 
@@ -241,9 +241,8 @@ def _series_rows(runs: Sequence[SweepRun]) -> list[tuple]:
     rows = []
     for (series, x), values in sorted(groups.items(),
                                       key=lambda kv: (kv[0][0], _x_sort_key(kv[0][1]))):
-        arr = np.asarray(values)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        rows.append((x, float(arr.mean()), series, std, int(arr.size)))
+        mean, std, count = group_stats(values)
+        rows.append((x, mean, series, std, count))
     return rows
 
 

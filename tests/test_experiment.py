@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from fedtrace import experiment
 from fedtrace.artifacts import ZIP_EPOCH, read_npz
 from fedtrace.cli import apply_overrides
 from fedtrace.errors import CalibrationError, ConfigError, InvalidInput, StageDependencyError
@@ -29,7 +30,7 @@ from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, L
                                  training_ranking, write_csv)
 from fedtrace.features import default_catalog
 from fedtrace.fednorm import normalize_matrix, participant_moments
-from fedtrace.partition import DomainRanking, LimitedKnowledgeSpec, build_partition
+from fedtrace.partition import DomainRanking, LimitedKnowledgeSpec, build_partition, load_ranking
 from fedtrace.privacy import PlannedQuery, PrivacyLedger, plan_epsilon
 from fedtrace.synth import DEFAULT_TYPE_MIX, GeneratorConfig, SplitSpec, generate_corpus
 from tables import read_metrics
@@ -496,6 +497,19 @@ class TestStages:
             assert int(row["n_positive"]) > 0
 
 
+def swap_after_check(monkeypatch, name: str, source) -> None:
+    """Overwrite name with source's copy right after its sha256 check returns."""
+    checked_bytes = experiment._recorded_bytes
+
+    def swapping(run_dir, checked_name, recorded, rerun):
+        data = checked_bytes(run_dir, checked_name, recorded, rerun)
+        if checked_name == name:
+            shutil.copyfile(source / name, run_dir / name)
+        return data
+
+    monkeypatch.setattr(experiment, "_recorded_bytes", swapping)
+
+
 class TestStageGuards:
     def test_stages_demand_their_inputs(self, tmp_path):
         cfg = tiny_config()
@@ -629,6 +643,28 @@ class TestStageGuards:
                       lambda: load_corpus(tmp_path / "a")):
             with pytest.raises(StageDependencyError, match=RANKING_FILE):
                 stage()
+
+    def test_ranking_is_parsed_from_the_checked_bytes(self, tmp_path, monkeypatch):
+        stage_generate(tiny_config(), tmp_path / "a")
+        stage_generate(tiny_config(seed=8), tmp_path / "b")
+        checked = load_ranking(tmp_path / "a" / RANKING_FILE)
+        assert checked != load_ranking(tmp_path / "b" / RANKING_FILE)
+        swap_after_check(monkeypatch, RANKING_FILE, tmp_path / "b")
+        assert load_corpus(tmp_path / "a").ranking == checked
+
+    def test_normstats_are_parsed_from_the_checked_bytes(self, tmp_path, monkeypatch):
+        # at epsilon 1 the other seed's statistics move the train AUPRC
+        for name, seed in (("a", 7), ("b", 8)):
+            cfg = tiny_config(epsilon=1.0, seed=seed)
+            stage_generate(cfg, tmp_path / name)
+            stage_partition(cfg, tmp_path / name)
+            stage_train(cfg, tmp_path / name)
+        shutil.copytree(tmp_path / "a", tmp_path / "untouched")
+        stage_evaluate(tmp_path / "untouched")
+        swap_after_check(monkeypatch, NORM_STATS_FILE, tmp_path / "b")
+        stage_evaluate(tmp_path / "a")
+        assert ((tmp_path / "a" / METRICS_FILE).read_bytes()
+                == (tmp_path / "untouched" / METRICS_FILE).read_bytes())
 
     def test_partition_from_another_run_is_refused(self, tmp_path):
         for name, participants in (("a", 20), ("b", 21)):

@@ -264,21 +264,27 @@ def test_row_blocks_score_the_whole_matrix_bytes():
     assert done.stdout == ""
 
 
-# A fit over more than one row block, and its scores, in a fresh
-# interpreter per thread count: OpenBLAS reads OPENBLAS_NUM_THREADS once,
-# at import. A whole-matrix product over 20,000 rows splits between two
-# threads and rounds differently from one thread.
+# A fit over more than one row block, and its scores of the dense and
+# the CSR matrix, in a fresh interpreter per thread count: OpenBLAS
+# reads OPENBLAS_NUM_THREADS once, at import. A whole-matrix product
+# over 20,000 rows splits between two threads and rounds differently
+# from one thread.
 _THREADS_CHECK = textwrap.dedent("""
     import hashlib
     import numpy as np
+    from scipy.sparse import csr_matrix
     from fedtrace.model import LogisticModel, OptimizerConfig, fit_logistic
     rng = np.random.default_rng(7)
     x = (rng.random((20_000, 149)) < 0.05).astype(np.float32)
     x[:, :20] *= rng.normal(size=(20_000, 20)).astype(np.float32)
     y = (x[:, :40].sum(axis=1) + rng.normal(size=20_000) > 0.5).astype(np.float64)
     theta, info = fit_logistic(x, y, config=OptimizerConfig(max_iterations=15))
-    scores = LogisticModel.from_theta(theta).decision_scores(x)
-    print(info["iterations"], hashlib.sha256(theta.tobytes() + scores.tobytes()).hexdigest())
+    model = LogisticModel.from_theta(theta)
+    scores = model.decision_scores(x)
+    # the sparse form that score_splits and the round evaluator score
+    sparse_scores = model.decision_scores(csr_matrix(x))
+    print(info["iterations"], hashlib.sha256(theta.tobytes() + scores.tobytes()).hexdigest(),
+          hashlib.sha256(sparse_scores.tobytes()).hexdigest())
 """)
 
 
