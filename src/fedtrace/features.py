@@ -35,7 +35,7 @@ import numpy as np
 from . import heuristics
 from .artifacts import atomic_write
 from .errors import CardinalityError, InvalidInput, InvalidMask, ParseError
-from .traces import MAX_ARGS, LongString, ScriptTrace, Scalar
+from .traces import MAX_ARGS, LongString, Scalar, ScriptTrace, scalar_from_json, scalar_to_json
 
 REQUIRED_SET_NAMES = ("All", "FPInspector", "JShelter", "HighEntropy", "ExtHighEntropy")
 
@@ -67,7 +67,8 @@ class CustomFeatureSpec:
             raise InvalidInput("return-target custom must not set arg_index")
         if self.match_kind not in ("equals", "strlen"):
             raise InvalidInput(f"bad match_kind: {self.match_kind!r}")
-        if self.match_kind == "strlen" and not isinstance(self.match_value, int):
+        if self.match_kind == "strlen" and (not isinstance(self.match_value, int)
+                                            or isinstance(self.match_value, bool)):
             raise InvalidInput("strlen matcher needs an int length")
 
     def matches(self, call) -> bool:
@@ -260,28 +261,23 @@ def build_ext_high_entropy(catalog: FeatureCatalog, ranking, k: int) -> np.ndarr
 # catalog file format
 
 def _custom_to_json(spec: CustomFeatureSpec) -> dict:
-    value = spec.match_value
-    if isinstance(value, LongString):
-        value = {"len": value.length, "hash": value.digest}
     obj = {"api": spec.api_name, "target": spec.target, "match": spec.match_kind,
-           "value": value}
+           "value": scalar_to_json(spec.match_value)}
     if spec.target == "argument":
         obj["index"] = spec.arg_index
     return obj
 
 
 def _custom_from_json(obj) -> CustomFeatureSpec:
+    # a strlen length stays the JSON integer, which CustomFeatureSpec checks;
+    # an equals value is a trace scalar, read by the trace parser's decoder
     value = obj["value"]
-    if isinstance(value, dict):
-        value = LongString(int(value["len"]), str(value["hash"]))
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = int(value) if obj["match"] == "strlen" else float(value)
     return CustomFeatureSpec(
         api_name=str(obj["api"]),
         target=str(obj["target"]),
         arg_index=int(obj["index"]) if obj["target"] == "argument" else None,
         match_kind=str(obj["match"]),
-        match_value=value,
+        match_value=value if obj["match"] == "strlen" else scalar_from_json(value),
     )
 
 

@@ -130,11 +130,6 @@ def save_norm_stats(stats: NormStats, path) -> None:
         fh.write("\n")
 
 
-def load_norm_stats(path) -> NormStats:
-    with open(path, encoding="utf-8") as fh:
-        return NormStats.from_dict(json.load(fh))
-
-
 @dataclass(eq=False)
 class ColumnMoments:
     """Per-participant column means and variances, computed once and reused."""

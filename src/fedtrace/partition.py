@@ -79,12 +79,6 @@ class DomainRanking:
         return self.ranks.astype(float) ** -exponent
 
 
-def load_ranking(path) -> DomainRanking:
-    """Read a two-column rank<TAB>domain file."""
-    with open(path, "rb") as fh:
-        return parse_ranking(fh.read(), path)
-
-
 def parse_ranking(data: bytes, path=None) -> DomainRanking:
     """The ranking that a rank<TAB>domain file's bytes hold; path names the file in errors."""
     pairs = []
@@ -169,10 +163,6 @@ class ScriptCorpus:
     def n_scripts(self) -> int:
         return len(self.script_ids)
 
-    @property
-    def domains(self) -> tuple[str, ...]:
-        return tuple(self.domain_rows)
-
     def rows_for_domain(self, domain: str) -> np.ndarray:
         try:
             return self.domain_rows[domain]
@@ -185,14 +175,12 @@ class ScriptCorpus:
 
     @classmethod
     def from_scripts(cls, scripts: Sequence[LabeledScript], catalog: FeatureCatalog,
-                     placements: Mapping[str, Sequence[str]] | None = None
-                     ) -> "ScriptCorpus":
+                     placements: Mapping[str, Sequence[str]]) -> "ScriptCorpus":
         """Extract features for every distinct script id (first trace wins).
 
-        placements maps domain -> script ids in load order; when omitted it
-        is derived from each trace's source domain. Scripts listed under a
-        domain must exist in the corpus. The rows are filled one at a time
-        into a reused buffer and kept as their nonzeros, as in
+        placements maps domain -> script ids in load order; scripts listed
+        under a domain must exist in the corpus. The rows are filled one at
+        a time into a reused buffer and kept as their nonzeros, as in
         synth.generate_stream.
         """
         order: dict[str, LabeledScript] = {}
@@ -205,11 +193,6 @@ class ScriptCorpus:
                 features.fill_feature_row(item.trace, catalog, row)
                 yield (item, *features.take_nonzeros(row))
 
-        if placements is None:
-            derived: dict[str, list[str]] = {}
-            for item in scripts:
-                derived.setdefault(item.trace.source_domain, []).append(item.trace.script_id)
-            placements = derived
         return cls.collect(rows(), catalog, placements)
 
     @classmethod
@@ -282,10 +265,10 @@ def rows_by_domain(placements: Mapping[str, Sequence[str]],
 class ParticipantDataset:
     """One participant's visited urls and the corpus rows those urls load.
 
-    rows index x and the corpus-wide label, bitmask and script-id
-    arrays, each with one entry per corpus script. x starts as the
-    sparse corpus matrix; over(x) gives the same rows over a dense
-    masked or normalized matrix. features is always dense. The view
+    rows index x and the corpus-wide label and bitmask arrays, each
+    with one entry per corpus script. x starts as the sparse corpus
+    matrix; over(x) gives the same rows over a dense masked or
+    normalized matrix. features is always dense. The view
     holds no reference to the corpus itself, so a view over a small
     matrix does not keep the corpus matrix alive.
     """
@@ -296,12 +279,10 @@ class ParticipantDataset:
     x: np.ndarray | csr_matrix
     corpus_labels: np.ndarray    # bool
     corpus_bitmasks: np.ndarray  # uint8 over FP_TYPES bits
-    corpus_script_ids: tuple[str, ...]
 
     def __post_init__(self):
-        n = len(self.corpus_script_ids)
-        if self.x.shape[0] != n or self.corpus_labels.shape != (n,) \
-                or self.corpus_bitmasks.shape != (n,):
+        n = self.x.shape[0]
+        if self.corpus_labels.shape != (n,) or self.corpus_bitmasks.shape != (n,):
             raise InvalidInput("matrix, labels and bitmasks need one entry per corpus script")
 
     def over(self, x: np.ndarray) -> "ParticipantDataset":
@@ -324,10 +305,6 @@ class ParticipantDataset:
     @property
     def fp_bitmasks(self) -> np.ndarray:
         return self.corpus_bitmasks[self.rows]
-
-    @property
-    def script_ids(self) -> tuple[str, ...]:
-        return tuple(self.corpus_script_ids[i] for i in self.rows)
 
 
 def draw_domains(ranking: DomainRanking, n_participants: int,
@@ -413,7 +390,7 @@ def build_partition(corpus: ScriptCorpus, draws: Sequence[Sequence[str]],
             masks = corpus.fp_bitmasks[rows]
             rows = rows[(masks == 0) | ((masks & types_to_bitmask((allowed[pid],))) != 0)]
         views.append(ParticipantDataset(pid, tuple(domains), rows, corpus.X, corpus.labels,
-                                        corpus.fp_bitmasks, corpus.script_ids))
+                                        corpus.fp_bitmasks))
     return views
 
 

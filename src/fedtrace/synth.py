@@ -176,7 +176,6 @@ class _Plan:
     domain_of_script: np.ndarray      # script index -> domain index
     kinds: list                       # int bitmask for FP, or near-miss pattern str, or None
     script_ids: list[str]
-    urls: list[str]
     extra_domains: dict[int, list[int]]  # script index -> extra placement domains
     split: SplitSpec
     fp_count: int
@@ -226,10 +225,9 @@ def _make_plan(config: GeneratorConfig, rng: np.random.Generator) -> _Plan:
     for i in np.flatnonzero(near_coins & ~fp_coins):
         kinds[i] = _NEAR_MISS_PATTERNS[patterns[i]]
 
-    urls = [f"https://{domains[domain_of_script[i]]}/s{i}.js" for i in range(n)]
     script_ids = [
         canonical_script_id(
-            urls[i],
+            f"https://{domains[domain_of_script[i]]}/s{i}.js",
             hashlib.blake2b(f"{config.seed}:{i}".encode(), digest_size=8).hexdigest())
         for i in range(n)
     ]
@@ -269,7 +267,7 @@ def _make_plan(config: GeneratorConfig, rng: np.random.Generator) -> _Plan:
             if extras:
                 extra[i] = sorted(set(extras))
 
-    return _Plan(domains, domain_of_script, kinds, script_ids, urls, extra, split,
+    return _Plan(domains, domain_of_script, kinds, script_ids, extra, split,
                  int(fp_idx.size), int((near_coins & ~fp_coins).sum()))
 
 

@@ -15,10 +15,14 @@ Trace file format (one JSON object per line, UTF-8, '\n' terminated):
 where <arg>/<ret> are null, a bool, a float, a string (<= 256 chars), or
 {"len": L, "hash": "<16 hex>"} for a summarized long string, with L an
 integer over 256 and the hash 16 lowercase hex digits. <dropped> is the
-count of arguments elided beyond MAX_ARGS, never negative; the parser
-refuses a longer string, any other summary and a negative count, as
-api_call never writes them. Blank lines are ignored. Writes are
-byte-deterministic (sorted keys, fixed separators).
+count of arguments elided beyond MAX_ARGS, a non-negative integer. The
+parser refuses a longer string, any other summary, a dropped count of
+any other type or sign, a non-array call or argument list, and a
+non-string script id, domain or API name, as api_call never writes them.
+scalar_to_json and scalar_from_json are the one codec of a summary; the
+feature catalog writes and reads its match values through them too.
+Blank lines are ignored. Writes are byte-deterministic (sorted keys,
+fixed separators).
 
 A trace line is its calls' JSON fragments joined in order.
 call_fragment keeps each record's fragment on the record object (its
@@ -58,9 +62,6 @@ class LongString:
     length: int
     digest: str  # 16 hex chars (64-bit blake2b)
 
-    def to_json(self) -> dict:
-        return {"len": self.length, "hash": self.digest}
-
 
 Scalar = None | bool | float | str | LongString
 
@@ -99,15 +100,6 @@ class ApiCallRecord:
             raise InvalidInput(f"api_name has more than one dot: {self.api_name!r}")
         if len(self.args) > MAX_ARGS:
             raise InvalidInput(f"args exceed MAX_ARGS={MAX_ARGS}; truncate via api_call()")
-
-    @property
-    def interface(self) -> str:
-        return self.api_name.partition(".")[0]
-
-    @property
-    def member(self) -> str:
-        head, _, tail = self.api_name.partition(".")
-        return tail or head
 
 
 def api_call(api_name: str, args=(), return_value=None) -> ApiCallRecord:
@@ -169,13 +161,15 @@ def canonical_script_id(url: str, content_hash: str) -> str:
     return f"{url}#{content_hash}"
 
 
-def _scalar_to_json(v: Scalar):
+def scalar_to_json(v: Scalar):
+    """The JSON value a scalar summary is written as: a LongString as its summary dict."""
     if isinstance(v, LongString):
-        return v.to_json()
+        return {"len": v.length, "hash": v.digest}
     return v
 
 
-def _scalar_from_json(v) -> Scalar:
+def scalar_from_json(v) -> Scalar:
+    """The scalar summary scalar_to_json wrote; ValueError for any value it never writes."""
     if isinstance(v, dict):
         length, digest = v.get("len"), v.get("hash")
         if not isinstance(length, int) or isinstance(length, bool) \
@@ -208,8 +202,8 @@ def call_fragment(call: ApiCallRecord) -> str:
     """
     fragment = call.fragment
     if fragment is None:
-        fragment = _ENCODE([call.api_name, [_scalar_to_json(a) for a in call.args],
-                            _scalar_to_json(call.return_value), call.dropped_args])
+        fragment = _ENCODE([call.api_name, [scalar_to_json(a) for a in call.args],
+                            scalar_to_json(call.return_value), call.dropped_args])
         object.__setattr__(call, "fragment", fragment)
     return fragment
 
@@ -223,20 +217,35 @@ def trace_to_json_line(trace: ScriptTrace) -> str:
             f'"source_domain":{_ENCODE(trace.source_domain)}}}')
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array: {value!r}")
+    return value
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string: {value!r}")
+    return value
+
+
 def _trace_from_obj(obj) -> ScriptTrace:
+    # only the shapes api_call writes: a string or dict never stands in for
+    # an array, and no field is converted by str() or int()
     calls = []
-    for raw in obj["calls"]:
-        api, args, ret, dropped = raw
-        dropped = int(dropped)
-        if dropped < 0:
-            raise ValueError(f"negative dropped-argument count: {dropped}")
+    for raw in _array(obj["calls"], "calls"):
+        api, args, ret, dropped = _array(raw, "a call")
+        if not isinstance(dropped, int) or isinstance(dropped, bool) or dropped < 0:
+            raise ValueError(f"dropped-argument count must be a non-negative integer: "
+                             f"{dropped!r}")
         calls.append(ApiCallRecord(
-            str(api),
-            tuple(_scalar_from_json(a) for a in args),
-            _scalar_from_json(ret),
+            _text(api, "api name"),
+            tuple(scalar_from_json(a) for a in _array(args, "an argument list")),
+            scalar_from_json(ret),
             dropped,
         ))
-    return ScriptTrace(str(obj["script_id"]), str(obj["source_domain"]), tuple(calls))
+    return ScriptTrace(_text(obj["script_id"], "script_id"),
+                       _text(obj["source_domain"], "source_domain"), tuple(calls))
 
 
 def parse_trace_file(path) -> list[ScriptTrace]:

@@ -30,7 +30,7 @@ from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, L
                                  training_ranking, write_csv)
 from fedtrace.features import default_catalog
 from fedtrace.fednorm import normalize_matrix, participant_moments
-from fedtrace.partition import DomainRanking, LimitedKnowledgeSpec, build_partition, load_ranking
+from fedtrace.partition import DomainRanking, LimitedKnowledgeSpec, build_partition, parse_ranking
 from fedtrace.privacy import PlannedQuery, PrivacyLedger, plan_epsilon
 from fedtrace.synth import DEFAULT_TYPE_MIX, GeneratorConfig, SplitSpec, generate_corpus
 from tables import read_metrics
@@ -647,8 +647,8 @@ class TestStageGuards:
     def test_ranking_is_parsed_from_the_checked_bytes(self, tmp_path, monkeypatch):
         stage_generate(tiny_config(), tmp_path / "a")
         stage_generate(tiny_config(seed=8), tmp_path / "b")
-        checked = load_ranking(tmp_path / "a" / RANKING_FILE)
-        assert checked != load_ranking(tmp_path / "b" / RANKING_FILE)
+        checked = parse_ranking((tmp_path / "a" / RANKING_FILE).read_bytes())
+        assert checked != parse_ranking((tmp_path / "b" / RANKING_FILE).read_bytes())
         swap_after_check(monkeypatch, RANKING_FILE, tmp_path / "b")
         assert load_corpus(tmp_path / "a").ranking == checked
 

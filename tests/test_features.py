@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtrace import heuristics
 from fedtrace.errors import CardinalityError, InvalidInput, InvalidMask, ParseError
@@ -23,7 +25,8 @@ from fedtrace.features import (
     validate_mask,
 )
 from fedtrace.synth import GeneratorConfig
-from fedtrace.traces import ApiCallRecord, LongString, ScriptTrace, api_call, summarize_value
+from fedtrace.traces import (LONG_STRING_THRESHOLD, ApiCallRecord, LongString, ScriptTrace,
+                             api_call, summarize_value)
 from generated import generate_scripts
 
 
@@ -356,6 +359,25 @@ class TestCatalogFile:
         row = _fill(_trace(api_call("HTMLCanvasElement.toDataURL", (), long_value)), back)
         assert row[back.n_api] == 1.0
 
+    # an equals value is read by the trace parser's decoder, so a value no
+    # trace can hold is refused rather than loaded as a feature that never fires
+    @pytest.mark.parametrize("value", [{"len": 5, "hash": "zz"}, {"len": "300", "hash": "ab"},
+                                       "x" * 300], ids=["short-len", "text-len", "raw-long"])
+    def test_a_match_value_no_trace_holds_is_refused(self, tmp_path, value):
+        obj = json.loads(catalog_to_json(_small_catalog(
+            CustomFeatureSpec("HTMLCanvasElement.toDataURL", "return", None, "equals", "x"))))
+        obj["custom"][0]["value"] = value
+        with pytest.raises(ParseError, match="bad catalog structure"):
+            load_catalog(_write(tmp_path, obj))
+
+    @pytest.mark.parametrize("length", [300.0, True, "300"])
+    def test_a_strlen_length_must_be_an_integer(self, tmp_path, length):
+        obj = json.loads(catalog_to_json(_small_catalog(
+            CustomFeatureSpec("HTMLCanvasElement.toDataURL", "return", None, "strlen", 300))))
+        obj["custom"][0]["value"] = length
+        with pytest.raises(ParseError, match="strlen matcher needs an int length"):
+            load_catalog(_write(tmp_path, obj))
+
     def test_bad_json_is_a_parse_error(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text('{"api_counts": [')
@@ -379,3 +401,28 @@ class TestCatalogFile:
         obj["declared_sizes"]["HighEntropy"] += 1
         with pytest.raises(CardinalityError, match="declared"):
             load_catalog(_write(tmp_path, obj))
+
+
+@settings(max_examples=50, deadline=None)
+@given(short=st.text(max_size=LONG_STRING_THRESHOLD),
+       long=st.text(min_size=LONG_STRING_THRESHOLD + 1, max_size=LONG_STRING_THRESHOLD + 40),
+       number=st.floats(allow_nan=False), flag=st.booleans(),
+       length=st.integers(min_value=0, max_value=10_000))
+def test_catalog_round_trips_every_match_value_kind(tmp_path_factory, short, long, number,
+                                                     flag, length):
+    C = CustomFeatureSpec
+    catalog = _small_catalog(
+        C("A.b", "argument", 0, "equals", summarize_value(short)),
+        C("A.b", "argument", 1, "equals", summarize_value(long)),
+        C("A.b", "argument", 2, "equals", summarize_value(number)),
+        C("A.b", "argument", 3, "equals", flag),
+        C("A.b", "return", None, "equals", None),
+        C("A.b", "return", None, "strlen", length),
+    )
+    path = tmp_path_factory.getbasetemp() / "kinds_catalog.json"
+    save_catalog(catalog, path)
+    back = load_catalog(path)
+    assert back == catalog and catalog_hash(back) == catalog_hash(catalog)
+    # equality alone would let True stand for 1.0
+    assert [type(c.match_value) for c in back.custom_entries] \
+        == [str, LongString, float, bool, type(None), int]

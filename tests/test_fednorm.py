@@ -9,6 +9,7 @@ one column at a time, the definition participant_moments vectorizes.
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,6 @@ from fedtrace.fednorm import (
     VARIANCE_FLOOR,
     dp_fed_norm,
     fold_model,
-    load_norm_stats,
     normalize_matrix,
     participant_moments,
     save_norm_stats,
@@ -501,7 +501,7 @@ def test_norm_stats_round_trip(tmp_path):
     stats = NormStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]), 1.0, 3.0)
     path = tmp_path / "normstats.json"
     save_norm_stats(stats, path)
-    loaded = load_norm_stats(path)
+    loaded = NormStats.from_dict(json.loads(path.read_text(encoding="utf-8")))
     np.testing.assert_array_equal(loaded.mu, stats.mu)
     np.testing.assert_array_equal(loaded.s, stats.s)
     assert loaded.clip_mu == 1.0 and loaded.clip_var == 3.0

@@ -240,7 +240,8 @@ def reference_label(trace: ScriptTrace) -> LabelSet:
     text = style = extract = evasion = rtc_setup = rtc_gather = audio = False
     fonts, measure = set(), 0
     for call in trace.calls:
-        iface, member = call.interface, call.member
+        iface, _, member = call.api_name.partition(".")
+        member = member or iface
         if iface in CANVAS_INTERFACES:
             if member in _TEXT:
                 text = True

@@ -1,9 +1,11 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, or another's private name.
 
 A stdlib ast check: every name bound by an import statement in
 src/fedtrace/*.py must be read somewhere in the same module, as a
 name, the root of an attribute chain, or inside a quoted annotation.
-A leftover import of a deleted helper fails here.
+A leftover import of a deleted helper fails here. No module imports a
+name starting with "_" from another fedtrace module: what modules
+share is public.
 
 An import kept only so that the benchmark harness (bench/spans.py) can
 wrap the module's own binding goes into BENCH_HOOK_IMPORTS, with the
@@ -57,6 +59,29 @@ def test_every_imported_name_is_read(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in read and (path.name, name) not in BENCH_HOOK_IMPORTS)
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Each "_"-prefixed name imported from a fedtrace module, with its line."""
+    return [f"{alias.name} from {'.' * node.level}{node.module or ''} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "fedtrace")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = _private_imports(tree)
+    assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+def test_the_check_catches_a_private_import():
+    tree = ast.parse("from .traces import _DIGEST, LongString\n"
+                     "from fedtrace.model import _wolfe\n"
+                     "from __future__ import annotations\nimport numpy._core\n")
+    assert [name.split()[0] for name in _private_imports(tree)] == ["_DIGEST", "_wolfe"]
 
 
 def test_bench_hook_imports_name_real_imports():

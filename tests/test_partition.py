@@ -31,9 +31,9 @@ from fedtrace.partition import (
     ScriptCorpus,
     build_partition,
     draw_domains,
-    load_ranking,
     make_limited_knowledge,
     non_iidness_score,
+    parse_ranking,
     save_ranking,
     zipf_sample_domains,
 )
@@ -74,7 +74,17 @@ def _script(sid: str, domain: str, fp_types=()) -> LabeledScript:
 
 
 def _corpus(scripts, placements=None) -> ScriptCorpus:
-    return ScriptCorpus.from_scripts(scripts, CATALOG, placements=placements)
+    """The scripts' corpus; placements default to each trace's source domain."""
+    if placements is None:
+        placements = {}
+        for item in scripts:
+            placements.setdefault(item.trace.source_domain, []).append(item.trace.script_id)
+    return ScriptCorpus.from_scripts(scripts, CATALOG, placements)
+
+
+def _ids(corpus: ScriptCorpus, view: ParticipantDataset) -> tuple[str, ...]:
+    """The script ids of a view's rows."""
+    return tuple(corpus.script_ids[i] for i in view.rows)
 
 
 def _participant(pid, per_combo_counts, corpus_domain="d0",
@@ -103,7 +113,7 @@ def test_ranking_validates_and_round_trips(tmp_path):
     assert ranking.pairs() == [("a.com", 1), ("b.com", 2), ("c.com", 3)]
     path = tmp_path / "ranking.txt"
     save_ranking(ranking, path)
-    assert load_ranking(path).domains == ranking.domains
+    assert parse_ranking(path.read_bytes(), path).domains == ranking.domains
 
     with pytest.raises(InvalidInput):
         DomainRanking(("a.com", "a.com"))
@@ -115,13 +125,13 @@ def test_ranking_file_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\ta.com\nnot-a-rank\tb.com\n")
     with pytest.raises(ParseError) as err:
-        load_ranking(bad)
+        parse_ranking(bad.read_bytes(), bad)
     assert err.value.line == 2
 
     non_contiguous = tmp_path / "gap.txt"
     non_contiguous.write_text("1\ta.com\n3\tb.com\n")
     with pytest.raises(ParseError):
-        load_ranking(non_contiguous)
+        parse_ranking(non_contiguous.read_bytes(), non_contiguous)
 
 
 # ---------------------------------------------------------------- zipf draws
@@ -207,11 +217,11 @@ def test_assign_scripts_dedups_and_keeps_order():
     ]
     corpus = _corpus(scripts)
     other, ds = build_partition(corpus, [["b.com"], ["a.com", "b.com"]], NO_LIMITS)
-    assert ds.script_ids == ("a1#00", "shared#00", "b1#00")
+    assert _ids(corpus, ds) == ("a1#00", "shared#00", "b1#00")
     assert ds.participant_id == 1
     assert ds.urls == ("a.com", "b.com")
     assert ds.labels.tolist() == [False, False, True]
-    assert (other.participant_id, other.script_ids) == (0, ("b1#00", "shared#00"))
+    assert (other.participant_id, _ids(corpus, other)) == (0, ("b1#00", "shared#00"))
 
     with pytest.raises(InvalidInput):
         build_partition(corpus, [["a.com"], ["missing.com"]], NO_LIMITS)
@@ -237,7 +247,8 @@ def test_view_over_another_matrix_keeps_rows_and_labels():
     view = ds.over(x)
     assert np.array_equal(view.features, x[ds.rows])
     assert view.labels.tolist() == ds.labels.tolist() == [True, False]
-    assert (view.participant_id, view.urls, view.script_ids) == (4, ds.urls, ds.script_ids)
+    assert (view.participant_id, view.urls, _ids(corpus, view)) \
+        == (4, ds.urls, _ids(corpus, ds))
     assert np.array_equal(ds.features, corpus.X.toarray()[ds.rows])  # the original is unchanged
     with pytest.raises(InvalidInput):
         ds.over(x[:-1])
@@ -280,8 +291,8 @@ def test_partition_datasets_are_subsets_of_corpus():
     all_ids = set(corpus.script_ids)
     for p in parts:
         assert len(p.urls) == 12
-        assert set(p.script_ids) <= all_ids
-        assert len(set(p.script_ids)) == p.n_scripts
+        assert set(_ids(corpus, p)) <= all_ids
+        assert len(set(_ids(corpus, p))) == p.n_scripts
 
     spec = make_limited_knowledge(range(8), 0.5, master_seed=99)
     limited = build_partition(corpus, draw_domains(ranking, 8, 12, master_seed=99), spec)

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedtrace.errors import InvalidInput, ParseError
@@ -18,6 +18,8 @@ from fedtrace.traces import (
     api_call,
     canonical_script_id,
     parse_trace_file,
+    scalar_from_json,
+    scalar_to_json,
     summarize_value,
     trace_to_json_line,
     types_to_bitmask,
@@ -56,11 +58,6 @@ class TestSummarize:
 
 
 class TestApiCall:
-    def test_interface_and_member(self):
-        call = api_call("Navigator.userAgent")
-        assert call.interface == "Navigator"
-        assert call.member == "userAgent"
-
     def test_args_summarized(self):
         call = api_call("A.b", (1, "s", None, True))
         assert call.args == (1.0, "s", None, True)
@@ -191,17 +188,22 @@ class TestTraceFile:
             parse_trace_file(path)
         assert exc_info.value.line == 2
 
-    def _parse_with_summary(self, tmp_path, summary):
-        """Parse a good line, then one whose first argument is the given summary."""
+    def _parse_with_edit(self, tmp_path, edit):
+        """Parse a good line, then the same line after edit(obj) changed its object."""
         path = tmp_path / "traces.jsonl"
         good = trace_to_json_line(_example_trace())
         obj = json.loads(good)
-        obj["calls"][0][1] = [summary]
+        edit(obj)
         path.write_text(good + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc_info:
             parse_trace_file(path)
         assert exc_info.value.line == 2
         return exc_info.value
+
+    def _parse_with_summary(self, tmp_path, summary):
+        """Parse a good line, then one whose first argument is the given summary."""
+        return self._parse_with_edit(tmp_path,
+                                     lambda obj: obj["calls"][0].__setitem__(1, [summary]))
 
     @pytest.mark.parametrize("length", [300.0, "300", None, True])
     def test_parse_rejects_a_summary_length_that_is_not_an_int(self, tmp_path, length):
@@ -227,6 +229,37 @@ class TestTraceFile:
                             (api_call("A.b", (long,), long),))
         _write_traces([trace], path)
         assert parse_trace_file(path) == [trace]
+
+    # api_call writes an argument list as an array, a dropped count as an
+    # integer and every name as a string; the parser converts none of them
+    def test_parse_rejects_an_argument_list_given_as_a_string(self, tmp_path):
+        error = self._parse_with_edit(tmp_path, lambda obj: obj["calls"][1].__setitem__(1, "abc"))
+        assert "argument list must be a JSON array" in str(error)
+
+    def test_parse_rejects_an_argument_list_given_as_a_dict(self, tmp_path):
+        error = self._parse_with_edit(tmp_path,
+                                      lambda obj: obj["calls"][1].__setitem__(1, {"hello": 2.0}))
+        assert "argument list must be a JSON array" in str(error)
+
+    @pytest.mark.parametrize("dropped", [1.5, True, "2"])
+    def test_parse_rejects_a_dropped_count_that_is_not_an_int(self, tmp_path, dropped):
+        error = self._parse_with_edit(tmp_path,
+                                      lambda obj: obj["calls"][3].__setitem__(3, dropped))
+        assert "dropped-argument count must be a non-negative integer" in str(error)
+
+    @pytest.mark.parametrize("field", ["script_id", "source_domain", "api name"])
+    def test_parse_rejects_a_numeric_script_id_or_api_name(self, tmp_path, field):
+        def edit(obj):
+            if field == "api name":
+                obj["calls"][0][0] = 7
+            else:
+                obj[field] = 7
+        error = self._parse_with_edit(tmp_path, edit)
+        assert f"{field} must be a string" in str(error)
+
+    def test_parse_rejects_a_call_given_as_a_string(self, tmp_path):
+        error = self._parse_with_edit(tmp_path, lambda obj: obj["calls"].__setitem__(0, "ab12"))
+        assert "a call must be a JSON array" in str(error)
 
     def test_parse_rejects_a_negative_dropped_count(self, tmp_path):
         path = tmp_path / "traces.jsonl"
@@ -291,3 +324,24 @@ def test_serialization_round_trip_property(trace, tmp_path_factory):
     _write_traces([trace], path)
     (back,) = parse_trace_file(path)
     assert back == trace
+
+
+_summaries = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.integers(min_value=-2**40, max_value=2**40),
+    st.text(max_size=LONG_STRING_THRESHOLD),
+    st.text(min_size=LONG_STRING_THRESHOLD + 1, max_size=LONG_STRING_THRESHOLD + 40),
+).map(summarize_value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_summaries)
+@example(value=True)
+@example(value=1.0)
+@example(value=summarize_value("x" * (LONG_STRING_THRESHOLD + 1)))
+def test_scalar_codec_round_trip_property(value):
+    # type, not only equality: True == 1.0, yet each must come back as itself
+    back = scalar_from_json(json.loads(json.dumps(scalar_to_json(value))))
+    assert back == value and type(back) is type(value)
