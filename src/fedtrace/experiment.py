@@ -503,7 +503,7 @@ def train_in_memory(prepared: PreparedData, participants: Sequence[ParticipantDa
                                 eval_every=config.eval_every)
     evaluator = None
     if config.eval_every:
-        x_test = corpus.X[prepared.test_rows][:, mask]
+        x_test = corpus.X.take_rows(prepared.test_rows).take_columns(mask)
         y_test = corpus.labels[prepared.test_rows]
 
         def evaluator(theta: np.ndarray) -> float:
@@ -529,7 +529,7 @@ def score_splits(prepared: PreparedData, config: ExperimentConfig, model: Logist
     labels = corpus.labels
     mask = resolve_mask(corpus.catalog, config.feature_set)
     folded = fold_model(model, stats, config.norm_mode, config.variance_floor)
-    scores = folded.decision_scores(corpus.X[:, mask])
+    scores = folded.decision_scores(corpus.X.take_columns(mask))
     out = []
     for split_name, rows in (("train", prepared.train_rows), ("test", prepared.test_rows)):
         out.append({

@@ -2,9 +2,10 @@
 
 For every feature the server runs two subsampled queries: participants
 join each query independently with probability q, eligible participants
-report an upper-clipped statistic (mean clipped at S_mu, Bessel-
-corrected variance clipped at S_s), and the server divides the sum by
-the fixed expected count qW and adds Gaussian noise with standard
+report a statistic clipped to [0, S] (mean to [0, S_mu], Bessel-
+corrected variance to [0, S_s]), so one participant moves a sum by at
+most S whatever the sign of its moment, and the server divides the sum
+by the fixed expected count qW and adds Gaussian noise with standard
 deviation z*S/(qW). Participants without enough rows abstain (no rows
 for the mean, fewer than two for the variance); the qW denominator is
 kept regardless.
@@ -46,9 +47,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import issparse
 
 from .artifacts import atomic_write
+from .csr import CSRMatrix
 from .errors import InvalidInput
 from .model import BLOCK_ROWS, LogisticModel, row_blocks
 from .privacy import PrivacyLedger, gaussian_noise, noise_stddev
@@ -164,8 +165,8 @@ def participant_moments(participants: Sequence, mask=None) -> ColumnMoments:
         x = participants[0].x
         if any(p.x is not x for p in participants):
             raise InvalidInput("a mask needs views that share one feature matrix")
-        block = x[:, mask]
-        block = block.toarray() if issparse(block) else np.ascontiguousarray(block)
+        block = (x.take_columns(mask).toarray() if isinstance(x, CSRMatrix)
+                 else np.ascontiguousarray(x[:, mask]))
         participants = [p.over(block) for p in participants]
     counts = np.zeros(len(participants), dtype=np.int64)
     means = np.zeros((len(participants), participants[0].features.shape[1]))
@@ -189,10 +190,12 @@ def dp_fed_norm(participants: Sequence, q: float, z: float,
                 variance_floor: float = VARIANCE_FLOOR) -> NormStats:
     """Run the 2F subsampled statistic queries and return floored stats.
 
-    The noisy outputs are post-processed with the public noise scales
-    sigma = z*S/(qW) only: a mean with |mu| < NOISE_SIGMAS*sigma_mu is
-    set to 0 (the column is not centred), and every variance is floored
-    at max(variance_floor, NOISE_SIGMAS*sigma_var). Being a function of
+    Each participant's means are clipped to [0, clip_mu] and its
+    variances to [0, clip_var] before they are summed. The noisy outputs
+    are post-processed with the public noise scales sigma = z*S/(qW)
+    only: a mean with |mu| < NOISE_SIGMAS*sigma_mu is set to 0 (the
+    column is not centred), and every variance is floored at
+    max(variance_floor, NOISE_SIGMAS*sigma_var). Being a function of
     the released values and public parameters, this costs no privacy.
     At z = 0 both thresholds are zero and the rule is a no-op.
 
@@ -221,8 +224,8 @@ def dp_fed_norm(participants: Sequence, q: float, z: float,
     coins_mu &= (moments.counts >= 1)[:, None]
     coins_var &= (moments.counts >= 2)[:, None]
 
-    clipped_mu = np.minimum(moments.means, clip_mu)
-    clipped_var = np.minimum(moments.variances, clip_var)
+    clipped_mu = np.clip(moments.means, 0.0, clip_mu)
+    clipped_var = np.clip(moments.variances, 0.0, clip_var)
     denom = q * w
     mu = (coins_mu * clipped_mu).sum(axis=0) / denom
     s = (coins_var * clipped_var).sum(axis=0) / denom

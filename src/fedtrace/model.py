@@ -26,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidInput, LineSearchError
 from .privacy import clip_l2
@@ -80,15 +79,27 @@ class LogisticModel:
 
         One expression for every input: one dense row, a dense matrix of
         any dtype or height (float32 is upcast whole, with the bits of
-        X.astype(float64) @ weights at one BLAS thread), or a scipy sparse
-        matrix, whose rows are summed in float64, serially, and never
-        densified. X.dot gives @'s bits without its ufunc dispatch. A tall
-        dense product is one BLAS gemv whose last bits can depend on the
-        BLAS thread count (dense data at 8,195 rows differed under two
-        threads); the program scores only sparse matrices and single rows,
-        so no artifact depends on it.
+        X.astype(float64) @ weights at one BLAS thread), or a
+        csr.CSRMatrix, whose rows are summed in float64, serially, and
+        never densified. X.dot gives @'s bits without its ufunc dispatch.
+        A tall dense product is one BLAS gemv whose last bits can depend
+        on the BLAS thread count (dense data at 8,195 rows differed under
+        two threads); the program scores only sparse matrices and single
+        rows, so no artifact depends on it.
         """
         return X.dot(self.weights) + self.bias
+
+
+def _expit(x):
+    """scipy.special.expit, imported on the first call, which rebinds this name to it.
+
+    So only a process that trains loads scipy, and each later call is
+    the ufunc itself.
+    """
+    global _expit
+    from scipy.special import expit
+    _expit = expit
+    return expit(x)
 
 
 def row_blocks(n: int):
@@ -132,7 +143,7 @@ def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
     loss = float(np.add.reduce(np.logaddexp(0.0, margins) - yf * margins,
                                dtype=np.float64)) / n
     loss += 0.5 * l2_lambda * float(w.dot(w))
-    residual = expit(margins) - yf
+    residual = _expit(margins) - yf
     grad = np.empty_like(theta, dtype=np.float64)
     xr = X.T.dot(residual) if one_block else sum(
         (X[rows].T.dot(residual[rows]).astype(np.float64) for rows in row_blocks(n)),

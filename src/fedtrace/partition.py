@@ -8,8 +8,8 @@ gets key Exp(1)/w_i and the D smallest keys win, in key order. That is
 distributionally identical to sequential renormalized sampling and
 needs one pass over the weights.
 
-Feature rows live in one shared corpus matrix, kept sparse (CSR, about
-1% nonzero); only the columns of one feature set are ever made dense
+Feature rows live in one shared corpus matrix, kept sparse (csr.CSRMatrix,
+about 1% nonzero); only the columns of one feature set are ever made dense
 (ScriptCorpus.columns). A participant dataset is a view described by
 row indices into the corpus matrix (or into a masked and normalized
 matrix with the same rows), so ten thousand participants cost index
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
 
 from . import features
 from .artifacts import atomic_write
+from .csr import CSRMatrix
 from .errors import InsufficientData, InvalidInput, ParseError
 from .features import FeatureCatalog
 from .seeding import DOMAIN_SAMPLING, LIMITED_KNOWLEDGE, derive_rng
@@ -126,26 +126,20 @@ def zipf_sample_domains(ranking: DomainRanking, d: int, exponent: float = DEFAUL
     return [ranking.domains[i] for i in winners]
 
 
-def _csr(data, indices, indptr, shape) -> csr_matrix:
-    """float32 CSR matrix over int32 column indices; ValueError if they disagree."""
-    return csr_matrix((np.asarray(data, dtype=np.float32),
-                       np.asarray(indices, dtype=np.int32), indptr), shape=shape)
-
-
 @dataclass(eq=False)
 class ScriptCorpus:
     """Shared feature matrix plus the domain -> row-index placement map.
 
     The one container of feature rows: collect gathers them as they
     arrive, and to_arrays/from_arrays are features.npz's format. X is
-    the CSR matrix the rows arrive in (float32 values over int32 column
-    indices), never a dense copy; columns(mask) densifies one feature
-    set's columns.
+    the CSRMatrix the rows arrive in (float32 values over int32 column
+    indices) over the three arrays features.npz stores, never a dense
+    copy; columns(mask) densifies one feature set's columns.
     """
 
     catalog: FeatureCatalog
     script_ids: tuple[str, ...]
-    X: csr_matrix            # (n_scripts, slot_count)
+    X: CSRMatrix             # (n_scripts, slot_count)
     labels: np.ndarray       # bool
     fp_bitmasks: np.ndarray  # uint8 over FP_TYPES bits
     domain_rows: dict[str, np.ndarray]
@@ -171,7 +165,7 @@ class ScriptCorpus:
 
     def columns(self, mask: np.ndarray) -> np.ndarray:
         """The masked columns of every row as a dense C-order float32 array."""
-        return self.X[:, mask].toarray()
+        return self.X.take_columns(mask).toarray()
 
     @classmethod
     def from_scripts(cls, scripts: Sequence[LabeledScript], catalog: FeatureCatalog,
@@ -213,9 +207,9 @@ class ScriptCorpus:
             data.append(vals)
         indptr = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum([c.size for c in indices], out=indptr[1:])
-        X = _csr(np.concatenate(data or [np.empty(0, np.float32)]),
-                 np.concatenate(indices or [np.empty(0, np.int32)]),
-                 indptr, (len(ids), catalog.slot_count))
+        X = CSRMatrix(np.concatenate(data or [np.empty(0, np.float32)]),
+                      np.concatenate(indices or [np.empty(0, np.int32)]),
+                      indptr, (len(ids), catalog.slot_count))
         return cls(catalog, tuple(ids), X, np.asarray(labels, dtype=bool),
                    np.asarray(masks, dtype=np.uint8), rows_by_domain(placements, ids))
 
@@ -232,13 +226,12 @@ class ScriptCorpus:
                     placements: Mapping[str, Sequence[str]]) -> "ScriptCorpus":
         """The corpus to_arrays wrote; InvalidInput if the arrays are malformed.
 
-        The arrays come from a file, so scipy's check_format(full_check=True)
-        validates the matrix structure before any row is read.
+        The arrays come from a file, so CSRMatrix.checked validates the
+        matrix structure before any row is read.
         """
         try:
-            X = _csr(arrays["data"], arrays["indices"], arrays["indptr"],
-                     tuple(int(v) for v in arrays["shape"]))
-            X.check_format(full_check=True)
+            X = CSRMatrix.checked(arrays["data"], arrays["indices"], arrays["indptr"],
+                                  arrays["shape"])
             script_ids = tuple(str(s) for s in arrays["script_ids"].tolist())
             labels = arrays["labels"].astype(bool, copy=False)
             fp_bitmasks = arrays["fp_bitmasks"].astype(np.uint8, copy=False)
@@ -276,7 +269,7 @@ class ParticipantDataset:
     participant_id: int
     urls: tuple[str, ...]
     rows: np.ndarray  # indices into the corpus, deduplicated, first-seen order
-    x: np.ndarray | csr_matrix
+    x: np.ndarray | CSRMatrix
     corpus_labels: np.ndarray    # bool
     corpus_bitmasks: np.ndarray  # uint8 over FP_TYPES bits
 
@@ -295,8 +288,9 @@ class ParticipantDataset:
 
     @property
     def features(self) -> np.ndarray:
-        x = self.x[self.rows]
-        return x.toarray() if issparse(x) else x
+        if isinstance(self.x, CSRMatrix):
+            return self.x.take_rows(self.rows).toarray()
+        return self.x[self.rows]
 
     @property
     def labels(self) -> np.ndarray:
@@ -347,9 +341,20 @@ class LimitedKnowledgeSpec:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "LimitedKnowledgeSpec":
+        """Read what to_dict wrote; InvalidInput unless the fraction is a number,
+        each participant id an int and each type a string (a bool is none of them)."""
         try:
-            return cls(float(obj["fraction"]),
-                       tuple((int(pid), str(allowed)) for pid, allowed in obj["assignments"]))
+            fraction, assignments = obj["fraction"], obj["assignments"]
+            if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
+                raise TypeError(f"fraction must be a number: {fraction!r}")
+            if not isinstance(assignments, list):
+                raise TypeError(f"assignments must be a list: {assignments!r}")
+            for pid, allowed in assignments:
+                if isinstance(pid, bool) or not isinstance(pid, int):
+                    raise TypeError(f"participant id must be an integer: {pid!r}")
+                if not isinstance(allowed, str):
+                    raise TypeError(f"fingerprinting type must be a string: {allowed!r}")
+            return cls(float(fraction), tuple((pid, allowed) for pid, allowed in assignments))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad limited_knowledge: {exc}") from None
 

@@ -40,6 +40,9 @@ decision, and so the returned z, exactly as the full-grid search would
 give it, because every kept order's epsilon is its full-grid value bit
 for bit. The accountant itself (PrivacyLedger, plan_epsilon) always
 uses the full grid.
+
+Only the series (q < 1) needs scipy.special, and its three functions
+import it where they use it, so accounting at q = 1 loads no scipy.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import CalibrationError, InvalidInput
 
@@ -93,6 +95,7 @@ def noise_stddev(z: float, sensitivity: float, q: float, participants: int) -> f
 
 
 def _log_erfc(x: np.ndarray) -> np.ndarray:
+    from scipy import special
     # erfc(x) = erfcx(x) * exp(-x^2); erfcx stays representable for large x
     with np.errstate(divide="ignore", over="ignore"):
         return np.where(x < 0.0, np.log(special.erfc(x)), np.log(special.erfcx(x)) - x * x)
@@ -112,6 +115,7 @@ def _rdp_integer_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
 def _rdp_integer_block(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
     # The finite binomial sum: one row of terms per order, padded with
     # -inf past k = alpha (an exact no-op under logaddexp).
+    from scipy import special
     k = np.arange(alphas.max() + 1.0)
     a = alphas[:, None]
     terms = (special.gammaln(a + 1) - special.gammaln(k + 1) - special.gammaln(a - k + 1)
@@ -133,6 +137,7 @@ _FRAC_BLOCK = 64
 def _rdp_fractional_orders(q: float, z: float, alphas: np.ndarray) -> np.ndarray:
     # The signed two-piece erfc series. Terms with a non-negative binomial
     # coefficient add to P, the others to N, each in log space; A = P - N.
+    from scipy import special
     z2 = z * z
     z0 = z2 * math.log(1.0 / q - 1.0) + 0.5
     sqrt2z = math.sqrt(2.0) * z

@@ -156,7 +156,12 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SplitSpec":
-        return cls(tuple(obj["train_domains"]), tuple(obj["test_domains"]))
+        """Read what to_dict wrote; InvalidInput unless each side is a list of strings."""
+        sides = obj["train_domains"], obj["test_domains"]
+        for side in sides:
+            if not isinstance(side, list) or not all(isinstance(d, str) for d in side):
+                raise InvalidInput(f"a split side must be a list of domains: {side!r}")
+        return cls(*(tuple(side) for side in sides))
 
 
 @dataclass(eq=False)

@@ -10,11 +10,11 @@ import zipfile
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from fedtrace import experiment
 from fedtrace.artifacts import ZIP_EPOCH, read_npz
 from fedtrace.cli import apply_overrides
+from fedtrace.csr import CSRMatrix
 from fedtrace.errors import CalibrationError, ConfigError, InvalidInput, StageDependencyError
 from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE,
                                  METRICS_FILE, NORM_STATS_FILE, PARTITION_FILE,
@@ -391,7 +391,7 @@ class TestStages:
         loaded = load_corpus(run_dir)
         prepared = memory_result.prepared
         assert loaded.corpus.script_ids == prepared.corpus.script_ids
-        assert (loaded.corpus.X != prepared.corpus.X).nnz == 0
+        assert np.array_equal(loaded.corpus.X.toarray(), prepared.corpus.X.toarray())
         assert loaded.ranking == prepared.ranking
         assert loaded.split == prepared.split
         assert np.array_equal(loaded.train_rows, prepared.train_rows)
@@ -846,7 +846,7 @@ class TestPersistedFeatures:
         manifest = json.loads((run_dir / "generate_manifest.json").read_text())
         assert manifest["n_shared"] > 0
         assert stored.script_ids == rebuilt.script_ids
-        assert stored.X.dtype == rebuilt.X.dtype == np.float32
+        assert stored.X.data.dtype == rebuilt.X.data.dtype == np.float32
         assert np.array_equal(stored.X.toarray(), rebuilt.X.toarray())
         assert np.array_equal(stored.labels, rebuilt.labels)
         assert np.array_equal(stored.fp_bitmasks, rebuilt.fp_bitmasks)
@@ -859,10 +859,10 @@ class TestPersistedFeatures:
         loaded = load_corpus(run_dir).corpus
         generated, *_ = generate_corpus(run_cfg.resolved_generator, default_catalog())
         for corpus in (loaded, generated):
-            assert isinstance(corpus.X, csr_matrix)
-            assert corpus.X.dtype == np.float32
+            assert isinstance(corpus.X, CSRMatrix)
+            assert corpus.X.data.dtype == np.float32
             assert corpus.X.indices.dtype == np.int32
-            assert corpus.X.nnz == stored["data"].size
+            assert corpus.X.data.size == stored["data"].size
 
     def test_moments_over_corpus_views_equal_dense_moments(self, run_cfg, memory_result):
         # the call shape of the reference trend grid: views straight from

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from fedtrace.csr import CSRMatrix
 from fedtrace.errors import InsufficientData, InvalidInput
 from fedtrace.fednorm import (
     DEFAULT_CLIP_MU,
@@ -46,16 +47,16 @@ class FakeParticipant:
 # ---------------------------------------------------------------- oracle
 
 def brute_force_stats(matrices, clip_mu, clip_var):
-    """No-noise, q=1 aggregate: mean over W of clipped statistics."""
+    """No-noise, q=1 aggregate: mean over W of statistics clipped to [0, clip]."""
     w = len(matrices)
     n_features = matrices[0].shape[1] if matrices[0].size else 3
     mu = np.zeros(n_features)
     s = np.zeros(n_features)
     for x in matrices:
         if x.shape[0] >= 1:
-            mu += np.minimum(x.mean(axis=0), clip_mu)
+            mu += np.clip(x.mean(axis=0), 0.0, clip_mu)
         if x.shape[0] >= 2:
-            s += np.minimum(x.var(axis=0, ddof=1), clip_var)
+            s += np.clip(x.var(axis=0, ddof=1), 0.0, clip_var)
     return mu / w, s / w
 
 
@@ -269,6 +270,26 @@ def test_moments_agree_with_local_ops():
         ColumnMoments(np.zeros(2, dtype=np.int64), np.zeros((3, 4)), np.zeros((3, 4)))
 
 
+def test_one_participant_moves_each_mean_by_at_most_its_clip_over_qw():
+    # z = 0: the release is the clipped sum over qW itself. Neighbouring
+    # sets differ in participant 0 alone, whose means are -1e6 in one and
+    # 0 in the other; a negative moment must be clipped from below too.
+    rng = np.random.default_rng(21)
+    w, n_features, q, clip_mu, clip_var = 5, 3, 1.0, 1.0, 2.0
+    means = rng.random((w, n_features)) * 2.0
+    variances = rng.random((w, n_features)) * 3.0
+    released = []
+    for value in (-1e6, 0.0):
+        m, v = means.copy(), variances.copy()
+        m[0], v[0] = value, value
+        moments = ColumnMoments(np.full(w, 4, dtype=np.int64), m, v)
+        released.append(dp_fed_norm([], q, 0.0, clip_mu, clip_var, rng=np.random.default_rng(0),
+                                    moments=moments))
+    a, b = released
+    assert np.all(np.abs(a.mu - b.mu) <= clip_mu / (q * w))
+    assert np.all(np.abs(a.s - b.s) <= clip_var / (q * w))
+
+
 # ---------------------------------------------------------------- normalize
 
 def test_normalize_formula_examples():
@@ -469,7 +490,8 @@ def test_folded_scores_equal_normalize_then_score(n_rows, variance_floor, mode):
     bound = fold_bound(x, stats, model, mode, variance_floor)
     assert np.all(np.abs(got - want) <= bound)
     # the sparse corpus matrix scores as its dense rows do
-    sparse = folded.decision_scores(csr_matrix(x))
+    m = csr_matrix(x)
+    sparse = folded.decision_scores(CSRMatrix(m.data, m.indices, m.indptr, m.shape))
     assert sparse.dtype == np.float64 and sparse.shape == (n_rows,)
     assert np.all(np.abs(sparse - got) <= bound)
 

@@ -10,12 +10,24 @@ share is public.
 An import kept only so that the benchmark harness (bench/spans.py) can
 wrap the module's own binding goes into BENCH_HOOK_IMPORTS, with the
 hook it serves.
+
+No module imports scipy at module level: only training and accounting
+at q < 1 use it (scipy.special), and they import it where they use it.
+So importing the package, and the generate, partition, evaluate and
+account commands at q = 1, load no scipy module; fresh interpreters
+check that.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from fedtrace.cli import main
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fedtrace"
 
@@ -94,3 +106,82 @@ def test_the_check_catches_an_unread_import():
     tree = ast.parse("from .model import LogisticModel, row_blocks\n"
                      "def f(x) -> 'LogisticModel':\n    return x\n")
     assert set(_imported(tree)) - _read(tree) == {"row_blocks"}
+
+
+def _module_level_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(module, line) of each import that runs when the module is imported.
+
+    Function bodies run later, so their imports are not counted; class
+    bodies and module-level if/try blocks run at import, so theirs are.
+    """
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((alias.name, child.lineno) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.module or "", child.lineno))
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def _scipy_at_import(tree: ast.Module) -> list[str]:
+    return [f"{module} (line {line})" for module, line in _module_level_imports(tree)
+            if module == "scipy" or module.startswith("scipy.")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_at_import_time(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _scipy_at_import(tree)
+    assert not found, f"{path.name} imports scipy at module level: {', '.join(found)}"
+
+
+def test_the_check_catches_a_module_level_scipy_import():
+    tree = ast.parse("import numpy\nfrom scipy.special import expit\n"
+                     "try:\n    import scipy.sparse as sp\nexcept ImportError:\n    pass\n"
+                     "class A:\n    from scipy import stats\n"
+                     "def f():\n    from scipy import special\n    return special\n")
+    assert _scipy_at_import(tree) == ["scipy.special (line 2)", "scipy.sparse (line 4)",
+                                      "scipy (line 8)"]
+
+
+# Runs its argv through fedtrace.cli.main (none: imports only) and prints
+# the exit code and every scipy module then loaded, as its last line.
+_PROBE = """
+import json, sys
+import fedtrace.cli, fedtrace.experiment, fedtrace.sweeps
+argv = json.loads(sys.argv[1])
+code = fedtrace.cli.main(argv) if argv else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh(argv: list[str]) -> tuple[int, list[str]]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    return code, loaded
+
+
+def test_importing_the_package_loads_no_scipy():
+    assert _fresh([]) == (0, [])
+
+
+def test_generate_partition_evaluate_and_account_at_q1_load_no_scipy(tmp_path):
+    out = ["--out", str(tmp_path / "run")]
+    flags = ["--set", "generator.n_scripts=2000", "--set", "generator.fp_prevalence=0.02",
+             "--set", "n_participants=20", "--set", "q=1", "--set", "rounds=2",
+             "--set", "local_iterations=5", "--seed", "1", *out]
+    assert _fresh(["generate", *flags]) == (0, [])
+    assert _fresh(["partition", *flags]) == (0, [])
+    assert main(["train", *flags]) == 0  # training needs scipy.special's expit
+    assert _fresh(["evaluate", *out]) == (0, [])
+    assert _fresh(["account", *out]) == (0, [])

@@ -273,6 +273,7 @@ _THREADS_CHECK = textwrap.dedent("""
     import hashlib
     import numpy as np
     from scipy.sparse import csr_matrix
+    from fedtrace.csr import CSRMatrix
     from fedtrace.model import LogisticModel, OptimizerConfig, fit_logistic
     rng = np.random.default_rng(7)
     x = (rng.random((20_000, 149)) < 0.05).astype(np.float32)
@@ -282,7 +283,8 @@ _THREADS_CHECK = textwrap.dedent("""
     model = LogisticModel.from_theta(theta)
     scores = model.decision_scores(x)
     # the sparse form that score_splits and the round evaluator score
-    sparse_scores = model.decision_scores(csr_matrix(x))
+    m = csr_matrix(x)
+    sparse_scores = model.decision_scores(CSRMatrix(m.data, m.indices, m.indptr, m.shape))
     print(info["iterations"], hashlib.sha256(theta.tobytes() + scores.tobytes()).hexdigest(),
           hashlib.sha256(sparse_scores.tobytes()).hexdigest())
 """)

@@ -366,6 +366,23 @@ def test_limited_knowledge_spec_json_round_trips():
             LimitedKnowledgeSpec.from_dict(bad)
 
 
+@pytest.mark.parametrize("fraction", [True, "0.5"], ids=["bool", "string"])
+def test_limited_knowledge_from_dict_refuses_a_fraction_that_is_not_a_number(fraction):
+    with pytest.raises(InvalidInput, match="must be a number"):
+        LimitedKnowledgeSpec.from_dict({"fraction": fraction, "assignments": []})
+
+
+@pytest.mark.parametrize("assignments, reason", [
+    ([[1.5, "canvas"]], "must be an integer"),   # a fractional participant id
+    ([["2", "audio"]], "must be an integer"),    # a participant id as a string
+    ([[True, "canvas"]], "must be an integer"),  # a bool is not a participant id
+    ([[0, 3]], "must be a string"),              # refused as a type, not read as "3"
+], ids=["float-id", "string-id", "bool-id", "int-type"])
+def test_limited_knowledge_from_dict_refuses_a_mistyped_assignment(assignments, reason):
+    with pytest.raises(InvalidInput, match=reason):
+        LimitedKnowledgeSpec.from_dict({"fraction": 0.1, "assignments": assignments})
+
+
 # ---------------------------------------------------------------- non-iidness
 
 def test_non_iidness_identical_distributions_near_zero():

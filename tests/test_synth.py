@@ -4,9 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from fedtrace import heuristics
+from fedtrace.csr import CSRMatrix
 from fedtrace.errors import InvalidInput
 from fedtrace.features import (
     FeatureCatalog,
@@ -151,6 +151,15 @@ class TestSplit:
         back = SplitSpec.from_dict(corpus.split.to_dict())
         assert back == corpus.split
 
+    @pytest.mark.parametrize("split", [
+        {"train_domains": "ab", "test_domains": ["c.example"]},
+        {"train_domains": ["a.example"], "test_domains": "cd"},
+        {"train_domains": ["a.example", 7], "test_domains": ["c.example"]},
+    ], ids=["train-string", "test-string", "non-string-domain"])
+    def test_split_from_dict_refuses_what_is_not_a_list_of_domains(self, split):
+        with pytest.raises(InvalidInput):
+            SplitSpec.from_dict(split)
+
     def test_split_rejects_overlap(self):
         with pytest.raises(InvalidInput):
             SplitSpec(("a.example",), ("a.example",))
@@ -220,8 +229,8 @@ class TestStreamingPath:
 
     def test_default_dtype_is_float32(self):
         corpus, *_ = generate_corpus(GeneratorConfig(n_scripts=50, seed=1), CATALOG)
-        assert isinstance(corpus.X, csr_matrix)
-        assert corpus.X.dtype == np.float32
+        assert isinstance(corpus.X, CSRMatrix)
+        assert corpus.X.data.dtype == np.float32
         assert corpus.X.indices.dtype == np.int32
 
     def test_columns_equal_dense_columns_for_every_feature_set(self):
