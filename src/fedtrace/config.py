@@ -1,23 +1,23 @@
-"""One reader and one writer for the frozen config dataclasses.
+"""One reader and one writer for the config dataclasses and the artifact records.
 
-A config class derives from JsonConfig. Field types come from its
-annotations: int, float, bool, str, X | None, tuple[X, ...] and a nested
-JsonConfig. from_dict takes a JSON-shaped object, gives every absent
-field its default, and refuses an unknown field or a wrongly typed value
-with a ConfigError naming the dotted field path (generator.n_scripts).
-An integral float such as 5e3 reads as an int field's 5000; a string
-never reads as a number; a field whose metadata sets ALLOW_INF also takes
-"inf" or "infinity". to_dict writes the same JSON shape back: lists for
-tuples, a nested object for a nested config and "inf" for infinity.
+A config, or the record of a JSON artifact that maps 1:1 to it, derives
+from JsonConfig. Field types come from its annotations: int, float, bool,
+str, X | None, tuple[X, ...], a fixed-length tuple[X, Y], dict[str, X] and
+a nested JsonConfig. from_dict gives every absent field its default and
+refuses an unknown or missing field or a wrongly typed value, naming the
+dotted field path (generator.n_scripts, entries[0][3]) in the class's
+_error: FieldError for a record, ConfigError (the user's config at fault)
+for a config. An integral float such as 5e3 reads as an int field's 5000;
+a bool or a string never reads as a number, and a float must be finite,
+except that a field whose metadata sets ALLOW_INF also takes infinity or
+"inf". to_dict writes the same JSON shape back. Construction reads every
+field by these rules however the object was built (from_dict, directly or
+dataclasses.replace) and stores what it read, ExperimentConfig(rounds=4.0)
+holding the int 4, before the subclass's _check runs its range checks.
 
-Construction reads every field by these same rules, however the config
-was built (from_dict, directly, or dataclasses.replace), and stores what
-it read: ExperimentConfig(rounds=4.0) holds the int 4, and
-ExperimentConfig(rounds="5") is refused. A float value must then be
-finite, except that a field whose metadata sets ALLOW_INF may be
-infinite, and the subclass's _check runs its range checks. All of these
-raise a ConfigError naming the field, so every config that can be built
-can be read back from its to_dict.
+An artifact whose keys are not 1:1 with a record reads each value by the
+same rules: check_keys refuses a missing or unknown key, read_value reads
+one value.
 """
 
 from __future__ import annotations
@@ -27,29 +27,30 @@ import functools
 import math
 import types
 import typing
-from typing import Mapping
+from collections.abc import Collection, Mapping
 
-from .errors import ConfigError
+from .errors import FieldError
 
 ALLOW_INF = "allow_inf"
+_EXPECTED = {bool: "a bool", str: "a string", int: "an integer", float: "a number"}
 
 
 class JsonConfig:
-    """Base of a config dataclass: to_dict/from_dict driven by its annotations."""
+    """Base of a config or record dataclass: to_dict/from_dict driven by its annotations."""
 
     __slots__ = ()
+    _error = FieldError  # what a field that does not read raises; a config's is ConfigError
 
     def __post_init__(self):
         hints = _type_hints(type(self))
         for f in dataclasses.fields(self):
             allow_inf = f.metadata.get(ALLOW_INF, False)
-            value = _read(hints[f.name], getattr(self, f.name), f.name, allow_inf)
-            _refuse_non_finite(value, f.name, allow_inf)
+            value = _read(hints[f.name], getattr(self, f.name), f.name, self._error, allow_inf)
             object.__setattr__(self, f.name, value)
         self._check()
 
     def _check(self) -> None:
-        """The subclass's range checks; each raises a ConfigError naming its field."""
+        """The subclass's range checks; a config raises a ConfigError naming the field."""
 
     def to_dict(self) -> dict:
         return {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
@@ -59,13 +60,22 @@ class JsonConfig:
         return _read_config(cls, obj, "")
 
 
-def _refuse_non_finite(value, where: str, allow_inf: bool) -> None:
-    if isinstance(value, tuple):
-        for i, v in enumerate(value):
-            _refuse_non_finite(v, f"{where}[{i}]", False)
-    elif isinstance(value, float) and (math.isnan(value)
-                                       or (math.isinf(value) and not allow_inf)):
-        raise ConfigError(where, f"must be finite: {value!r}")
+def read_value(tp, value, where: str = ""):
+    """value read as the annotation tp; the error names where."""
+    return _read(tp, value, where, FieldError)
+
+
+def check_keys(obj, required: Collection[str], optional: Collection[str] = (),
+               where: str = "", error=FieldError) -> None:
+    """Refuse obj unless it is an object with every required key and no unlisted one."""
+    if not isinstance(obj, Mapping):
+        raise error(where, f"must be an object: {obj!r}")
+    for name in obj:
+        if name not in required and name not in optional:
+            raise error(f"{where}.{name}" if where else name, "unknown field")
+    for name in required:
+        if name not in obj:
+            raise error(f"{where}.{name}" if where else name, "required field missing")
 
 
 def _encode(value):
@@ -83,53 +93,64 @@ def _type_hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
+@functools.cache
+def _shape(tp) -> tuple:
+    return typing.get_origin(tp), typing.get_args(tp)
+
+
 def _read_config(cls, obj, path: str):
     """Build cls from a JSON object; construction reads each value (_read)."""
-    if not isinstance(obj, Mapping):
-        raise ConfigError(path or cls.__name__, "must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for name in obj:
-        if name not in fields:
-            raise ConfigError(f"{path}.{name}" if path else name, "unknown field")
-    for name, f in fields.items():
-        if name not in obj and f.default is f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{path}.{name}" if path else name, "required field missing")
+    fields = dataclasses.fields(cls)
+    check_keys(obj, [f.name for f in fields if f.default is f.default_factory
+                     is dataclasses.MISSING], [f.name for f in fields], path, cls._error)
     try:
         return cls(**obj)
-    except ConfigError as exc:
+    except FieldError as exc:
         if not path:
             raise
-        raise ConfigError(f"{path}.{exc.field}", exc.message) from None
+        raise type(exc)(f"{path}.{exc.field}", exc.message) from None
 
 
-def _read(tp, value, where: str, allow_inf: bool = False):
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
-        if value is None:
-            return None
-        (tp,) = (a for a in args if a is not type(None))
-        return _read(tp, value, where, allow_inf)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(where, f"expected a list: {value!r}")
-        return tuple(_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if isinstance(tp, type) and issubclass(tp, JsonConfig):
-        return value if isinstance(value, tp) else _read_config(tp, value, where)
+def _read(tp, value, where: str, error, allow_inf: bool = False):
     if tp is bool or tp is str:
         if not isinstance(value, tp):
-            raise ConfigError(where, f"expected a {tp.__name__}: {value!r}")
+            raise error(where, f"must be {_EXPECTED[tp]}: {value!r}")
         return value
-    if allow_inf and isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
-        value = math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(where, f"not a number: {value!r}")
-    if tp is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(where, f"not an integer: {value!r}")
-        return int(value)
-    if tp is float:  # construction refuses what is not finite
+    if tp is int or tp is float:
+        if allow_inf and isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
+            value = math.inf
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                tp is int and isinstance(value, float) and not value.is_integer()):
+            raise error(where, f"must be {_EXPECTED[tp]}: {value!r}")
+        if tp is int:
+            return int(value)
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:  # an int beyond the float range
-            return math.inf
+            value = math.inf
+        if math.isnan(value) or (math.isinf(value) and not allow_inf):
+            raise error(where, f"must be finite: {value!r}")
+        return value
+    origin, args = _shape(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (tp,) = (a for a in args if a is not type(None))
+        return None if value is None else _read(tp, value, where, error, allow_inf)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise error(where, f"must be a list: {value!r}")
+        if args[1:] == (Ellipsis,):  # tuple[X, ...]
+            if args[0] in (str, int) and {*map(type, value)} <= {args[0]}:  # read already
+                return tuple(value)
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):  # tuple[X, Y]
+            raise error(where, f"must be a list of {len(args)} values: {value!r}")
+        return tuple(_read(a, v, f"{where}[{i}]", error)
+                     for i, (a, v) in enumerate(zip(args, value)))
+    if origin is dict:  # dict[str, X]
+        if not isinstance(value, Mapping):
+            raise error(where, f"must be an object: {value!r}")
+        return {_read(str, k, where, error): _read(args[1], v, f"{where}.{k}" if where else k,
+                                                   error) for k, v in value.items()}
+    if isinstance(tp, type) and issubclass(tp, JsonConfig):
+        return value if isinstance(value, tp) else _read_config(tp, value, where)
     raise TypeError(f"{where}: no reader for config type {tp!r}")

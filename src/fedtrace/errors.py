@@ -61,10 +61,14 @@ class StageDependencyError(FedTraceError):
     """A pipeline stage was invoked before the artifacts it consumes exist."""
 
 
-class ConfigError(InvalidInput):
-    """Bad configuration value; message names the offending field path."""
+class FieldError(InvalidInput):
+    """A JSON value does not fit its declared field; names the dotted field path."""
 
     def __init__(self, field: str, message: str):
         self.field = field
         self.message = message
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
+
+
+class ConfigError(FieldError):
+    """Bad configuration value; message names the offending field path."""

@@ -1,10 +1,11 @@
 """Experiment pipeline: generate -> partition -> train -> evaluate -> account.
 
 Each stage is a pure function of (config, run directory): it reads the
-artifacts earlier stages wrote, writes its own, and re-running it with
-the same config produces byte-identical files. Missing upstream
-artifacts raise StageDependencyError; bad configuration raises
-ConfigError naming the offending field path.
+artifacts earlier stages wrote, writes its own, and re-running it with the
+same config produces byte-identical files. Missing upstream artifacts raise
+StageDependencyError, bad configuration ConfigError naming the field path,
+and a JSON artifact that fedtrace.config's typed reader refuses FieldError
+or ParseError naming the file and the field path; no value is cast.
 
 One shared privacy ledger covers both private phases of a run. With
 normalization enabled and a finite epsilon target, a configurable
@@ -54,6 +55,7 @@ hashed, in one read, so a file swapped after the check is never used.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -65,8 +67,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import atomic_write, file_sha256, read_npz, write_npz
-from .config import ALLOW_INF, JsonConfig
-from .errors import CalibrationError, ConfigError, InvalidMask, StageDependencyError
+from .config import ALLOW_INF, JsonConfig, read_value
+from .errors import (CalibrationError, ConfigError, FieldError, InvalidMask, ParseError,
+                     StageDependencyError)
 from .features import catalog_hash, default_catalog, load_catalog, save_catalog
 from .fedavg import TrainingRunConfig, RoundRecord, train
 from .fednorm import (DEFAULT_CLIP_MU, DEFAULT_CLIP_VAR, NORMALIZE_MODES, VARIANCE_FLOOR,
@@ -105,6 +108,7 @@ PRIVACY_REPORT_FILE = "privacy_report.json"
 # everything load_corpus reads: the generate stage's artifacts except traces.jsonl
 CORPUS_FILES = (FEATURES_FILE, CATALOG_FILE, PLACEMENTS_FILE, RANKING_FILE, SPLIT_FILE,
                 GENERATE_MANIFEST_FILE)
+_PLACEMENTS = functools.partial(read_value, dict[str, tuple[str, ...]])  # placements.json
 
 METRICS_HEADER = ("feature_set", "participants", "epsilon", "seed", "split",
                   "n_scripts", "n_positive", "auprc")
@@ -135,6 +139,7 @@ class ExperimentConfig(JsonConfig):
     that samples about 100 participants per round.
     """
 
+    _error = ConfigError
     generator: GeneratorConfig = field(
         default_factory=lambda: GeneratorConfig(n_scripts=20_000))
     n_participants: int = 100
@@ -160,49 +165,29 @@ class ExperimentConfig(JsonConfig):
     seed: int = 0
 
     def _check(self):
-        if self.n_participants < 1:
-            raise ConfigError("n_participants", f"must be >= 1: {self.n_participants}")
-        if self.urls_per_participant < 1:
-            raise ConfigError("urls_per_participant",
-                              f"must be >= 1: {self.urls_per_participant}")
-        if self.zipf_exponent <= 0:
-            raise ConfigError("zipf_exponent", f"must be positive: {self.zipf_exponent}")
+        for name, low in (("n_participants", 1), ("urls_per_participant", 1), ("rounds", 1),
+                          ("local_epochs", 1), ("local_iterations", 1), ("eval_every", 0),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(name, f"must be >= {low}: {getattr(self, name)}")
+        for name in ("zipf_exponent", "epsilon", "clip_mu", "clip_var", "variance_floor",
+                     "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(name, f"must be positive: {getattr(self, name)}")
         if not 0.0 <= self.limited_knowledge_fraction <= 1.0:
             raise ConfigError("limited_knowledge_fraction",
                               f"must be in [0, 1]: {self.limited_knowledge_fraction}")
         if not self.feature_set:
             raise ConfigError("feature_set", "must be non-empty")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon", f"must be positive: {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta", f"must be in (0, 1): {self.delta}")
-        if not 0.0 < self.norm_fraction < 1.0:
-            raise ConfigError("norm_fraction", f"must be in (0, 1): {self.norm_fraction}")
+        for name, value in (("delta", self.delta), ("norm_fraction", self.norm_fraction)):
+            if not 0.0 < value < 1.0:
+                raise ConfigError(name, f"must be in (0, 1): {value}")
         if self.norm_mode not in NORMALIZE_MODES:
             raise ConfigError("norm_mode",
                               f"must be one of {NORMALIZE_MODES}: {self.norm_mode!r}")
         for name, value in (("q", self.q), ("norm_q", self.norm_q)):
             if value is not None and not 0.0 < value <= 1.0:
                 raise ConfigError(name, f"must be in (0, 1]: {value}")
-        if self.clip_mu <= 0:
-            raise ConfigError("clip_mu", f"must be positive: {self.clip_mu}")
-        if self.clip_var <= 0:
-            raise ConfigError("clip_var", f"must be positive: {self.clip_var}")
-        if self.variance_floor <= 0:
-            raise ConfigError("variance_floor",
-                              f"must be positive: {self.variance_floor}")
-        if self.rounds < 1:
-            raise ConfigError("rounds", f"must be >= 1: {self.rounds}")
-        if self.clip_norm <= 0:
-            raise ConfigError("clip_norm", f"must be positive: {self.clip_norm}")
-        if self.local_epochs < 1:
-            raise ConfigError("local_epochs", f"must be >= 1: {self.local_epochs}")
-        if self.local_iterations < 1:
-            raise ConfigError("local_iterations", f"must be >= 1: {self.local_iterations}")
-        if self.eval_every < 0:
-            raise ConfigError("eval_every", f"must be >= 0: {self.eval_every}")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0: {self.seed}")
 
     @property
     def resolved_q(self) -> float:
@@ -277,6 +262,32 @@ def preset_config(name: str) -> ExperimentConfig:
 
 # ------------------------------------------------------------ artifacts
 
+@dataclass(frozen=True, slots=True)
+class LedgerRecord(JsonConfig):
+    """ledger.json: the run's delta and every (mechanism, q, z, count) it charged."""
+
+    delta: float
+    entries: tuple[tuple[str, float, float, int], ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class Checkpoint(JsonConfig):
+    """checkpoint.json: the trained model, its config and what it was trained on."""
+
+    weights: tuple[float, ...]
+    bias: float
+    feature_set: str
+    catalog_hash: str
+    normalize: bool
+    norm_mode: str
+    z_norm: float
+    z_train: float
+    normstats_sha256: str | None
+    partition_sha256: str
+    ledger_sha256: str
+    config: ExperimentConfig
+
+
 def _write_json(obj, path) -> None:
     with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
@@ -286,6 +297,17 @@ def _write_json(obj, path) -> None:
 def _read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_record(run_dir: Path, name: str, read, data: bytes | None = None):
+    """read applied to an artifact's JSON (data, else the file's bytes); errors name the file."""
+    path = run_dir / name
+    try:
+        return read(json.loads(path.read_bytes() if data is None else data))
+    except FieldError as exc:  # keeps its class, and so the CLI's exit code
+        raise type(exc)(f"{path}: {exc.field}" if exc.field else str(path), exc.message) from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"not a JSON document: {exc}", path=str(path)) from None
 
 
 def config_snapshot_line(config: ExperimentConfig) -> str:
@@ -330,15 +352,15 @@ def _recorded_bytes(run_dir: Path, name: str, recorded, rerun: str) -> bytes:
 
 
 def _generated_domains(run_dir: Path, manifest: dict
-                       ) -> tuple[DomainRanking, dict[str, list[str]], SplitSpec]:
+                       ) -> tuple[DomainRanking, dict[str, tuple[str, ...]], SplitSpec]:
     """ranking.txt, placements.json and split.json, checked against the generate manifest."""
     ranking = parse_ranking(_recorded_bytes(
         run_dir, RANKING_FILE, manifest.get("ranking_sha256"), "generate"), run_dir / RANKING_FILE)
-    placements = json.loads(_recorded_bytes(
+    placements = _read_record(run_dir, PLACEMENTS_FILE, _PLACEMENTS, _recorded_bytes(
         run_dir, PLACEMENTS_FILE, manifest.get("placements_sha256"), "generate"))
-    split = json.loads(_recorded_bytes(
+    split = _read_record(run_dir, SPLIT_FILE, SplitSpec.from_dict, _recorded_bytes(
         run_dir, SPLIT_FILE, manifest.get("split_sha256"), "generate"))
-    return ranking, placements, SplitSpec.from_dict(split)
+    return ranking, placements, split
 
 
 # ----------------------------------------------------- in-memory pieces
@@ -679,7 +701,7 @@ def corpus_from_traces(run_dir) -> ScriptCorpus:
         found = label(trace)
         scripts.append(LabeledScript(trace, found.is_fingerprinting(), found.types()))
     return ScriptCorpus.from_scripts(scripts, load_catalog(run_dir / CATALOG_FILE),
-                                     _read_json(run_dir / PLACEMENTS_FILE))
+                                     _read_record(run_dir, PLACEMENTS_FILE, _PLACEMENTS))
 
 
 def participants_from_manifest(manifest: dict,
@@ -707,26 +729,19 @@ def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
         norm_stats_sha256 = file_sha256(run_dir / NORM_STATS_FILE)
     else:
         (run_dir / NORM_STATS_FILE).unlink(missing_ok=True)
-    _write_json({"delta": config.delta,
-                 "entries": [[e.mechanism, e.q, e.z, e.count]
-                             for e in outcome.ledger.entries]},
-                run_dir / LEDGER_FILE)
-    checkpoint = {
-        "weights": [float(w) for w in outcome.model.weights],
-        "bias": float(outcome.model.bias),
-        "feature_set": config.feature_set,
+    ledger = LedgerRecord(config.delta, tuple((e.mechanism, e.q, e.z, e.count)
+                                              for e in outcome.ledger.entries))
+    _write_json(ledger.to_dict(), run_dir / LEDGER_FILE)
+    checkpoint = Checkpoint(
+        weights=tuple(outcome.model.weights.tolist()), bias=outcome.model.bias,
+        feature_set=config.feature_set, normalize=config.normalize, norm_mode=config.norm_mode,
         # load_corpus refused a catalog whose hash is not the manifest's
-        "catalog_hash": prepared.manifest["catalog_hash"],
-        "normalize": config.normalize,
-        "norm_mode": config.norm_mode,
-        "z_norm": outcome.budget.z_norm,
-        "z_train": outcome.budget.z_train,
-        "normstats_sha256": norm_stats_sha256,
-        "partition_sha256": hashlib.sha256(partition_bytes).hexdigest(),
-        "ledger_sha256": file_sha256(run_dir / LEDGER_FILE),
-        "config": config.to_dict(),
-    }
-    _write_json(checkpoint, run_dir / CHECKPOINT_FILE)
+        catalog_hash=prepared.manifest["catalog_hash"],
+        z_norm=outcome.budget.z_norm, z_train=outcome.budget.z_train,
+        normstats_sha256=norm_stats_sha256,
+        partition_sha256=hashlib.sha256(partition_bytes).hexdigest(),
+        ledger_sha256=file_sha256(run_dir / LEDGER_FILE), config=config)
+    _write_json(checkpoint.to_dict(), run_dir / CHECKPOINT_FILE)
     write_csv(run_dir / ROUND_RECORDS_FILE, ROUND_RECORDS_HEADER,
                [(r.round_index, r.sampled, r.update_norm, r.theta_norm, r.auprc)
                 for r in outcome.records],
@@ -743,28 +758,27 @@ def stage_evaluate(run_dir) -> list[dict]:
     """
     run_dir = Path(run_dir)
     _require(run_dir, "evaluate", CORPUS_FILES + (PARTITION_FILE, CHECKPOINT_FILE))
-    checkpoint = _read_json(run_dir / CHECKPOINT_FILE)
-    _recorded_bytes(run_dir, PARTITION_FILE, checkpoint.get("partition_sha256"), "train")
-    config = ExperimentConfig.from_dict(checkpoint["config"])
+    checkpoint = _read_record(run_dir, CHECKPOINT_FILE, Checkpoint.from_dict)
+    _recorded_bytes(run_dir, PARTITION_FILE, checkpoint.partition_sha256, "train")
+    config = checkpoint.config
     prepared = load_corpus(run_dir)
     _check_corpus_config(config, prepared.manifest, run_dir)
     corpus = prepared.corpus
     # load_corpus refused a catalog whose hash is not the manifest's
-    if checkpoint["catalog_hash"] != prepared.manifest["catalog_hash"]:
+    if checkpoint.catalog_hash != prepared.manifest["catalog_hash"]:
         raise StageDependencyError(
             "checkpoint was trained against a different catalog; re-run training")
     mask = resolve_mask(corpus.catalog, config.feature_set)
-    weights = np.asarray(checkpoint["weights"], dtype=float)
-    if weights.shape != (mask.size,):
+    if len(checkpoint.weights) != mask.size:
         raise StageDependencyError(
-            f"checkpoint holds {weights.size} weights but the feature set has "
+            f"checkpoint holds {len(checkpoint.weights)} weights but the feature set has "
             f"{mask.size} slots; re-run training")
-    model = LogisticModel(weights, float(checkpoint["bias"]))
+    model = LogisticModel(np.array(checkpoint.weights), checkpoint.bias)
     stats = None
     if config.normalize:
         _require(run_dir, "evaluate", (NORM_STATS_FILE,))
-        stats = NormStats.from_dict(json.loads(_recorded_bytes(
-            run_dir, NORM_STATS_FILE, checkpoint.get("normstats_sha256"), "train")))
+        stats = _read_record(run_dir, NORM_STATS_FILE, NormStats.from_dict, _recorded_bytes(
+            run_dir, NORM_STATS_FILE, checkpoint.normstats_sha256, "train"))
     rows_out = score_splits(prepared, config, model, stats)
     write_csv(run_dir / METRICS_FILE, METRICS_HEADER,
                [tuple(r[k] for k in METRICS_HEADER) for r in rows_out],
@@ -780,19 +794,17 @@ def stage_account(run_dir) -> dict:
     """
     run_dir = Path(run_dir)
     _require(run_dir, "account", (LEDGER_FILE,))
+    data = None
     if (run_dir / CHECKPOINT_FILE).exists():
-        recorded = _read_json(run_dir / CHECKPOINT_FILE).get("ledger_sha256")
-        stored = json.loads(_recorded_bytes(run_dir, LEDGER_FILE, recorded, "train"))
-    else:
-        stored = _read_json(run_dir / LEDGER_FILE)
-    delta = float(stored["delta"])
-    entries = stored.get("entries", [])
+        recorded = _read_record(run_dir, CHECKPOINT_FILE, Checkpoint.from_dict).ledger_sha256
+        data = _recorded_bytes(run_dir, LEDGER_FILE, recorded, "train")
+    stored = _read_record(run_dir, LEDGER_FILE, LedgerRecord.from_dict, data)
+    delta, entries = stored.delta, stored.entries
     total = PrivacyLedger()
     phases: dict[tuple[str, float, float], PrivacyLedger] = {}
     for mechanism, q, z, count in entries:
-        key = (str(mechanism), float(q), float(z))
-        total.record(*key, int(count))
-        phases.setdefault(key, PrivacyLedger()).record(*key, int(count))
+        total.record(mechanism, q, z, count)
+        phases.setdefault((mechanism, q, z), PrivacyLedger()).record(mechanism, q, z, count)
 
     def rdp_list(vec: np.ndarray):
         return None if np.isinf(vec).any() else [float(v) for v in vec]
@@ -803,7 +815,7 @@ def stage_account(run_dir) -> dict:
         "delta": delta,
         "epsilon": _encode_epsilon(epsilon),
         "best_order": best_order,
-        "n_queries": sum(int(e[3]) for e in entries),
+        "n_queries": sum(e[3] for e in entries),
         "orders": [float(a) for a in total.orders],
         "total_rdp": rdp_list(total.total_rdp) if entries else None,
         "phases": [

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import heuristics
 from .artifacts import atomic_write
+from .config import check_keys, read_value
 from .errors import CardinalityError, InvalidInput, InvalidMask, ParseError
 from .traces import MAX_ARGS, LongString, Scalar, ScriptTrace, scalar_from_json, scalar_to_json
 
@@ -94,13 +95,9 @@ class FeatureCatalog:
     named_sets: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.api_count_entries)) != len(self.api_count_entries):
-            seen, dup = set(), None
-            for name in self.api_count_entries:
-                if name in seen:
-                    dup = name
-                    break
-                seen.add(name)
+        names = self.api_count_entries
+        if len(set(names)) != len(names):
+            dup = next(name for i, name in enumerate(names) if name in names[:i])
             raise CardinalityError(f"duplicate api_name in catalog: {dup!r}")
         n = self.slot_count
         sets = dict(self.named_sets)
@@ -268,16 +265,16 @@ def _custom_to_json(spec: CustomFeatureSpec) -> dict:
     return obj
 
 
-def _custom_from_json(obj) -> CustomFeatureSpec:
+def _custom_from_json(obj, where: str) -> CustomFeatureSpec:
     # a strlen length stays the JSON integer, which CustomFeatureSpec checks;
     # an equals value is a trace scalar, read by the trace parser's decoder
-    value = obj["value"]
+    check_keys(obj, ("api", "target", "match", "value"), ("index",), where)
     return CustomFeatureSpec(
-        api_name=str(obj["api"]),
-        target=str(obj["target"]),
-        arg_index=int(obj["index"]) if obj["target"] == "argument" else None,
-        match_kind=str(obj["match"]),
-        match_value=value if obj["match"] == "strlen" else scalar_from_json(value),
+        api_name=read_value(str, obj["api"], f"{where}.api"),
+        target=read_value(str, obj["target"], f"{where}.target"),
+        arg_index=read_value(int, obj["index"], f"{where}.index") if "index" in obj else None,
+        match_kind=read_value(str, obj["match"], f"{where}.match"),
+        match_value=obj["value"] if obj["match"] == "strlen" else scalar_from_json(obj["value"]),
     )
 
 
@@ -313,20 +310,22 @@ def load_catalog(path) -> FeatureCatalog:
         except ValueError as exc:
             raise ParseError(str(exc), path=str(path)) from exc
     try:
+        check_keys(obj, ("api_counts", "custom", "sets"), ("declared_sizes",))
         catalog = FeatureCatalog(
-            api_count_entries=tuple(str(n) for n in obj["api_counts"]),
-            custom_entries=tuple(_custom_from_json(c) for c in obj["custom"]),
-            named_sets={str(k): tuple(int(i) for i in v) for k, v in obj["sets"].items()},
+            api_count_entries=read_value(tuple[str, ...], obj["api_counts"], "api_counts"),
+            custom_entries=tuple(_custom_from_json(c, f"custom[{i}]")
+                                 for i, c in enumerate(obj["custom"])),
+            named_sets=read_value(dict[str, tuple[int, ...]], obj["sets"], "sets"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        declared = read_value(dict[str, int], obj.get("declared_sizes", {}), "declared_sizes")
+    except (TypeError, ValueError) as exc:  # FieldError, the catalog classes' checks
         raise ParseError(f"bad catalog structure: {exc}", path=str(path)) from exc
-    declared = obj.get("declared_sizes", {})
     for name in REQUIRED_SET_NAMES:
         if name not in catalog.named_sets:
             raise CardinalityError(f"catalog missing required named set {name!r}")
     for name, size in declared.items():
         actual = len(catalog.named_sets.get(name, ()))
-        if actual != int(size):
+        if actual != size:
             raise CardinalityError(
                 f"named set {name!r} has {actual} slots, declared {size}")
     return catalog

@@ -44,11 +44,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .artifacts import atomic_write
+from .config import check_keys, read_value
 from .csr import CSRMatrix
 from .errors import InvalidInput
 from .model import BLOCK_ROWS, LogisticModel, row_blocks
@@ -80,6 +81,8 @@ class NormStats:
     clip_var: float
     # denominator()'s results by (mode, variance_floor)
     _denominators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # normstats.json's keys and their types (from_dict)
+    _KEYS = {"mu": tuple[float, ...], "s": tuple[float, ...], "clip_mu": float, "clip_var": float}
 
     def __post_init__(self):
         for name in ("mu", "s"):
@@ -120,9 +123,10 @@ class NormStats:
                 "clip_mu": self.clip_mu, "clip_var": self.clip_var}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "NormStats":
-        return cls(np.asarray(obj["mu"], dtype=float), np.asarray(obj["s"], dtype=float),
-                   float(obj["clip_mu"]), float(obj["clip_var"]))
+    def from_dict(cls, obj: Mapping) -> "NormStats":
+        """Read what to_dict wrote; FieldError names a missing, unknown or mistyped key."""
+        check_keys(obj, cls._KEYS)
+        return cls(**{k: read_value(tp, obj[k], k) for k, tp in cls._KEYS.items()})
 
 
 def save_norm_stats(stats: NormStats, path) -> None:

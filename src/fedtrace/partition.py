@@ -29,6 +29,7 @@ import numpy as np
 
 from . import features
 from .artifacts import atomic_write
+from .config import JsonConfig
 from .csr import CSRMatrix
 from .errors import InsufficientData, InvalidInput, ParseError
 from .features import FeatureCatalog
@@ -318,7 +319,7 @@ def draw_domains(ranking: DomainRanking, n_participants: int,
 
 
 @dataclass(frozen=True, slots=True)
-class LimitedKnowledgeSpec:
+class LimitedKnowledgeSpec(JsonConfig):
     """Which participants see only one fingerprinting type, and which type.
 
     to_dict/from_dict are partition.json's "limited_knowledge" object.
@@ -327,36 +328,13 @@ class LimitedKnowledgeSpec:
     fraction: float
     assignments: tuple[tuple[int, str], ...]  # (participant_id, allowed type)
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise InvalidInput(f"fraction must be in [0, 1]: {self.fraction}")
         for pid, allowed in self.assignments:
             if allowed not in FP_TYPES:
                 raise InvalidInput(f"unknown fingerprinting type {allowed!r} "
                                    f"for participant {pid}")
-
-    def to_dict(self) -> dict:
-        return {"fraction": self.fraction,
-                "assignments": [[pid, allowed] for pid, allowed in self.assignments]}
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "LimitedKnowledgeSpec":
-        """Read what to_dict wrote; InvalidInput unless the fraction is a number,
-        each participant id an int and each type a string (a bool is none of them)."""
-        try:
-            fraction, assignments = obj["fraction"], obj["assignments"]
-            if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-                raise TypeError(f"fraction must be a number: {fraction!r}")
-            if not isinstance(assignments, list):
-                raise TypeError(f"assignments must be a list: {assignments!r}")
-            for pid, allowed in assignments:
-                if isinstance(pid, bool) or not isinstance(pid, int):
-                    raise TypeError(f"participant id must be an integer: {pid!r}")
-                if not isinstance(allowed, str):
-                    raise TypeError(f"fingerprinting type must be a string: {allowed!r}")
-            return cls(float(fraction), tuple((pid, allowed) for pid, allowed in assignments))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad limited_knowledge: {exc}") from None
 
 
 def make_limited_knowledge(participant_ids: Sequence[int], fraction: float,

@@ -102,6 +102,7 @@ _AUDIO_PROBES = (("AudioContext.createOscillator", ()),
 
 @dataclass(frozen=True, slots=True)
 class GeneratorConfig(JsonConfig):
+    _error = ConfigError
     n_scripts: int
     fp_prevalence: float = DEFAULT_PREVALENCE
     fp_type_mix: tuple[float, ...] = DEFAULT_TYPE_MIX
@@ -113,8 +114,11 @@ class GeneratorConfig(JsonConfig):
     seed: int = 0
 
     def _check(self):
-        if self.n_scripts < 1:
-            raise ConfigError("n_scripts", f"must be >= 1: {self.n_scripts}")
+        for name, low in (("n_scripts", 1), ("benign_pool_size", 10), ("n_domains", 1),
+                          ("scripts_per_domain_mean", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(name, f"must be >= {low}: {value}")
         if not 0.0 < self.fp_prevalence < 1.0:
             raise ConfigError("fp_prevalence", f"must be in (0, 1): {self.fp_prevalence}")
         mix = np.asarray(self.fp_type_mix, dtype=float)
@@ -124,44 +128,22 @@ class GeneratorConfig(JsonConfig):
             raise ConfigError("fp_type_mix", "must be non-negative and sum to 1")
         if not 0.0 <= self.near_miss_rate <= 1.0:
             raise ConfigError("near_miss_rate", f"must be in [0, 1]: {self.near_miss_rate}")
-        if self.benign_pool_size < 10:
-            raise ConfigError("benign_pool_size", f"must be >= 10: {self.benign_pool_size}")
-        if self.n_domains is not None and self.n_domains < 1:
-            raise ConfigError("n_domains", f"must be >= 1: {self.n_domains}")
-        if self.scripts_per_domain_mean < 1.0:
-            raise ConfigError("scripts_per_domain_mean",
-                              f"must be >= 1: {self.scripts_per_domain_mean}")
         if not 0.0 <= self.shared_script_rate < 1.0:
             raise ConfigError("shared_script_rate",
                               f"must be in [0, 1): {self.shared_script_rate}")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0: {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
-class SplitSpec:
-    """Domain-level 80/20 split, stratified by fingerprinting presence."""
+class SplitSpec(JsonConfig):
+    """Domain-level 80/20 split, stratified by fingerprinting presence; split.json."""
 
     train_domains: tuple[str, ...]
     test_domains: tuple[str, ...]
 
-    def __post_init__(self):
+    def _check(self):
         overlap = set(self.train_domains) & set(self.test_domains)
         if overlap:
             raise InvalidInput(f"split is not disjoint: {sorted(overlap)[:3]}")
-
-    def to_dict(self) -> dict:
-        return {"train_domains": list(self.train_domains),
-                "test_domains": list(self.test_domains)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SplitSpec":
-        """Read what to_dict wrote; InvalidInput unless each side is a list of strings."""
-        sides = obj["train_domains"], obj["test_domains"]
-        for side in sides:
-            if not isinstance(side, list) or not all(isinstance(d, str) for d in side):
-                raise InvalidInput(f"a split side must be a list of domains: {side!r}")
-        return cls(*(tuple(side) for side in sides))
 
 
 @dataclass(eq=False)

@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import re
+import shutil
 
 import pytest
 
-from fedtrace.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, _parse_seeds,
+from fedtrace.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FAILURE, EXIT_OK, _parse_seeds,
                           build_parser, main, resolve_config)
 from fedtrace.errors import ConfigError
 from fedtrace.experiment import preset_config
@@ -186,3 +187,57 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def trained_dir(tmp_path_factory):
+    """A TINY run directory after generate, partition and train."""
+    out = tmp_path_factory.mktemp("trained")
+    for command in ("generate", "partition", "train"):
+        assert main([command, *TINY, "--out", str(out)]) == EXIT_OK
+    return out
+
+
+class TestMalformedArtifacts:
+    """An artifact a stage reads goes through the one typed reader: a value of the
+    wrong type or shape exits 1 with an error line naming the file and the dotted
+    field path, and never ends in a traceback or a cast."""
+
+    # a bare ledger.json has no checkpoint beside it, so no hash check guards it
+    @pytest.mark.parametrize("ledger, where", [
+        ({"entries": []}, "delta"),
+        ({"delta": 1e-5, "entries": [["fedavg-round", 0.1, 1.2]]}, "entries[0]"),
+        ({"delta": 1e-5, "entries": {"fedavg-round": [0.1, 1.2, 1]}}, "entries"),
+        ({"delta": 1e-5, "entries": [["fedavg-round", 0.1, 1.2, 2.7]]}, "entries[0][3]"),
+        ({"delta": 1e-5, "entries": [["fedavg-round", 0.1, 1.2, True]]}, "entries[0][3]"),
+        ({"delta": "1e-5", "entries": [["fedavg-round", 0.1, 1.2, 1]]}, "delta"),
+        ({"delta": 1e-5, "entries": [[5, 0.1, 1.2, 1]]}, "entries[0][0]"),
+    ], ids=["missing-delta", "three-value-entry", "entries-as-object", "fractional-count",
+            "bool-count", "delta-as-string", "numeric-mechanism"])
+    def test_account_refuses_a_malformed_bare_ledger(self, tmp_path, capsys, ledger, where):
+        (tmp_path / "ledger.json").write_text(json.dumps(ledger))
+        assert main(["account", "--out", str(tmp_path)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"ledger.json: {where}: " in err
+        assert not (tmp_path / "privacy_report.json").exists()
+
+    # evaluate reads checkpoint.json, which no stage hash-checks
+    @pytest.mark.parametrize("edit, where", [
+        (lambda c: c.__setitem__("weights", [str(w) for w in c["weights"]]), "weights[0]"),
+        (lambda c: c["weights"].__setitem__(3, True), "weights[3]"),
+        (lambda c: c.__setitem__("bias", "0.25"), "bias"),
+        (lambda c: c.pop("bias"), "bias"),
+    ], ids=["weights-as-strings", "bool-weight", "bias-as-string", "missing-bias"])
+    def test_evaluate_refuses_a_malformed_checkpoint(self, trained_dir, tmp_path, capsys,
+                                                     edit, where):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        checkpoint = json.loads((run / "checkpoint.json").read_text())
+        edit(checkpoint)
+        (run / "checkpoint.json").write_text(json.dumps(checkpoint))
+        assert main(["evaluate", "--out", str(run)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"checkpoint.json: {where}: " in err
+        assert not (run / "metrics.csv").exists()

@@ -1,6 +1,7 @@
 """Feature catalog structure, extraction semantics, and masks."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from fedtrace.features import (
     validate_mask,
 )
 from fedtrace.synth import GeneratorConfig
-from fedtrace.traces import (LONG_STRING_THRESHOLD, ApiCallRecord, LongString, ScriptTrace,
-                             api_call, summarize_value)
+from fedtrace.traces import (LONG_STRING_THRESHOLD, MAX_ARGS, ApiCallRecord, LongString,
+                             ScriptTrace, api_call, summarize_value)
 from generated import generate_scripts
 
 
@@ -378,6 +379,30 @@ class TestCatalogFile:
         with pytest.raises(ParseError, match="strlen matcher needs an int length"):
             load_catalog(_write(tmp_path, obj))
 
+    # every value is read by the one typed reader, with no int() or str() and
+    # no key ignored; a slot of 500.7, a declared size of "149" and an unknown
+    # key used to reload with the default catalog's hash, so load_corpus's
+    # hash check let them through
+    @pytest.mark.parametrize("edit, where", [
+        (lambda obj, arg: obj["custom"][arg].__setitem__("index", 1.5), "custom[{arg}].index"),
+        (lambda obj, arg: obj["custom"][arg].__setitem__("index", True), "custom[{arg}].index"),
+        (lambda obj, arg: obj["api_counts"].__setitem__(0, 5), "api_counts[0]"),
+        (lambda obj, arg: obj.__setitem__("declared_sizes", [1514, 149]), "declared_sizes"),
+        (lambda obj, arg: obj["sets"]["All"].__setitem__(500, 500.7), "sets.All[500]"),
+        (lambda obj, arg: obj["declared_sizes"].__setitem__("ExtHighEntropy", "149"),
+         "declared_sizes.ExtHighEntropy"),
+        (lambda obj, arg: obj.__setitem__("notes", "x"), "notes"),
+        (lambda obj, arg: obj["custom"][arg].__setitem__("notes", "x"), "custom[{arg}].notes"),
+    ], ids=["fractional-index", "bool-index", "numeric-api-name", "declared-sizes-as-list",
+            "fractional-slot", "declared-size-as-string", "unknown-key", "unknown-custom-key"])
+    def test_a_mistyped_value_or_unknown_key_is_refused(self, catalog, tmp_path, edit, where):
+        obj = json.loads(catalog_to_json(catalog))
+        arg = next(i for i, c in enumerate(obj["custom"]) if c["target"] == "argument")
+        edit(obj, arg)
+        match = re.escape(f"bad catalog structure: {where.format(arg=arg)}: ")
+        with pytest.raises(ParseError, match=match):
+            load_catalog(_write(tmp_path, obj))
+
     def test_bad_json_is_a_parse_error(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text('{"api_counts": [')
@@ -407,9 +432,11 @@ class TestCatalogFile:
 @given(short=st.text(max_size=LONG_STRING_THRESHOLD),
        long=st.text(min_size=LONG_STRING_THRESHOLD + 1, max_size=LONG_STRING_THRESHOLD + 40),
        number=st.floats(allow_nan=False), flag=st.booleans(),
-       length=st.integers(min_value=0, max_value=10_000))
+       length=st.integers(min_value=0, max_value=10_000),
+       index=st.integers(min_value=0, max_value=MAX_ARGS - 1),
+       api=st.text(min_size=1), drawn=st.sets(st.integers(min_value=0, max_value=8), min_size=1))
 def test_catalog_round_trips_every_match_value_kind(tmp_path_factory, short, long, number,
-                                                     flag, length):
+                                                     flag, length, index, api, drawn):
     C = CustomFeatureSpec
     catalog = _small_catalog(
         C("A.b", "argument", 0, "equals", summarize_value(short)),
@@ -418,11 +445,15 @@ def test_catalog_round_trips_every_match_value_kind(tmp_path_factory, short, lon
         C("A.b", "argument", 3, "equals", flag),
         C("A.b", "return", None, "equals", None),
         C("A.b", "return", None, "strlen", length),
+        C(api, "argument", index, "equals", "x"),
     )
+    # every key and value of the file goes through the reader: a drawn set of slots too
+    catalog = FeatureCatalog(catalog.api_count_entries, catalog.custom_entries,
+                             {**catalog.named_sets, "Drawn": tuple(sorted(drawn))})
     path = tmp_path_factory.getbasetemp() / "kinds_catalog.json"
     save_catalog(catalog, path)
     back = load_catalog(path)
     assert back == catalog and catalog_hash(back) == catalog_hash(catalog)
     # equality alone would let True stand for 1.0
     assert [type(c.match_value) for c in back.custom_entries] \
-        == [str, LongString, float, bool, type(None), int]
+        == [str, LongString, float, bool, type(None), int, str]

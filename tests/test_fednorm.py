@@ -10,6 +10,7 @@ one column at a time, the definition participant_moments vectorizes.
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -517,6 +518,21 @@ def test_constant_column_hits_floor_and_stays_total():
     z = normalize_matrix(x, stats)
     assert np.isfinite(z).all()
     np.testing.assert_allclose(z, 0.0)
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda obj: obj.__setitem__("mu", ["1.5", "2"]), "mu[0]"),
+    (lambda obj: obj.__setitem__("clip_mu", "2"), "clip_mu"),
+    (lambda obj: obj.__setitem__("mu", [True, 1.0]), "mu[0]"),
+    (lambda obj: obj.pop("clip_var"), "clip_var"),
+    (lambda obj: obj.__setitem__("z", 1.0), "z"),
+], ids=["strings-as-means", "clip-as-string", "bool-as-mean", "missing-clip", "unknown-key"])
+def test_norm_stats_from_dict_refuses_a_mistyped_missing_or_unknown_value(edit, where):
+    # these were read as 1.5, 2.0 and 1.0, or raised a bare KeyError
+    obj = NormStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]), 1.0, 3.0).to_dict()
+    edit(obj)
+    with pytest.raises(InvalidInput, match=f"^{re.escape(where)}: "):
+        NormStats.from_dict(obj)
 
 
 def test_norm_stats_round_trip(tmp_path):

@@ -160,6 +160,17 @@ class TestSplit:
         with pytest.raises(InvalidInput):
             SplitSpec.from_dict(split)
 
+    @pytest.mark.parametrize("split, reason", [
+        ({"train_domains": []}, "test_domains: required field missing"),
+        ({"test_domains": ["c.example"]}, "train_domains: required field missing"),
+        ({"train_domains": ["a.example"], "test_domains": [], "holdout": []},
+         "holdout: unknown field"),
+    ], ids=["no-test-side", "no-train-side", "unknown-side"])
+    def test_split_from_dict_refuses_a_missing_or_unknown_side(self, split, reason):
+        # a missing side used to raise a bare KeyError, which the CLI does not catch
+        with pytest.raises(InvalidInput, match=f"^{reason}$"):
+            SplitSpec.from_dict(split)
+
     def test_split_rejects_overlap(self):
         with pytest.raises(InvalidInput):
             SplitSpec(("a.example",), ("a.example",))
