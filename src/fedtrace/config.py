@@ -2,15 +2,19 @@
 
 A config, or the record of a JSON artifact that maps 1:1 to it, derives
 from JsonConfig. Field types come from its annotations: int, float, bool,
-str, X | None, tuple[X, ...], a fixed-length tuple[X, Y], dict[str, X] and
-a nested JsonConfig. from_dict gives every absent field its default and
+str, X | None, tuple[X, ...], a fixed-length tuple[X, Y], dict[str, X],
+a plain dict (an object whose values are taken as they are) and a nested
+JsonConfig. from_dict gives every absent field its default and
 refuses an unknown or missing field or a wrongly typed value, naming the
 dotted field path (generator.n_scripts, entries[0][3]) in the class's
 _error: FieldError for a record, ConfigError (the user's config at fault)
-for a config. An integral float such as 5e3 reads as an int field's 5000;
-a bool or a string never reads as a number, and a float must be finite,
-except that a field whose metadata sets ALLOW_INF also takes infinity or
-"inf". to_dict writes the same JSON shape back. Construction reads every
+for a config. An integral float such as 5e3 reads as an int field's
+5000; a bool or a string never reads as a number, and a float must be
+finite, except that a field whose metadata sets ALLOW_INF also takes
+infinity or "inf". The elements of a list or an object are read without
+a path; only a read that fails is read again with each element's path,
+so a file of thousands of values formats one path, the failing one.
+to_dict writes the same JSON shape back. Construction reads every
 field by these rules however the object was built (from_dict, directly or
 dataclasses.replace) and stores what it read, ExperimentConfig(rounds=4.0)
 holding the int 4, before the subclass's _check runs its range checks.
@@ -144,13 +148,33 @@ def _read(tp, value, where: str, error, allow_inf: bool = False):
             args = (args[0],) * len(value)
         elif len(value) != len(args):  # tuple[X, Y]
             raise error(where, f"must be a list of {len(args)} values: {value!r}")
-        return tuple(_read(a, v, f"{where}[{i}]", error)
-                     for i, (a, v) in enumerate(zip(args, value)))
+        return tuple(_read_each(args, value, range(len(value)), where, error))
     if origin is dict:  # dict[str, X]
         if not isinstance(value, Mapping):
             raise error(where, f"must be an object: {value!r}")
-        return {_read(str, k, where, error): _read(args[1], v, f"{where}.{k}" if where else k,
-                                                   error) for k, v in value.items()}
+        keys = [_read(str, k, where, error) for k in value]
+        return dict(zip(keys, _read_each((args[1],) * len(keys), value.values(), keys,
+                                         where, error)))
+    if tp is dict:  # an object whose values are taken as they are
+        if not isinstance(value, Mapping):
+            raise error(where, f"must be an object: {value!r}")
+        return value
     if isinstance(tp, type) and issubclass(tp, JsonConfig):
         return value if isinstance(value, tp) else _read_config(tp, value, where)
     raise TypeError(f"{where}: no reader for config type {tp!r}")
+
+
+def _read_each(types_, values, keys, where: str, error) -> list:
+    """Each value read as its type, with no path formatted.
+
+    A pass that fails is read again naming each element (where[i] or
+    where.key), so it raises the same error with the failing element's path.
+    """
+    try:
+        return [_read(tp, v, "", error) for tp, v in zip(types_, values)]
+    except FieldError:
+        for tp, v, key in zip(types_, values, keys):
+            path = (f"{where}[{key}]" if isinstance(key, int)
+                    else f"{where}.{key}" if where else key)
+            _read(tp, v, path, error)
+        raise

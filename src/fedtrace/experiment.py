@@ -49,7 +49,11 @@ hashes recorded in generate_manifest.json and checkpoint.json make a
 later stage refuse a catalog.json, features.npz, placements.json,
 ranking.txt, split.json, partition.json, normstats.json or ledger.json
 that another run wrote. A stage parses a checked file from the bytes it
-hashed, in one read, so a file swapped after the check is never used.
+hashed, in one read, so a file swapped after the check is never used;
+features.npz's arrays are read straight from those bytes
+(artifacts.read_npz), with no second CRC pass. generate_manifest.json and
+partition.json, which no recorded hash guards where a stage reads them, go
+through the typed reader like every other JSON artifact.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import atomic_write, file_sha256, read_npz, write_npz
-from .config import ALLOW_INF, JsonConfig, read_value
+from .config import ALLOW_INF, JsonConfig, check_keys, read_value
 from .errors import (CalibrationError, ConfigError, FieldError, InvalidMask, ParseError,
                      StageDependencyError)
 from .features import catalog_hash, default_catalog, load_catalog, save_catalog
@@ -109,6 +113,15 @@ PRIVACY_REPORT_FILE = "privacy_report.json"
 CORPUS_FILES = (FEATURES_FILE, CATALOG_FILE, PLACEMENTS_FILE, RANKING_FILE, SPLIT_FILE,
                 GENERATE_MANIFEST_FILE)
 _PLACEMENTS = functools.partial(read_value, dict[str, tuple[str, ...]])  # placements.json
+# what a stage reads in generate_manifest.json: a hash the manifest lacks
+# or records as null is refused by the check against it, and a config
+# snapshot it lacks by the config check
+_GENERATE_MANIFEST = {"catalog_hash": str | None, "experiment_config": dict,
+                      "features_sha256": str | None, "placements_sha256": str | None,
+                      "ranking_sha256": str | None, "split_sha256": str | None}
+# every key partition.json holds
+_PARTITION_KEYS = ("config", "limited_knowledge", "master_seed", "n_participants",
+                   "participants", "urls_per_participant", "zipf_exponent")
 
 METRICS_HEADER = ("feature_set", "participants", "epsilon", "seed", "split",
                   "n_scripts", "n_positive", "auprc")
@@ -294,11 +307,6 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _read_record(run_dir: Path, name: str, read, data: bytes | None = None):
     """read applied to an artifact's JSON (data, else the file's bytes); errors name the file."""
     path = run_dir / name
@@ -308,6 +316,15 @@ def _read_record(run_dir: Path, name: str, read, data: bytes | None = None):
         raise type(exc)(f"{path}: {exc.field}" if exc.field else str(path), exc.message) from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"not a JSON document: {exc}", path=str(path)) from None
+
+
+def _read_generate_manifest(obj) -> dict:
+    """generate_manifest.json's object, once every value a stage reads in it is read."""
+    read_value(dict, obj)
+    for key, tp in _GENERATE_MANIFEST.items():
+        if key in obj:
+            read_value(tp, obj[key], key)
+    return obj
 
 
 def config_snapshot_line(config: ExperimentConfig) -> str:
@@ -372,9 +389,11 @@ def training_ranking(ranking: DomainRanking, split: SplitSpec) -> DomainRanking:
 
 
 def _rows_for(corpus: ScriptCorpus, domains: Sequence[str]) -> np.ndarray:
-    chunks = [corpus.rows_for_domain(d) for d in domains]
-    rows = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
-    return np.unique(rows)
+    """The corpus rows the domains load, each once, in ascending order."""
+    loaded = np.zeros(corpus.n_scripts, dtype=bool)
+    if domains:
+        loaded[np.concatenate([corpus.rows_for_domain(d) for d in domains])] = True
+    return np.flatnonzero(loaded)
 
 
 @dataclass(eq=False)
@@ -645,7 +664,7 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
     run_dir = Path(run_dir)
     _require(run_dir, "partition",
              (RANKING_FILE, SPLIT_FILE, PLACEMENTS_FILE, GENERATE_MANIFEST_FILE))
-    generated = _read_json(run_dir / GENERATE_MANIFEST_FILE)
+    generated = _read_record(run_dir, GENERATE_MANIFEST_FILE, _read_generate_manifest)
     _check_corpus_config(config, generated, run_dir)
     ranking, placements, split = _generated_domains(run_dir, generated)
     draws, spec = _partition_plan(training_ranking(ranking, split), config)
@@ -677,7 +696,7 @@ def load_corpus(run_dir) -> PreparedData:
     """
     run_dir = Path(run_dir)
     _require(run_dir, "load_corpus", CORPUS_FILES)
-    manifest = _read_json(run_dir / GENERATE_MANIFEST_FILE)
+    manifest = _read_record(run_dir, GENERATE_MANIFEST_FILE, _read_generate_manifest)
     data = _recorded_bytes(run_dir, FEATURES_FILE, manifest.get("features_sha256"), "generate")
     ranking, placements, split = _generated_domains(run_dir, manifest)
     catalog = load_catalog(run_dir / CATALOG_FILE)
@@ -706,9 +725,19 @@ def corpus_from_traces(run_dir) -> ScriptCorpus:
 
 def participants_from_manifest(manifest: dict,
                                corpus: ScriptCorpus) -> list[ParticipantDataset]:
-    """Rebuild the views from the stored domain draws and knowledge limits."""
-    return build_partition(corpus, [entry["urls"] for entry in manifest["participants"]],
-                           LimitedKnowledgeSpec.from_dict(manifest["limited_knowledge"]))
+    """Rebuild the views from partition.json's domain draws and knowledge limits.
+
+    manifest is partition.json's object, whose keys the caller checked;
+    each participant's urls and the limits are read by the typed reader
+    (FieldError naming the dotted path).
+    """
+    draws = []
+    for i, entry in enumerate(read_value(tuple[dict, ...], manifest["participants"],
+                                         "participants")):
+        check_keys(entry, ("urls",), ("n_scripts", "participant_id"), f"participants[{i}]")
+        draws.append(read_value(tuple[str, ...], entry["urls"], f"participants[{i}].urls"))
+    return build_partition(corpus, draws, read_value(
+        LimitedKnowledgeSpec, manifest["limited_knowledge"], "limited_knowledge"))
 
 
 def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
@@ -718,10 +747,15 @@ def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
     prepared = load_corpus(run_dir)
     _check_corpus_config(config, prepared.manifest, run_dir)
     partition_bytes = (run_dir / PARTITION_FILE).read_bytes()
-    manifest = json.loads(partition_bytes)
-    _check_config(config, manifest.get("config", {}), PARTITION_FIELDS, PARTITION_FILE,
-                  "partition")
-    participants = participants_from_manifest(manifest, prepared.corpus)
+
+    def stored_participants(manifest) -> list[ParticipantDataset]:
+        # a config snapshot it lacks is refused by the config check, as not this run's
+        check_keys(manifest, ("limited_knowledge", "participants"), _PARTITION_KEYS)
+        _check_config(config, read_value(dict, manifest.get("config", {}), "config"),
+                      PARTITION_FIELDS, PARTITION_FILE, "partition")
+        return participants_from_manifest(manifest, prepared.corpus)
+
+    participants = _read_record(run_dir, PARTITION_FILE, stored_participants, partition_bytes)
     outcome = train_in_memory(prepared, participants, config)
     norm_stats_sha256 = None
     if outcome.norm_stats is not None:

@@ -35,7 +35,7 @@ import numpy as np
 from . import heuristics
 from .artifacts import atomic_write
 from .config import check_keys, read_value
-from .errors import CardinalityError, InvalidInput, InvalidMask, ParseError
+from .errors import CardinalityError, FieldError, InvalidInput, InvalidMask, ParseError
 from .traces import MAX_ARGS, LongString, Scalar, ScriptTrace, scalar_from_json, scalar_to_json
 
 REQUIRED_SET_NAMES = ("All", "FPInspector", "JShelter", "HighEntropy", "ExtHighEntropy")
@@ -265,17 +265,23 @@ def _custom_to_json(spec: CustomFeatureSpec) -> dict:
     return obj
 
 
-def _custom_from_json(obj, where: str) -> CustomFeatureSpec:
+def _custom_from_json(obj, i: int) -> CustomFeatureSpec:
+    """catalog.json's custom[i]; its path is formatted only for an error."""
     # a strlen length stays the JSON integer, which CustomFeatureSpec checks;
     # an equals value is a trace scalar, read by the trace parser's decoder
-    check_keys(obj, ("api", "target", "match", "value"), ("index",), where)
-    return CustomFeatureSpec(
-        api_name=read_value(str, obj["api"], f"{where}.api"),
-        target=read_value(str, obj["target"], f"{where}.target"),
-        arg_index=read_value(int, obj["index"], f"{where}.index") if "index" in obj else None,
-        match_kind=read_value(str, obj["match"], f"{where}.match"),
-        match_value=obj["value"] if obj["match"] == "strlen" else scalar_from_json(obj["value"]),
-    )
+    try:
+        check_keys(obj, ("api", "target", "match", "value"), ("index",))
+        return CustomFeatureSpec(
+            api_name=read_value(str, obj["api"], "api"),
+            target=read_value(str, obj["target"], "target"),
+            arg_index=read_value(int, obj["index"], "index") if "index" in obj else None,
+            match_kind=read_value(str, obj["match"], "match"),
+            match_value=(obj["value"] if obj["match"] == "strlen"
+                         else scalar_from_json(obj["value"])),
+        )
+    except FieldError as exc:
+        where = f"custom[{i}]"
+        raise FieldError(f"{where}.{exc.field}" if exc.field else where, exc.message) from None
 
 
 def catalog_to_json(catalog: FeatureCatalog) -> str:
@@ -313,8 +319,7 @@ def load_catalog(path) -> FeatureCatalog:
         check_keys(obj, ("api_counts", "custom", "sets"), ("declared_sizes",))
         catalog = FeatureCatalog(
             api_count_entries=read_value(tuple[str, ...], obj["api_counts"], "api_counts"),
-            custom_entries=tuple(_custom_from_json(c, f"custom[{i}]")
-                                 for i, c in enumerate(obj["custom"])),
+            custom_entries=tuple(_custom_from_json(c, i) for i, c in enumerate(obj["custom"])),
             named_sets=read_value(dict[str, tuple[int, ...]], obj["sets"], "sets"),
         )
         declared = read_value(dict[str, int], obj.get("declared_sizes", {}), "declared_sizes")

@@ -139,9 +139,9 @@ def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
     margins = (X.dot(wc) if one_block else np.concatenate(
         [X[rows].dot(wc) for rows in row_blocks(n)])) + compute(theta[-1])
     yf = y.astype(compute, copy=False)
-    # mean(softplus(m) - y*m) == mean BCE
-    loss = float(np.add.reduce(np.logaddexp(0.0, margins) - yf * margins,
-                               dtype=np.float64)) / n
+    # mean(softplus(m) - y*m) == mean BCE, softplus(m) = log1p(exp(-|m|)) + max(m, 0)
+    softplus = np.log1p(np.exp(-np.abs(margins))) + np.maximum(margins, 0)
+    loss = float(np.add.reduce(softplus - yf * margins, dtype=np.float64)) / n
     loss += 0.5 * l2_lambda * float(w.dot(w))
     residual = _expit(margins) - yf
     grad = np.empty_like(theta, dtype=np.float64)

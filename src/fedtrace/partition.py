@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -228,14 +229,22 @@ class ScriptCorpus:
         """The corpus to_arrays wrote; InvalidInput if the arrays are malformed.
 
         The arrays come from a file, so CSRMatrix.checked validates the
-        matrix structure before any row is read.
+        matrix structure before any row is read. They may be views into
+        the file's bytes (artifacts.read_npz): the corpus keeps copies, so
+        the bytes can be freed, and reads script_ids (a 1-d unicode
+        array) into strings.
         """
         try:
-            X = CSRMatrix.checked(arrays["data"], arrays["indices"], arrays["indptr"],
+            X = CSRMatrix.checked(*(np.array(arrays[name]) for name in ("data", "indices",
+                                                                        "indptr")),
                                   arrays["shape"])
-            script_ids = tuple(str(s) for s in arrays["script_ids"].tolist())
-            labels = arrays["labels"].astype(bool, copy=False)
-            fp_bitmasks = arrays["fp_bitmasks"].astype(np.uint8, copy=False)
+            ids = arrays["script_ids"]
+            if ids.dtype.kind != "U" or ids.ndim != 1:
+                raise InvalidInput(f"script_ids must be a 1-d unicode array, not "
+                                   f"{ids.ndim}-d {ids.dtype}")
+            script_ids = tuple(ids.tolist())
+            labels = np.array(arrays["labels"], dtype=bool)
+            fp_bitmasks = np.array(arrays["fp_bitmasks"], dtype=np.uint8)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad feature rows: {exc}") from None
         return cls(catalog, script_ids, X, labels, fp_bitmasks,
@@ -244,15 +253,22 @@ class ScriptCorpus:
 
 def rows_by_domain(placements: Mapping[str, Sequence[str]],
                    script_ids: Sequence[str]) -> dict[str, np.ndarray]:
-    """Map each domain's script ids (load order kept) to corpus row indices."""
-    row_of = {sid: i for i, sid in enumerate(script_ids)}
-    out = {}
-    for domain, sids in placements.items():
-        try:
-            out[domain] = np.asarray([row_of[sid] for sid in sids], dtype=np.intp)
-        except KeyError as exc:
-            raise InvalidInput(f"domain {domain!r} lists unknown script {exc.args[0]!r}") from None
-    return out
+    """Map each domain's script ids (load order kept) to corpus row indices.
+
+    Every id placements lists is looked up in one flat pass; each
+    domain's rows are its slice of that one array.
+    """
+    row_of = dict(zip(script_ids, range(len(script_ids))))
+    try:
+        flat = np.fromiter(map(row_of.__getitem__, itertools.chain.from_iterable(
+            placements.values())), dtype=np.intp)
+    except KeyError as exc:
+        sid = exc.args[0]
+        domain = next(d for d, sids in placements.items() if sid in sids)
+        raise InvalidInput(f"domain {domain!r} lists unknown script {sid!r}") from None
+    bounds = [0, *itertools.accumulate(map(len, placements.values()))]
+    return {domain: flat[start:stop]
+            for domain, start, stop in zip(placements, bounds, bounds[1:])}
 
 
 @dataclass(eq=False)

@@ -1,5 +1,8 @@
 """Artifact file primitives: atomic replacement and deterministic npz files."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,12 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
 
 
+def _grown(data: bytes) -> bytes:
+    """A one-member zip whose member claims one byte more than it holds."""
+    size = int.from_bytes(data[18:22], "little") + 1  # the local header's two sizes
+    return data[:18] + size.to_bytes(4, "little") * 2 + data[26:]
+
+
 class TestNpz:
     def test_round_trip_keeps_order_dtype_and_values(self, tmp_path):
         arrays = {"ids": np.asarray(["a#1", "bb#2"]), "v": np.arange(5, dtype=np.float32),
@@ -59,6 +68,57 @@ class TestNpz:
         with pytest.raises(ValueError):
             write_npz(tmp_path / "f.npz", {"o": np.asarray([{"a": 1}], dtype=object)})
         assert list(tmp_path.iterdir()) == []
+
+    def test_members_equal_what_np_load_reads(self, tmp_path):
+        arrays = {"ids": np.asarray(["a#1", "bbb#2", ""]), "none": np.asarray([], dtype=str),
+                  "i32": np.arange(-3, 4, dtype=np.int32), "i64": np.asarray([2**40, -1]),
+                  "shape": np.asarray([3, 4], dtype=np.int64),
+                  "f32": np.asarray([0.5, -2.0, np.inf], dtype=np.float32),
+                  "flags": np.asarray([True, False]), "u8": np.asarray([1, 255], dtype=np.uint8),
+                  "empty_f32": np.empty(0, np.float32), "empty_i32": np.empty(0, np.int32),
+                  "empty_bool": np.empty(0, bool), "scalar": np.asarray(7, dtype=np.int64),
+                  "grid": np.arange(6, dtype=np.int64).reshape(2, 3)}
+        write_npz(tmp_path / "f.npz", arrays)
+        data = (tmp_path / "f.npz").read_bytes()
+        back = read_npz(data)
+        with np.load(tmp_path / "f.npz", allow_pickle=False) as npz:
+            assert list(back) == npz.files == list(arrays)
+            for name in npz.files:
+                expected = npz[name]
+                assert back[name].dtype == expected.dtype and back[name].shape == expected.shape
+                assert np.array_equal(back[name], expected)
+        assert not back["i32"].flags.writeable  # a view into the file's bytes
+
+    @staticmethod
+    def _zip(member, compression=zipfile.ZIP_STORED, **write):
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", compression) as zf, zf.open("a.npy", "w") as fh:
+            np.lib.format.write_array(fh, member, **write)
+        return buffer.getvalue()
+
+    def test_a_plain_stored_zip_of_one_array_reads(self):
+        assert np.array_equal(read_npz(self._zip(np.arange(4)))["a"], np.arange(4))
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda z: z(np.asarray([{"a": 1}], dtype=object), allow_pickle=True),
+         "holds objects"),
+        (lambda z: z(np.arange(4), zipfile.ZIP_DEFLATED), "is compressed"),
+        (lambda z: z(np.asfortranarray(np.arange(6).reshape(2, 3))), "Fortran order"),
+        (lambda z: _grown(z(np.arange(4))), "runs past the members"),
+        (lambda z: b"PK\x03\x05" + z(np.arange(4))[4:], "bad local header signature"),
+        (lambda z: z(np.arange(4))[:-1], "not a zip file"),
+    ], ids=["object-dtype", "compressed", "fortran-order", "past-the-bytes",
+            "bad-signature", "no-end-record"])
+    def test_what_write_npz_never_writes_is_refused(self, make, reason):
+        with pytest.raises(InvalidInput, match=reason):
+            read_npz(make(self._zip))
+
+    def test_an_array_that_does_not_fill_its_member_is_refused(self):
+        data = bytearray(self._zip(np.arange(4, dtype=np.int64)))
+        at = data.index(b"(4,)")
+        data[at:at + 4] = b"(5,)"  # the header claims more than the member holds
+        with pytest.raises(InvalidInput, match="does not fill it"):
+            read_npz(bytes(data))
 
 
 class TestSparseRows:
@@ -106,3 +166,25 @@ class TestSparseRows:
         arrays[name] = value
         with pytest.raises(InvalidInput):
             ScriptCorpus.from_arrays(arrays, CATALOG, PLACEMENTS)
+
+    @pytest.mark.parametrize("ids", [np.asarray([b"s0", b"s1", b"s2"]), np.arange(3),
+                                     np.asarray([["s0", "s1", "s2"]])],
+                             ids=["bytes", "ints", "2-d"])
+    def test_script_ids_must_be_a_1d_unicode_array(self, ids):
+        arrays = self._corpus().to_arrays()
+        arrays["script_ids"] = ids
+        with pytest.raises(InvalidInput, match="script_ids must be a 1-d unicode array"):
+            ScriptCorpus.from_arrays(arrays, CATALOG, PLACEMENTS)
+
+    def test_the_corpus_keeps_no_view_into_the_file(self, tmp_path):
+        write_npz(tmp_path / "f.npz", self._corpus().to_arrays())
+        data = (tmp_path / "f.npz").read_bytes()
+        back = ScriptCorpus.from_arrays(read_npz(data), CATALOG, PLACEMENTS)
+        for array in (back.X.data, back.X.indices, back.X.indptr, back.labels,
+                      back.fp_bitmasks):
+            assert array.flags.owndata and array.flags.writeable
+
+    def test_an_unknown_script_names_the_first_domain_listing_it(self):
+        placements = {"x.com": ["s0"], "y.com": ["s1", "s9"], "z.com": ["s9"]}
+        with pytest.raises(InvalidInput, match="domain 'y.com' lists unknown script 's9'"):
+            ScriptCorpus.from_arrays(self._corpus().to_arrays(), CATALOG, placements)

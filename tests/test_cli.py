@@ -241,3 +241,51 @@ class TestMalformedArtifacts:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"checkpoint.json: {where}: " in err
         assert not (run / "metrics.csv").exists()
+
+
+class TestUncheckedRunFiles:
+    """generate_manifest.json and partition.json, which no recorded hash guards
+    when a stage reads them, go through the typed reader too: a broken file
+    exits 1 with an error line naming it, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["partition", "train", "evaluate"])
+    @pytest.mark.parametrize("text, reason", [
+        ('{"n_scripts": 500,', "not a JSON document"),
+        ("[1]", "must be an object"),
+        ('{"experiment_config": [1]}', "experiment_config: must be an object"),
+        ('{"experiment_config": null}', "experiment_config: must be an object"),
+        ('{"features_sha256": 5}', "features_sha256: must be a string"),
+    ], ids=["truncated", "list", "config-as-list", "null-config", "numeric-hash"])
+    def test_a_broken_generate_manifest_is_refused(self, trained_dir, tmp_path, capsys,
+                                                  command, text, reason):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        (run / "generate_manifest.json").write_text(text)
+        argv = [command, *TINY] if command != "evaluate" else [command]
+        assert main([*argv, "--out", str(run)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"generate_manifest.json: {reason}" in err
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda p: p.pop("participants"), "participants: required field missing"),
+        (lambda p: p.pop("limited_knowledge"), "limited_knowledge: required field missing"),
+        (lambda p: p.__setitem__("config", [1]), "config: must be an object"),
+        (lambda p: p["participants"][2].__setitem__("urls", "a.example"),
+         "participants[2].urls: must be a list"),
+        (lambda p: p["participants"][1].pop("urls"), "participants[1].urls: required field"),
+        (lambda p: p["limited_knowledge"].__setitem__("fraction", "0"),
+         "limited_knowledge.fraction: must be a number"),
+    ], ids=["no-participants", "no-limits", "config-as-list", "urls-as-string", "no-urls",
+            "fraction-as-string"])
+    def test_train_refuses_a_malformed_partition(self, trained_dir, tmp_path, capsys,
+                                                 edit, where):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        partition = json.loads((run / "partition.json").read_text())
+        edit(partition)
+        (run / "partition.json").write_text(json.dumps(partition))
+        assert main(["train", *TINY, "--out", str(run)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"partition.json: {where}" in err

@@ -15,7 +15,8 @@ from fedtrace import experiment
 from fedtrace.artifacts import ZIP_EPOCH, read_npz
 from fedtrace.cli import apply_overrides
 from fedtrace.csr import CSRMatrix
-from fedtrace.errors import CalibrationError, ConfigError, InvalidInput, StageDependencyError
+from fedtrace.errors import (CalibrationError, ConfigError, FieldError, InvalidInput,
+                             StageDependencyError)
 from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE,
                                  METRICS_FILE, NORM_STATS_FILE, PARTITION_FILE,
                                  PLACEMENTS_FILE, PRESETS, RANKING_FILE, ROUND_RECORDS_FILE,
@@ -853,6 +854,20 @@ class TestPersistedFeatures:
         assert list(stored.domain_rows) == list(rebuilt.domain_rows)
         for domain, rows in rebuilt.domain_rows.items():
             assert np.array_equal(stored.domain_rows[domain], rows)
+
+    def test_a_bad_id_deep_in_placements_is_named_by_its_path(self, run_dir, tmp_path):
+        # placements.json is read whole by the typed reader, which formats an
+        # element's path only for an error; the path is the one it always was
+        for name in (TRACES_FILE, CATALOG_FILE):
+            shutil.copy(run_dir / name, tmp_path / name)
+        placements = json.loads((run_dir / PLACEMENTS_FILE).read_text())
+        domain = list(placements)[-1]
+        placements[domain].append(5)
+        (tmp_path / PLACEMENTS_FILE).write_text(json.dumps(placements))
+        where = f"{tmp_path / PLACEMENTS_FILE}: {domain}[{len(placements[domain]) - 1}]"
+        with pytest.raises(FieldError) as err:
+            corpus_from_traces(tmp_path)
+        assert str(err.value) == f"{where}: must be a string: 5"
 
     def test_corpus_matrix_stays_sparse(self, run_cfg, run_dir):
         stored = read_npz((run_dir / FEATURES_FILE).read_bytes())
