@@ -44,6 +44,10 @@ Artifacts, all inside one run directory:
 The identity columns that evaluate writes come from the checkpoint's
 stored config, so metrics always describe the model they score.
 
+partition, train and evaluate each start from load_corpus, the one reader
+of the generate stage's artifacts, and partition.json's script counts are
+the sizes of the build_partition views that train builds.
+
 Every artifact is replaced atomically (artifacts.atomic_write), and the
 hashes recorded in generate_manifest.json and checkpoint.json make a
 later stage refuse a catalog.json, features.npz, placements.json,
@@ -228,6 +232,8 @@ def read_config_file(path) -> dict:
             obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(str(path), "config file not found") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(str(path), f"cannot read the config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -281,6 +287,17 @@ class LedgerRecord(JsonConfig):
 
     delta: float
     entries: tuple[tuple[str, float, float, int], ...] = ()
+
+    def _check(self):
+        if not 0.0 < self.delta < 1.0:
+            raise FieldError("delta", f"must be in (0, 1): {self.delta}")
+        for i, (_, q, z, count) in enumerate(self.entries):
+            if not 0.0 < q <= 1.0:
+                raise FieldError(f"entries[{i}][1]", f"must be in (0, 1]: {q}")
+            if z < 0.0:
+                raise FieldError(f"entries[{i}][2]", f"must be >= 0: {z}")
+            if count < 1:
+                raise FieldError(f"entries[{i}][3]", f"must be >= 1: {count}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,18 +383,6 @@ def _recorded_bytes(run_dir: Path, name: str, recorded, rerun: str) -> bytes:
             f"{name} in {run_dir} is not the one this run recorded; "
             f"re-run the {rerun} stage")
     return data
-
-
-def _generated_domains(run_dir: Path, manifest: dict
-                       ) -> tuple[DomainRanking, dict[str, tuple[str, ...]], SplitSpec]:
-    """ranking.txt, placements.json and split.json, checked against the generate manifest."""
-    ranking = parse_ranking(_recorded_bytes(
-        run_dir, RANKING_FILE, manifest.get("ranking_sha256"), "generate"), run_dir / RANKING_FILE)
-    placements = _read_record(run_dir, PLACEMENTS_FILE, _PLACEMENTS, _recorded_bytes(
-        run_dir, PLACEMENTS_FILE, manifest.get("placements_sha256"), "generate"))
-    split = _read_record(run_dir, SPLIT_FILE, SplitSpec.from_dict, _recorded_bytes(
-        run_dir, SPLIT_FILE, manifest.get("split_sha256"), "generate"))
-    return ranking, placements, split
 
 
 # ----------------------------------------------------- in-memory pieces
@@ -660,17 +665,19 @@ def _check_corpus_config(config: ExperimentConfig, manifest: dict, run_dir: Path
 
 
 def stage_partition(config: ExperimentConfig, run_dir) -> dict:
-    """Draw every participant's domains and fix the knowledge limits."""
+    """Draw every participant's domains and fix the knowledge limits.
+
+    Starts from load_corpus, as train and evaluate do; each entry's
+    n_scripts is its build_partition view's size before the knowledge limits.
+    """
     run_dir = Path(run_dir)
-    _require(run_dir, "partition",
-             (RANKING_FILE, SPLIT_FILE, PLACEMENTS_FILE, GENERATE_MANIFEST_FILE))
-    generated = _read_record(run_dir, GENERATE_MANIFEST_FILE, _read_generate_manifest)
-    _check_corpus_config(config, generated, run_dir)
-    ranking, placements, split = _generated_domains(run_dir, generated)
-    draws, spec = _partition_plan(training_ranking(ranking, split), config)
-    participants = [{"participant_id": pid, "urls": domains,
-                     "n_scripts": len(set().union(*(placements[d] for d in domains)))}
-                    for pid, domains in enumerate(draws)]
+    _require(run_dir, "partition", CORPUS_FILES)
+    prepared = load_corpus(run_dir)
+    _check_corpus_config(config, prepared.manifest, run_dir)
+    draws, spec = _partition_plan(prepared.train_ranking, config)
+    views = build_partition(prepared.corpus, draws, LimitedKnowledgeSpec(0.0, ()))
+    participants = [{"participant_id": pid, "urls": domains, "n_scripts": view.n_scripts}
+                    for pid, (domains, view) in enumerate(zip(draws, views))]
     manifest = {
         "master_seed": config.seed,
         "n_participants": config.n_participants,
@@ -698,7 +705,12 @@ def load_corpus(run_dir) -> PreparedData:
     _require(run_dir, "load_corpus", CORPUS_FILES)
     manifest = _read_record(run_dir, GENERATE_MANIFEST_FILE, _read_generate_manifest)
     data = _recorded_bytes(run_dir, FEATURES_FILE, manifest.get("features_sha256"), "generate")
-    ranking, placements, split = _generated_domains(run_dir, manifest)
+    ranking = parse_ranking(_recorded_bytes(
+        run_dir, RANKING_FILE, manifest.get("ranking_sha256"), "generate"), run_dir / RANKING_FILE)
+    placements = _read_record(run_dir, PLACEMENTS_FILE, _PLACEMENTS, _recorded_bytes(
+        run_dir, PLACEMENTS_FILE, manifest.get("placements_sha256"), "generate"))
+    split = _read_record(run_dir, SPLIT_FILE, SplitSpec.from_dict, _recorded_bytes(
+        run_dir, SPLIT_FILE, manifest.get("split_sha256"), "generate"))
     catalog = load_catalog(run_dir / CATALOG_FILE)
     if catalog_hash(catalog) != manifest.get("catalog_hash"):
         raise StageDependencyError(

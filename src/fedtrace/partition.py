@@ -32,7 +32,7 @@ from . import features
 from .artifacts import atomic_write
 from .config import JsonConfig
 from .csr import CSRMatrix
-from .errors import InsufficientData, InvalidInput, ParseError
+from .errors import FieldError, InsufficientData, InvalidInput, ParseError
 from .features import FeatureCatalog
 from .seeding import DOMAIN_SAMPLING, LIMITED_KNOWLEDGE, derive_rng
 from .traces import FP_TYPES, LabeledScript, types_to_bitmask
@@ -346,11 +346,11 @@ class LimitedKnowledgeSpec(JsonConfig):
 
     def _check(self):
         if not 0.0 <= self.fraction <= 1.0:
-            raise InvalidInput(f"fraction must be in [0, 1]: {self.fraction}")
-        for pid, allowed in self.assignments:
+            raise FieldError("fraction", f"must be in [0, 1]: {self.fraction}")
+        for i, (pid, allowed) in enumerate(self.assignments):
             if allowed not in FP_TYPES:
-                raise InvalidInput(f"unknown fingerprinting type {allowed!r} "
-                                   f"for participant {pid}")
+                raise FieldError(f"assignments[{i}][1]", f"unknown fingerprinting type "
+                                 f"{allowed!r} for participant {pid}")
 
 
 def make_limited_knowledge(participant_ids: Sequence[int], fraction: float,

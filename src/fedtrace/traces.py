@@ -249,15 +249,18 @@ def _trace_from_obj(obj) -> ScriptTrace:
 
 
 def parse_trace_file(path) -> list[ScriptTrace]:
-    """Read a trace file; raises ParseError with the offending line number."""
+    """Read a trace file; raises ParseError with the offending line number.
+
+    Each '\n'-ended line is decoded on its own: a byte that is not UTF-8 names its line.
+    """
     traces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
-                traces.append(_trace_from_obj(obj))
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                traces.append(_trace_from_obj(json.loads(line)))
             except (ValueError, KeyError, TypeError, IndexError, InvalidInput) as exc:
                 raise ParseError(str(exc), line=lineno, path=str(path)) from exc
     return traces

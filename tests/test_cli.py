@@ -113,6 +113,19 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config(args)
 
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_bytes(b'{"rounds": 3, "feature_set": "\xff"}'),
+        lambda path: path.mkdir(),
+    ], ids=["not-utf8", "directory"])
+    def test_an_unreadable_config_file_exits_2(self, tmp_path, capsys, make):
+        path = tmp_path / "cfg.json"
+        make(path)
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "run")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_parse_seeds(self):
         assert _parse_seeds(None) == DEFAULT_SEEDS
         assert _parse_seeds("3,1,2") == (3, 1, 2)
@@ -212,8 +225,13 @@ class TestMalformedArtifacts:
         ({"delta": 1e-5, "entries": [["fedavg-round", 0.1, 1.2, True]]}, "entries[0][3]"),
         ({"delta": "1e-5", "entries": [["fedavg-round", 0.1, 1.2, 1]]}, "delta"),
         ({"delta": 1e-5, "entries": [[5, 0.1, 1.2, 1]]}, "entries[0][0]"),
+        ({"delta": 1e-5, "entries": [["fedavg-round", 0.1, 1.2, 0]]}, "entries[0][3]"),
+        ({"delta": 1e-5, "entries": [["fedavg-round", 1.5, 1.2, 1]]}, "entries[0][1]"),
+        ({"delta": 1e-5, "entries": [["fedavg-round", 0.1, -1, 1]]}, "entries[0][2]"),
+        ({"delta": 2.0, "entries": [["fedavg-round", 0.1, 1.2, 1]]}, "delta"),
     ], ids=["missing-delta", "three-value-entry", "entries-as-object", "fractional-count",
-            "bool-count", "delta-as-string", "numeric-mechanism"])
+            "bool-count", "delta-as-string", "numeric-mechanism", "zero-count", "q-above-one",
+            "negative-z", "delta-above-one"])
     def test_account_refuses_a_malformed_bare_ledger(self, tmp_path, capsys, ledger, where):
         (tmp_path / "ledger.json").write_text(json.dumps(ledger))
         assert main(["account", "--out", str(tmp_path)]) == EXIT_FAILURE
@@ -276,8 +294,12 @@ class TestUncheckedRunFiles:
         (lambda p: p["participants"][1].pop("urls"), "participants[1].urls: required field"),
         (lambda p: p["limited_knowledge"].__setitem__("fraction", "0"),
          "limited_knowledge.fraction: must be a number"),
+        (lambda p: p["limited_knowledge"].__setitem__("fraction", 2.0),
+         "limited_knowledge.fraction: must be in [0, 1]"),
+        (lambda p: p["limited_knowledge"].__setitem__("assignments", [[0, "fonts"]]),
+         "limited_knowledge.assignments[0][1]: unknown fingerprinting type"),
     ], ids=["no-participants", "no-limits", "config-as-list", "urls-as-string", "no-urls",
-            "fraction-as-string"])
+            "fraction-as-string", "fraction-above-one", "unknown-type"])
     def test_train_refuses_a_malformed_partition(self, trained_dir, tmp_path, capsys,
                                                  edit, where):
         run = tmp_path / "run"

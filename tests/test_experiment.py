@@ -607,6 +607,25 @@ class TestStageGuards:
         with pytest.raises(StageDependencyError, match=FEATURES_FILE):
             stage_train(cfg, tmp_path / "a")
 
+    def test_partition_refuses_features_from_another_seed(self, tmp_path):
+        stage_generate(tiny_config(), tmp_path / "a")
+        stage_generate(tiny_config(seed=8), tmp_path / "b")
+        shutil.copyfile(tmp_path / "b" / FEATURES_FILE, tmp_path / "a" / FEATURES_FILE)
+        with pytest.raises(StageDependencyError, match=FEATURES_FILE):
+            stage_partition(tiny_config(), tmp_path / "a")
+        assert not (tmp_path / "a" / PARTITION_FILE).exists()
+
+    def test_partition_refuses_an_edited_catalog(self, tmp_path):
+        cfg = tiny_config(feature_set="HighEntropy")
+        stage_generate(cfg, tmp_path)
+        catalog = json.loads((tmp_path / CATALOG_FILE).read_text())
+        catalog["sets"]["HighEntropy"] = catalog["sets"]["HighEntropy"][:50]
+        catalog["declared_sizes"]["HighEntropy"] = 50  # a catalog load_catalog accepts
+        (tmp_path / CATALOG_FILE).write_text(json.dumps(catalog))
+        with pytest.raises(StageDependencyError, match=CATALOG_FILE):
+            stage_partition(cfg, tmp_path)
+        assert not (tmp_path / PARTITION_FILE).exists()
+
     def test_normstats_from_another_run_are_refused(self, tmp_path):
         for name, epsilon in (("a", 5.0), ("b", 2.0)):
             cfg = tiny_config(epsilon=epsilon)

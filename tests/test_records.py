@@ -45,11 +45,27 @@ def test_limited_knowledge_round_trips(fraction, assignments):
     assert _through_json(spec) == spec
 
 
+# a ledger's delta lies in (0, 1) and each entry's q in (0, 1], z >= 0 and count >= 1
 @settings(max_examples=50, deadline=None)
-@given(delta=finite, entries=st.lists(st.tuples(st.text(), finite, finite, st.integers())))
+@given(delta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       entries=st.lists(st.tuples(
+           st.text(), st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+           st.floats(min_value=0.0, allow_infinity=False), st.integers(min_value=1))))
 def test_ledger_round_trips(delta, entries):
     ledger = LedgerRecord(delta, tuple(entries))
     assert _through_json(ledger) == ledger
+
+
+@pytest.mark.parametrize("delta, entry, where", [
+    (0.0, ("m", 0.5, 1.0, 1), "delta"), (2.0, ("m", 0.5, 1.0, 1), "delta"),
+    (1e-5, ("m", 0.0, 1.0, 1), "entries[1][1]"), (1e-5, ("m", 1.5, 1.0, 1), "entries[1][1]"),
+    (1e-5, ("m", 0.5, -1.0, 1), "entries[1][2]"), (1e-5, ("m", 0.5, 1.0, 0), "entries[1][3]"),
+])
+def test_ledger_range_errors_name_the_field(delta, entry, where):
+    entries = [["m", 1.0, 0.0, 3], list(entry)]
+    with pytest.raises(FieldError) as err:
+        LedgerRecord.from_dict({"delta": delta, "entries": entries})
+    assert type(err.value) is FieldError and err.value.field == where
 
 
 @settings(max_examples=30, deadline=None)

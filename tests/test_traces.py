@@ -170,6 +170,16 @@ class TestTraceFile:
             parse_trace_file(path)
         assert exc_info.value.line == 2
 
+    def test_a_byte_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        good = trace_to_json_line(_example_trace()).encode("utf-8")
+        bad = trace_to_json_line(ScriptTrace("https://b.example/t.js#11aa", "b.example"))
+        bad = bad.encode("utf-8").replace(b"b.example", b"b.\xe9xample")
+        path.write_bytes(good + b"\n\n" + bad + b"\n")
+        with pytest.raises(ParseError) as exc_info:
+            parse_trace_file(path)
+        assert exc_info.value.line == 3 and "utf-8" in str(exc_info.value)
+
     def test_parse_rejects_malformed_call_shape(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         obj = json.loads(trace_to_json_line(_example_trace()))
