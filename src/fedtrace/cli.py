@@ -19,7 +19,7 @@ artifacts alone; the metrics identity comes from the checkpoint's saved
 config, so they need no config flags.
 
 Exit codes: 0 success, 2 bad configuration, 3 missing stage artifacts,
-1 any other pipeline failure.
+1 any other pipeline failure, an I/O error (OSError) included.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StageDependencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEPENDENCY
-    except FedTraceError as exc:
+    except (FedTraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

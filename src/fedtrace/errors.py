@@ -2,7 +2,8 @@
 
 Everything raised on purpose derives from FedTraceError so callers can
 catch one base type at the CLI boundary. I/O failures are left to the
-builtin OSError family (FileNotFoundError etc.).
+builtin OSError family, which the CLI reports as exit 1 like any other
+failure; a stage turns a missing input artifact into StageDependencyError.
 """
 
 from __future__ import annotations

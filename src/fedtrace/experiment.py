@@ -48,16 +48,16 @@ partition, train and evaluate each start from load_corpus, the one reader
 of the generate stage's artifacts, and partition.json's script counts are
 the sizes of the build_partition views that train builds.
 
-Every artifact is replaced atomically (artifacts.atomic_write), and the
-hashes recorded in generate_manifest.json and checkpoint.json make a
-later stage refuse a catalog.json, features.npz, placements.json,
-ranking.txt, split.json, partition.json, normstats.json or ledger.json
-that another run wrote. A stage parses a checked file from the bytes it
-hashed, in one read, so a file swapped after the check is never used;
-features.npz's arrays are read straight from those bytes
-(artifacts.read_npz), with no second CRC pass. generate_manifest.json and
-partition.json, which no recorded hash guards where a stage reads them, go
-through the typed reader like every other JSON artifact.
+Every artifact is replaced atomically (artifacts.atomic_write). Each input
+file a stage takes is read once, by _artifact, which refuses a missing file
+and, where a sha256 is recorded, other bytes (StageDependencyError): the
+_RECORDED table's four corpus files against generate_manifest.json, and
+partition.json, normstats.json and ledger.json against checkpoint.json.
+catalog.json is checked against the manifest's catalog_hash once parsed.
+Every parser works on the bytes that were read, so a file swapped after its
+check is never used; features.npz's arrays are read straight from them
+(artifacts.read_npz), with no second CRC pass. Every JSON artifact,
+generate_manifest.json and partition.json included, goes through the typed reader.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .artifacts import atomic_write, file_sha256, read_npz, write_npz
 from .config import ALLOW_INF, JsonConfig, check_keys, read_value
 from .errors import (CalibrationError, ConfigError, FieldError, InvalidMask, ParseError,
                      StageDependencyError)
-from .features import catalog_hash, default_catalog, load_catalog, save_catalog
+from .features import catalog_hash, default_catalog, parse_catalog, save_catalog
 from .fedavg import TrainingRunConfig, RoundRecord, train
 from .fednorm import (DEFAULT_CLIP_MU, DEFAULT_CLIP_VAR, NORMALIZE_MODES, VARIANCE_FLOOR,
                       ColumnMoments, NormStats, dp_fed_norm, fold_model,
@@ -113,16 +113,15 @@ ROUND_RECORDS_FILE = "round_records.csv"
 LEDGER_FILE = "ledger.json"
 METRICS_FILE = "metrics.csv"
 PRIVACY_REPORT_FILE = "privacy_report.json"
-# everything load_corpus reads: the generate stage's artifacts except traces.jsonl
-CORPUS_FILES = (FEATURES_FILE, CATALOG_FILE, PLACEMENTS_FILE, RANKING_FILE, SPLIT_FILE,
-                GENERATE_MANIFEST_FILE)
+# the corpus files generate_manifest.json guards, each with the key of its sha256
+_RECORDED = {FEATURES_FILE: "features_sha256", PLACEMENTS_FILE: "placements_sha256",
+             RANKING_FILE: "ranking_sha256", SPLIT_FILE: "split_sha256"}
 _PLACEMENTS = functools.partial(read_value, dict[str, tuple[str, ...]])  # placements.json
 # what a stage reads in generate_manifest.json: a hash the manifest lacks
 # or records as null is refused by the check against it, and a config
 # snapshot it lacks by the config check
 _GENERATE_MANIFEST = {"catalog_hash": str | None, "experiment_config": dict,
-                      "features_sha256": str | None, "placements_sha256": str | None,
-                      "ranking_sha256": str | None, "split_sha256": str | None}
+                      **dict.fromkeys(_RECORDED.values(), str | None)}
 # every key partition.json holds
 _PARTITION_KEYS = ("config", "limited_knowledge", "master_seed", "n_participants",
                    "participants", "urls_per_participant", "zipf_exponent")
@@ -324,11 +323,32 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _read_record(run_dir: Path, name: str, read, data: bytes | None = None):
-    """read applied to an artifact's JSON (data, else the file's bytes); errors name the file."""
+_UNGUARDED = object()  # no recorded hash guards the file where a stage reads it
+
+
+def _artifact(run_dir: Path, name: str, recorded=_UNGUARDED, rerun: str | None = None) -> bytes:
+    """The bytes of an input artifact: every file a stage takes is read here, once.
+
+    A missing file is a StageDependencyError, and so are bytes whose sha256
+    differs from the recorded one (None too, a hash the record lacks);
+    rerun names the stage that writes what was recorded.
+    """
+    try:
+        data = (run_dir / name).read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        raise StageDependencyError(
+            f"{name} is missing from {run_dir}; run the earlier stages first") from None
+    if recorded is not _UNGUARDED and hashlib.sha256(data).hexdigest() != recorded:
+        raise StageDependencyError(
+            f"{name} in {run_dir} is not the one this run recorded; re-run the {rerun} stage")
+    return data
+
+
+def _read_record(run_dir: Path, name: str, read, data: bytes):
+    """read applied to the JSON of an artifact's bytes; errors name the file."""
     path = run_dir / name
     try:
-        return read(json.loads(path.read_bytes() if data is None else data))
+        return read(json.loads(data))
     except FieldError as exc:  # keeps its class, and so the CLI's exit code
         raise type(exc)(f"{path}: {exc.field}" if exc.field else str(path), exc.message) from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -365,24 +385,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _require(run_dir: Path, stage: str, names: Sequence[str]) -> None:
-    missing = [n for n in names if not (run_dir / n).exists()]
-    if missing:
-        raise StageDependencyError(
-            f"stage {stage!r} needs {', '.join(missing)} in {run_dir}; "
-            f"run the earlier stages first")
-
-
-def _recorded_bytes(run_dir: Path, name: str, recorded, rerun: str) -> bytes:
-    """The artifact's bytes, refused unless their sha256 is the recorded one."""
-    data = (run_dir / name).read_bytes()
-    if hashlib.sha256(data).hexdigest() != recorded:
-        raise StageDependencyError(
-            f"{name} in {run_dir} is not the one this run recorded; "
-            f"re-run the {rerun} stage")
-    return data
 
 
 # ----------------------------------------------------- in-memory pieces
@@ -640,10 +642,7 @@ def stage_generate(config: ExperimentConfig, run_dir) -> dict:
     save_ranking(ranking, run_dir / RANKING_FILE)
     _write_json(split.to_dict(), run_dir / SPLIT_FILE)
     manifest = {**manifest, "experiment_config": config.to_dict(),
-                "features_sha256": file_sha256(run_dir / FEATURES_FILE),
-                "placements_sha256": file_sha256(run_dir / PLACEMENTS_FILE),
-                "ranking_sha256": file_sha256(run_dir / RANKING_FILE),
-                "split_sha256": file_sha256(run_dir / SPLIT_FILE)}
+                **{key: file_sha256(run_dir / name) for name, key in _RECORDED.items()}}
     _write_json(manifest, run_dir / GENERATE_MANIFEST_FILE)
     return manifest
 
@@ -671,7 +670,6 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
     n_scripts is its build_partition view's size before the knowledge limits.
     """
     run_dir = Path(run_dir)
-    _require(run_dir, "partition", CORPUS_FILES)
     prepared = load_corpus(run_dir)
     _check_corpus_config(config, prepared.manifest, run_dir)
     draws, spec = _partition_plan(prepared.train_ranking, config)
@@ -694,29 +692,27 @@ def stage_partition(config: ExperimentConfig, run_dir) -> dict:
 def load_corpus(run_dir) -> PreparedData:
     """Read the generate stage's artifacts back as the PreparedData prepare_data gives.
 
-    Refuses (StageDependencyError) a run directory missing any of
-    CORPUS_FILES, a features.npz, placements.json, ranking.txt or
-    split.json whose sha256 differs from the one generate_manifest.json
-    records (or that it records none for), and a catalog.json whose
-    catalog_hash differs from the recorded one.
+    Refuses (StageDependencyError) a run directory missing any of the
+    generate stage's artifacts but traces.jsonl, a features.npz,
+    placements.json, ranking.txt or split.json whose sha256 differs from the
+    one generate_manifest.json records (or that it records none for), and a
+    catalog.json whose catalog_hash differs from the recorded one.
     The manifest is the stored one, with the run's config snapshot.
     """
     run_dir = Path(run_dir)
-    _require(run_dir, "load_corpus", CORPUS_FILES)
-    manifest = _read_record(run_dir, GENERATE_MANIFEST_FILE, _read_generate_manifest)
-    data = _recorded_bytes(run_dir, FEATURES_FILE, manifest.get("features_sha256"), "generate")
-    ranking = parse_ranking(_recorded_bytes(
-        run_dir, RANKING_FILE, manifest.get("ranking_sha256"), "generate"), run_dir / RANKING_FILE)
-    placements = _read_record(run_dir, PLACEMENTS_FILE, _PLACEMENTS, _recorded_bytes(
-        run_dir, PLACEMENTS_FILE, manifest.get("placements_sha256"), "generate"))
-    split = _read_record(run_dir, SPLIT_FILE, SplitSpec.from_dict, _recorded_bytes(
-        run_dir, SPLIT_FILE, manifest.get("split_sha256"), "generate"))
-    catalog = load_catalog(run_dir / CATALOG_FILE)
+    manifest = _read_record(run_dir, GENERATE_MANIFEST_FILE, _read_generate_manifest,
+                            _artifact(run_dir, GENERATE_MANIFEST_FILE))
+    data = {name: _artifact(run_dir, name, manifest.get(key), "generate")
+            for name, key in _RECORDED.items()}
+    catalog = parse_catalog(_artifact(run_dir, CATALOG_FILE), run_dir / CATALOG_FILE)
     if catalog_hash(catalog) != manifest.get("catalog_hash"):
         raise StageDependencyError(
             f"{CATALOG_FILE} in {run_dir} is not the one this run recorded; "
             f"re-run the generate stage")
-    corpus = ScriptCorpus.from_arrays(read_npz(data), catalog, placements)
+    ranking = parse_ranking(data[RANKING_FILE], run_dir / RANKING_FILE)
+    placements = _read_record(run_dir, PLACEMENTS_FILE, _PLACEMENTS, data[PLACEMENTS_FILE])
+    split = _read_record(run_dir, SPLIT_FILE, SplitSpec.from_dict, data[SPLIT_FILE])
+    corpus = ScriptCorpus.from_arrays(read_npz(data[FEATURES_FILE]), catalog, placements)
     return PreparedData(corpus, ranking, split, manifest)
 
 
@@ -731,8 +727,9 @@ def corpus_from_traces(run_dir) -> ScriptCorpus:
     for trace in parse_trace_file(run_dir / TRACES_FILE):
         found = label(trace)
         scripts.append(LabeledScript(trace, found.is_fingerprinting(), found.types()))
-    return ScriptCorpus.from_scripts(scripts, load_catalog(run_dir / CATALOG_FILE),
-                                     _read_record(run_dir, PLACEMENTS_FILE, _PLACEMENTS))
+    catalog = parse_catalog(_artifact(run_dir, CATALOG_FILE), run_dir / CATALOG_FILE)
+    return ScriptCorpus.from_scripts(scripts, catalog, _read_record(
+        run_dir, PLACEMENTS_FILE, _PLACEMENTS, _artifact(run_dir, PLACEMENTS_FILE)))
 
 
 def participants_from_manifest(manifest: dict,
@@ -755,10 +752,9 @@ def participants_from_manifest(manifest: dict,
 def stage_train(config: ExperimentConfig, run_dir) -> TrainOutcome:
     """Calibrate, normalize and train from the stored corpus artifacts."""
     run_dir = Path(run_dir)
-    _require(run_dir, "train", CORPUS_FILES + (PARTITION_FILE,))
+    partition_bytes = _artifact(run_dir, PARTITION_FILE)
     prepared = load_corpus(run_dir)
     _check_corpus_config(config, prepared.manifest, run_dir)
-    partition_bytes = (run_dir / PARTITION_FILE).read_bytes()
 
     def stored_participants(manifest) -> list[ParticipantDataset]:
         # a config snapshot it lacks is refused by the config check, as not this run's
@@ -803,9 +799,9 @@ def stage_evaluate(run_dir) -> list[dict]:
     no dense copy of the feature set's columns.
     """
     run_dir = Path(run_dir)
-    _require(run_dir, "evaluate", CORPUS_FILES + (PARTITION_FILE, CHECKPOINT_FILE))
-    checkpoint = _read_record(run_dir, CHECKPOINT_FILE, Checkpoint.from_dict)
-    _recorded_bytes(run_dir, PARTITION_FILE, checkpoint.partition_sha256, "train")
+    checkpoint = _read_record(run_dir, CHECKPOINT_FILE, Checkpoint.from_dict,
+                              _artifact(run_dir, CHECKPOINT_FILE))
+    _artifact(run_dir, PARTITION_FILE, checkpoint.partition_sha256, "train")
     config = checkpoint.config
     prepared = load_corpus(run_dir)
     _check_corpus_config(config, prepared.manifest, run_dir)
@@ -822,8 +818,7 @@ def stage_evaluate(run_dir) -> list[dict]:
     model = LogisticModel(np.array(checkpoint.weights), checkpoint.bias)
     stats = None
     if config.normalize:
-        _require(run_dir, "evaluate", (NORM_STATS_FILE,))
-        stats = _read_record(run_dir, NORM_STATS_FILE, NormStats.from_dict, _recorded_bytes(
+        stats = _read_record(run_dir, NORM_STATS_FILE, NormStats.from_dict, _artifact(
             run_dir, NORM_STATS_FILE, checkpoint.normstats_sha256, "train"))
     rows_out = score_splits(prepared, config, model, stats)
     write_csv(run_dir / METRICS_FILE, METRICS_HEADER,
@@ -839,12 +834,12 @@ def stage_account(run_dir) -> dict:
     the checkpoint records is refused; a bare ledger is replayed as is.
     """
     run_dir = Path(run_dir)
-    _require(run_dir, "account", (LEDGER_FILE,))
-    data = None
+    recorded = _UNGUARDED
     if (run_dir / CHECKPOINT_FILE).exists():
-        recorded = _read_record(run_dir, CHECKPOINT_FILE, Checkpoint.from_dict).ledger_sha256
-        data = _recorded_bytes(run_dir, LEDGER_FILE, recorded, "train")
-    stored = _read_record(run_dir, LEDGER_FILE, LedgerRecord.from_dict, data)
+        recorded = _read_record(run_dir, CHECKPOINT_FILE, Checkpoint.from_dict,
+                                _artifact(run_dir, CHECKPOINT_FILE)).ledger_sha256
+    stored = _read_record(run_dir, LEDGER_FILE, LedgerRecord.from_dict,
+                          _artifact(run_dir, LEDGER_FILE, recorded, "train"))
     delta, entries = stored.delta, stored.entries
     total = PrivacyLedger()
     phases: dict[tuple[str, float, float], PrivacyLedger] = {}

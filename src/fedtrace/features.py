@@ -304,17 +304,16 @@ def save_catalog(catalog: FeatureCatalog, path) -> None:
         fh.write("\n")
 
 
-def load_catalog(path) -> FeatureCatalog:
-    """Load and validate a catalog file.
+def parse_catalog(data: bytes, path=None) -> FeatureCatalog:
+    """The catalog that a catalog file's bytes hold; path names the file in errors.
 
     Declared sizes must match the actual named-set sizes and all required
     set names must be present (CardinalityError otherwise).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise ParseError(str(exc), path=str(path)) from exc
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ParseError(str(exc), path=path) from exc
     try:
         check_keys(obj, ("api_counts", "custom", "sets"), ("declared_sizes",))
         catalog = FeatureCatalog(
@@ -324,7 +323,7 @@ def load_catalog(path) -> FeatureCatalog:
         )
         declared = read_value(dict[str, int], obj.get("declared_sizes", {}), "declared_sizes")
     except (TypeError, ValueError) as exc:  # FieldError, the catalog classes' checks
-        raise ParseError(f"bad catalog structure: {exc}", path=str(path)) from exc
+        raise ParseError(f"bad catalog structure: {exc}", path=path) from exc
     for name in REQUIRED_SET_NAMES:
         if name not in catalog.named_sets:
             raise CardinalityError(f"catalog missing required named set {name!r}")

@@ -154,6 +154,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "weights but the feature set has" in err and "Traceback" not in err
 
+    # an OSError is an error line naming the path and exit 1, never a traceback
+    def test_generate_into_a_regular_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("")
+        assert main(["generate", *TINY, "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+    def test_a_directory_in_place_of_split_json_exits_1(self, trained_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        (run / "split.json").unlink()
+        (run / "split.json").mkdir()
+        assert main(["partition", *TINY, "--out", str(run)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(run / "split.json") in err
+
     def test_bad_config_values(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["generate", "--set", "epsilon=-1", "--out", out]) == EXIT_CONFIG

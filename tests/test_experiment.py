@@ -1,5 +1,7 @@
 """Pipeline stage tests: config handling, calibration split, artifacts."""
 
+import builtins
+import collections
 import dataclasses
 import hashlib
 import json
@@ -7,6 +9,7 @@ import math
 import shutil
 import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,8 @@ from fedtrace.cli import apply_overrides
 from fedtrace.csr import CSRMatrix
 from fedtrace.errors import (CalibrationError, ConfigError, FieldError, InvalidInput,
                              StageDependencyError)
-from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE, LEDGER_FILE,
-                                 METRICS_FILE, NORM_STATS_FILE, PARTITION_FILE,
+from fedtrace.experiment import (CATALOG_FILE, CHECKPOINT_FILE, FEATURES_FILE,
+                                 GENERATE_MANIFEST_FILE, LEDGER_FILE, METRICS_FILE, NORM_STATS_FILE, PARTITION_FILE,
                                  PLACEMENTS_FILE, PRESETS, RANKING_FILE, ROUND_RECORDS_FILE,
                                  SPLIT_FILE, TRACES_FILE, ExperimentConfig, NoiseBudget,
                                  build_participants, calibrate_budget,
@@ -499,16 +502,28 @@ class TestStages:
 
 
 def swap_after_check(monkeypatch, name: str, source) -> None:
-    """Overwrite name with source's copy right after its sha256 check returns."""
-    checked_bytes = experiment._recorded_bytes
+    """Overwrite name with source's copy right after its one read (and check) returns."""
+    read = experiment._artifact
 
-    def swapping(run_dir, checked_name, recorded, rerun):
-        data = checked_bytes(run_dir, checked_name, recorded, rerun)
-        if checked_name == name:
+    def swapping(run_dir, read_name, *guard):
+        data = read(run_dir, read_name, *guard)
+        if read_name == name:
             shutil.copyfile(source / name, run_dir / name)
         return data
 
-    monkeypatch.setattr(experiment, "_recorded_bytes", swapping)
+    monkeypatch.setattr(experiment, "_artifact", swapping)
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """Two trained run directories whose partition, statistics and ledger differ."""
+    root = tmp_path_factory.mktemp("two_runs")
+    configs = {"a": tiny_config(epsilon=1.0, seed=7), "b": tiny_config(epsilon=2.0, seed=8)}
+    for name, cfg in configs.items():
+        stage_generate(cfg, root / name)
+        stage_partition(cfg, root / name)
+        stage_train(cfg, root / name)
+    return root, configs["a"]
 
 
 class TestStageGuards:
@@ -582,7 +597,7 @@ class TestStageGuards:
         stage_train(cfg, tmp_path)
         catalog = json.loads((tmp_path / CATALOG_FILE).read_text())
         catalog["sets"]["HighEntropy"] = catalog["sets"]["HighEntropy"][:50]
-        catalog["declared_sizes"]["HighEntropy"] = 50  # a catalog load_catalog accepts
+        catalog["declared_sizes"]["HighEntropy"] = 50  # a catalog parse_catalog accepts
         (tmp_path / CATALOG_FILE).write_text(json.dumps(catalog))
         for stage in (lambda: stage_train(cfg, tmp_path), lambda: stage_evaluate(tmp_path),
                       lambda: load_corpus(tmp_path)):
@@ -620,7 +635,7 @@ class TestStageGuards:
         stage_generate(cfg, tmp_path)
         catalog = json.loads((tmp_path / CATALOG_FILE).read_text())
         catalog["sets"]["HighEntropy"] = catalog["sets"]["HighEntropy"][:50]
-        catalog["declared_sizes"]["HighEntropy"] = 50  # a catalog load_catalog accepts
+        catalog["declared_sizes"]["HighEntropy"] = 50  # a catalog parse_catalog accepts
         (tmp_path / CATALOG_FILE).write_text(json.dumps(catalog))
         with pytest.raises(StageDependencyError, match=CATALOG_FILE):
             stage_partition(cfg, tmp_path)
@@ -686,6 +701,55 @@ class TestStageGuards:
         assert ((tmp_path / "a" / METRICS_FILE).read_bytes()
                 == (tmp_path / "untouched" / METRICS_FILE).read_bytes())
 
+    @pytest.mark.parametrize("name", [FEATURES_FILE, PLACEMENTS_FILE, SPLIT_FILE])
+    def test_corpus_is_parsed_from_the_checked_bytes(self, two_runs, tmp_path, monkeypatch,
+                                                     name):
+        root, _ = two_runs
+        shutil.copytree(root / "a", tmp_path / "a")
+        assert (root / "a" / name).read_bytes() != (root / "b" / name).read_bytes()
+        checked = load_corpus(tmp_path / "a")
+        swap_after_check(monkeypatch, name, root / "b")
+        loaded = load_corpus(tmp_path / "a")
+        assert (tmp_path / "a" / name).read_bytes() == (root / "b" / name).read_bytes()
+        assert (loaded.ranking, loaded.split) == (checked.ranking, checked.split)
+        assert loaded.corpus.script_ids == checked.corpus.script_ids
+        assert np.array_equal(loaded.corpus.X.toarray(), checked.corpus.X.toarray())
+        assert np.array_equal(loaded.corpus.labels, checked.corpus.labels)
+        assert list(loaded.corpus.domain_rows) == list(checked.corpus.domain_rows)
+        for domain, rows in checked.corpus.domain_rows.items():
+            assert np.array_equal(loaded.corpus.domain_rows[domain], rows)
+
+    def test_ledger_is_parsed_from_the_checked_bytes(self, two_runs, tmp_path, monkeypatch):
+        root, _ = two_runs
+        shutil.copytree(root / "a", tmp_path / "a")
+        report = stage_account(tmp_path / "a")
+        swap_after_check(monkeypatch, LEDGER_FILE, root / "b")
+        assert stage_account(tmp_path / "a") == report
+        assert (tmp_path / "a" / LEDGER_FILE).read_bytes() \
+            == (root / "b" / LEDGER_FILE).read_bytes()
+
+    def test_evaluate_reads_partition_once(self, two_runs, tmp_path, monkeypatch):
+        root, _ = two_runs
+        shutil.copytree(root / "a", tmp_path / "a")
+        stage_evaluate(tmp_path / "a")
+        metrics = (tmp_path / "a" / METRICS_FILE).read_bytes()
+        swap_after_check(monkeypatch, PARTITION_FILE, root / "b")
+        stage_evaluate(tmp_path / "a")
+        assert (tmp_path / "a" / METRICS_FILE).read_bytes() == metrics
+
+    def test_train_records_the_partition_it_parsed(self, two_runs, tmp_path, monkeypatch):
+        # b's partition.json was drawn under another seed, which train refuses
+        root, cfg = two_runs
+        shutil.copytree(root / "a", tmp_path / "a")
+        parsed = (root / "a" / PARTITION_FILE).read_bytes()
+        swap_after_check(monkeypatch, PARTITION_FILE, root / "b")
+        stage_train(cfg, tmp_path / "a")
+        assert (tmp_path / "a" / PARTITION_FILE).read_bytes() != parsed
+        checkpoint = json.loads((tmp_path / "a" / CHECKPOINT_FILE).read_text())
+        assert checkpoint["partition_sha256"] == hashlib.sha256(parsed).hexdigest()
+        for name in (CHECKPOINT_FILE, NORM_STATS_FILE, LEDGER_FILE, ROUND_RECORDS_FILE):
+            assert (tmp_path / "a" / name).read_bytes() == (root / "a" / name).read_bytes()
+
     def test_partition_from_another_run_is_refused(self, tmp_path):
         for name, participants in (("a", 20), ("b", 21)):
             cfg = tiny_config(n_participants=participants)
@@ -706,6 +770,42 @@ class TestStageGuards:
         shutil.copyfile(tmp_path / "b" / LEDGER_FILE, tmp_path / "a" / LEDGER_FILE)
         with pytest.raises(StageDependencyError, match=LEDGER_FILE):
             stage_account(tmp_path / "a")
+
+
+class TestOneReadPerInput:
+    """Each input artifact a stage takes is read once, through the one read function."""
+
+    def test_each_input_is_read_once(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        stage_generate(cfg, tmp_path)
+        reads = collections.Counter()
+        read_bytes, real_open = Path.read_bytes, builtins.open
+
+        def counting_read_bytes(path):
+            reads[path.name] += 1
+            return read_bytes(path)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+"):
+                reads[Path(file).name] += 1
+            return real_open(file, mode, *args, **kwargs)
+
+        corpus = (GENERATE_MANIFEST_FILE, FEATURES_FILE, CATALOG_FILE, PLACEMENTS_FILE,
+                  RANKING_FILE, SPLIT_FILE)
+        # train hashes its fresh normstats.json and ledger.json (file_sha256): not inputs
+        for stage, inputs in (
+                (lambda: stage_partition(cfg, tmp_path), corpus),
+                (lambda: stage_train(cfg, tmp_path),
+                 corpus + (PARTITION_FILE, NORM_STATS_FILE, LEDGER_FILE)),
+                (lambda: stage_evaluate(tmp_path),
+                 corpus + (CHECKPOINT_FILE, PARTITION_FILE, NORM_STATS_FILE)),
+                (lambda: stage_account(tmp_path), (CHECKPOINT_FILE, LEDGER_FILE))):
+            reads.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "read_bytes", counting_read_bytes)
+                patch.setattr(builtins, "open", counting_open)
+                stage()
+            assert reads == collections.Counter(inputs)
 
 
 class TestPinnedGenerate:

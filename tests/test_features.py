@@ -20,7 +20,7 @@ from fedtrace.features import (
     default_catalog,
     feature_importance,
     fill_feature_row,
-    load_catalog,
+    parse_catalog,
     save_catalog,
     signal_slots,
     validate_mask,
@@ -330,11 +330,15 @@ def _write(tmp_path, obj):
     return path
 
 
+def _parse(path):
+    return parse_catalog(path.read_bytes(), path)
+
+
 class TestCatalogFile:
     def test_round_trip_preserves_hash(self, catalog, tmp_path):
         path = tmp_path / "catalog.json"
         save_catalog(catalog, path)
-        back = load_catalog(path)
+        back = _parse(path)
         assert back == catalog
         assert catalog_hash(back) == catalog_hash(catalog)
 
@@ -353,7 +357,7 @@ class TestCatalogFile:
         catalog = _small_catalog(spec)
         path = tmp_path / "catalog.json"
         save_catalog(catalog, path)
-        back = load_catalog(path)
+        back = _parse(path)
         assert back == catalog
         assert catalog_hash(back) == catalog_hash(catalog)
         assert isinstance(back.custom_entries[0].match_value, LongString)
@@ -369,7 +373,7 @@ class TestCatalogFile:
             CustomFeatureSpec("HTMLCanvasElement.toDataURL", "return", None, "equals", "x"))))
         obj["custom"][0]["value"] = value
         with pytest.raises(ParseError, match="bad catalog structure"):
-            load_catalog(_write(tmp_path, obj))
+            _parse(_write(tmp_path, obj))
 
     @pytest.mark.parametrize("length", [300.0, True, "300"])
     def test_a_strlen_length_must_be_an_integer(self, tmp_path, length):
@@ -377,7 +381,7 @@ class TestCatalogFile:
             CustomFeatureSpec("HTMLCanvasElement.toDataURL", "return", None, "strlen", 300))))
         obj["custom"][0]["value"] = length
         with pytest.raises(ParseError, match="strlen matcher needs an int length"):
-            load_catalog(_write(tmp_path, obj))
+            _parse(_write(tmp_path, obj))
 
     # every value is read by the one typed reader, with no int() or str() and
     # no key ignored; a slot of 500.7, a declared size of "149" and an unknown
@@ -401,31 +405,31 @@ class TestCatalogFile:
         edit(obj, arg)
         match = re.escape(f"bad catalog structure: {where.format(arg=arg)}: ")
         with pytest.raises(ParseError, match=match):
-            load_catalog(_write(tmp_path, obj))
+            _parse(_write(tmp_path, obj))
 
     def test_bad_json_is_a_parse_error(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text('{"api_counts": [')
         with pytest.raises(ParseError):
-            load_catalog(path)
+            _parse(path)
 
     def test_bad_structure_is_a_parse_error(self, tmp_path):
         obj = json.loads(catalog_to_json(_small_catalog()))
         del obj["custom"]
         with pytest.raises(ParseError, match="bad catalog structure"):
-            load_catalog(_write(tmp_path, obj))
+            _parse(_write(tmp_path, obj))
 
     def test_missing_required_set_is_refused(self, tmp_path):
         obj = json.loads(catalog_to_json(_small_catalog()))
         del obj["sets"]["JShelter"], obj["declared_sizes"]["JShelter"]
         with pytest.raises(CardinalityError, match="JShelter"):
-            load_catalog(_write(tmp_path, obj))
+            _parse(_write(tmp_path, obj))
 
     def test_declared_size_mismatch_is_refused(self, tmp_path):
         obj = json.loads(catalog_to_json(_small_catalog()))
         obj["declared_sizes"]["HighEntropy"] += 1
         with pytest.raises(CardinalityError, match="declared"):
-            load_catalog(_write(tmp_path, obj))
+            _parse(_write(tmp_path, obj))
 
 
 @settings(max_examples=50, deadline=None)
@@ -452,7 +456,7 @@ def test_catalog_round_trips_every_match_value_kind(tmp_path_factory, short, lon
                              {**catalog.named_sets, "Drawn": tuple(sorted(drawn))})
     path = tmp_path_factory.getbasetemp() / "kinds_catalog.json"
     save_catalog(catalog, path)
-    back = load_catalog(path)
+    back = _parse(path)
     assert back == catalog and catalog_hash(back) == catalog_hash(catalog)
     # equality alone would let True stand for 1.0
     assert [type(c.match_value) for c in back.custom_entries] \
